@@ -81,32 +81,11 @@ void BM_FieldKernels_BatchInv(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldKernels_BatchInv)->Arg(16)->Arg(256);
 
-void BM_FieldKernels_EvalMany(benchmark::State& state) {
-  PrimeField F;
-  Rng rng(23);
-  const auto deg = static_cast<int>(state.range(0));
-  const auto m = static_cast<std::size_t>(state.range(1));
-  Poly p = Poly::random(F, deg, rng);
-  std::vector<std::uint64_t> xs(m), out(m);
-  for (auto& x : xs) x = F.uniform(rng);
-  for (auto _ : state) {
-    F.eval_many(p.coeffs().data(), p.coeffs().size(), xs.data(), m,
-                out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_FieldKernels_EvalMany)
-    ->ArgNames({"deg", "pts"})
-    ->Args({2, 16})->Args({4, 64})->Args({8, 64});
-
 // --- Wide-shape kernel benchmarks ------------------------------------------
 //
-// The large-n scaling grid's shapes: length-n vectors and (f+1)-degree
-// row evaluations at n points for n up to 128, the loops the runtime-
-// dispatched SIMD backends target. Rerun against a -DSSBFT_SIMD=off build
+// The large-n scaling grid's shapes: length-n vectors and the
+// n x (f+1) by (f+1) x n products of the GVSS rounds for n up to 128, the
+// loops the runtime-dispatched SIMD backends target. Rerun against a -DSSBFT_SIMD=off build
 // for the scalar reference on identical inputs.
 
 void BM_FieldKernelsWide_MulVec(benchmark::State& state) {
@@ -128,26 +107,25 @@ void BM_FieldKernelsWide_MulVec(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldKernelsWide_MulVec)->ArgName("n")->Arg(32)->Arg(128);
 
-void BM_FieldKernelsWide_EvalMany(benchmark::State& state) {
-  // One dealing-row evaluation at every node point: degree f = (n-1)/3,
-  // n points — recv_deal runs n of these per beat per node.
+void BM_FieldKernelsWide_MatMul(benchmark::State& state) {
+  // The GVSS round shape: an n x (f+1) power table times an (f+1) x n block
+  // of rows, f = (n-1)/3 — one deal-receive evaluation pass per node.
   PrimeField F;
   Rng rng(32);
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t f = (n - 1) / 3;
-  Poly p = Poly::random(F, static_cast<int>(f), rng);
-  std::vector<std::uint64_t> xs(n), out(n);
-  for (auto& x : xs) x = F.uniform(rng);
+  const std::size_t w = (n - 1) / 3 + 1;
+  std::vector<std::uint64_t> a(n * w), b(w * n), out(n * n);
+  for (auto& x : a) x = F.uniform(rng);
+  for (auto& x : b) x = F.uniform(rng);
   for (auto _ : state) {
-    F.eval_many(p.coeffs().data(), p.coeffs().size(), xs.data(), n,
-                out.data());
+    F.matmul(a.data(), b.data(), out.data(), n, w, n);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+                          static_cast<std::int64_t>(n * w * n));
 }
-BENCHMARK(BM_FieldKernelsWide_EvalMany)->ArgName("n")->Arg(32)->Arg(64)
+BENCHMARK(BM_FieldKernelsWide_MatMul)->ArgName("n")->Arg(32)->Arg(64)
     ->Arg(128);
 
 void BM_FieldKernelsWide_BatchInv(benchmark::State& state) {

@@ -22,16 +22,12 @@ void FmCoinScratch::ensure(const PrimeField& F, std::uint32_t n_nodes,
   modulus = F.modulus();
   n = n_nodes;
   f = faults;
-  points.resize(n);
-  for (NodeId j = 0; j < n; ++j) points[j] = node_point(j);
-  row_buf.assign(std::size_t{f} + 1, 0);
+  tables = GvssTables::shared(F, n, f);
+  rows.assign(std::size_t{n} * (f + 1), 0);
   vals.assign(n, 0);
-  shares.assign(std::size_t{n} * n, 0);
   shares_ok.assign(n, 0);
   votes.assign(n, 0);
-  pts.clear();
-  pts.reserve(n);
-  table.init(F, n, f);
+  recover.resize(n, f);
 }
 
 FmCoinInstance::FmCoinInstance(const ProtocolEnv& env,
@@ -46,7 +42,8 @@ FmCoinInstance::FmCoinInstance(const ProtocolEnv& env,
       words_(bitword_count(env.n)),
       value_bits_(field_.value_bits()),
       row_valid_(env.n, 0),
-      row_evals_(std::size_t{env.n} * (env.n + 1), 0),
+      matrix_(std::size_t{env.n} * env.n, sentinel(field_)),
+      zeros_(env.n, sentinel(field_)),
       cross_matches_(env.n, 0),
       happy_words_(words_, 0),
       voted_words_(std::size_t{env.n} * words_, 0),
@@ -59,10 +56,11 @@ FmCoinInstance::FmCoinInstance(const ProtocolEnv& env,
 
 void FmCoinInstance::reinit(Rng rng) {
   // Mirrors construction (same rng draw order as the ctor's dealing
-  // sample), but every buffer is reused in place.
+  // sample), but every buffer is reused in place. The per-dealer row state
+  // needs no reset: round 1's receive rewrites it before any round reads
+  // it.
   rng_ = rng;
   dealing_.resample(field_, env_.f, rng_);
-  std::fill(row_valid_.begin(), row_valid_.end(), 0);
   std::fill(cross_matches_.begin(), cross_matches_.end(), 0);
   std::fill(happy_words_.begin(), happy_words_.end(), 0);
   std::fill(vote_valid_.begin(), vote_valid_.end(), 0);
@@ -93,16 +91,17 @@ void FmCoinInstance::receive_round(int round, const Inbox& in,
   }
 }
 
-// Round 1 — share phase: as dealer, send node j its row F(x_j, y). A
-// correct dealer's row is all-present; the masked codec still pays off via
-// the packed value width and the dropped length prefix.
+// Round 1 — share phase: as dealer, send node j its row F(x_j, y), all n
+// rows computed as V * C. A correct dealer's row is all-present; the
+// masked codec still pays off via the packed value width and the dropped
+// length prefix.
 void FmCoinInstance::send_deal(Outbox& out, ChannelId ch) {
   const std::size_t width = std::size_t{env_.f} + 1;
+  std::uint64_t* rows = scratch_->rows.data();
+  dealing_.rows_into(field_, scratch_->tables->powers.data(), env_.n, rows);
   for (NodeId j = 0; j < env_.n; ++j) {
-    dealing_.row_into(field_, j, scratch_->row_buf.data());
     ByteWriter& w = out.writer();
-    w.masked_u64_vec(scratch_->row_buf.data(), width, sentinel(field_),
-                     value_bits_);
+    w.masked_u64_vec(rows + j * width, width, sentinel(field_), value_bits_);
     out.send(j, ch, w.data());
   }
 }
@@ -110,41 +109,66 @@ void FmCoinInstance::send_deal(Outbox& out, ChannelId ch) {
 void FmCoinInstance::recv_deal(const Inbox& in, ChannelId ch) {
   const auto payloads = in.first_per_sender(ch);
   const std::size_t width = std::size_t{env_.f} + 1;
+  // Valid rows are staged back to back in dealer order; a rejected
+  // payload's slot is reused by the next one.
+  std::uint64_t* rows = scratch_->rows.data();
+  std::size_t m = 0;
   for (NodeId d = 0; d < env_.n; ++d) {
     row_valid_[d] = 0;
+    zeros_[d] = sentinel(field_);
     if (payloads[d] == nullptr) continue;
+    std::uint64_t* row = rows + m * width;
     ByteReader r(*payloads[d]);
     // Masked-out coefficients decode to the sentinel, which
     // validate_row_raw rejects as non-canonical — a Byzantine dealer gains
     // nothing by masking.
-    if (!r.masked_u64_vec_into(scratch_->row_buf.data(), width,
-                               sentinel(field_), value_bits_) ||
+    if (!r.masked_u64_vec_into(row, width, sentinel(field_), value_bits_) ||
         !r.at_end()) {
       continue;
     }
-    if (!validate_row_raw(field_, env_.f, scratch_->row_buf.data(), width)) {
-      continue;
-    }
+    if (!validate_row_raw(field_, env_.f, row, width)) continue;
     row_valid_[d] = 1;
-    // The one evaluation pass per dealing: rounds 2-4 read these values
-    // instead of re-walking the row polynomial.
-    field_.eval_many(scratch_->row_buf.data(), width, scratch_->points.data(),
-                     env_.n, &eval_at_node(d, 0));
-    eval_at_zero(d) = scratch_->row_buf[0];
+    zeros_[d] = row[0];
+    ++m;
+  }
+  evaluate_rows(m);
+}
+
+void FmCoinInstance::evaluate_rows(std::size_t m) {
+  const std::size_t n = env_.n;
+  const std::size_t width = std::size_t{env_.f} + 1;
+  const std::uint64_t* rows = scratch_->rows.data();
+  std::uint64_t* rows_t = scratch_->recover.block.data();  // width x m
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t i = 0; i < width; ++i) {
+      rows_t[i * m + k] = rows[k * width + i];
+    }
+  }
+  std::uint64_t* evals = matrix_.data();
+  if (m > 0) {
+    field_.matmul(scratch_->tables->powers.data(), rows_t, evals, n, width,
+                  m);
+  }
+  if (m == n) return;
+  // The product is n x m; spread it in place to n x n, back to front. Entry
+  // (j, k) moves to (j, d) with k <= d and m <= n, so no entry is
+  // overwritten before it has moved.
+  for (std::size_t j = n; j-- > 0;) {
+    std::size_t k = m;
+    for (std::size_t d = n; d-- > 0;) {
+      evals[j * n + d] = row_valid_[d] ? evals[j * m + --k] : sentinel(field_);
+    }
   }
 }
 
 // Round 2 — cross-check: send node j, for every dealer d, my row's value
-// at j's point; j compares against its own row's value at my point
-// (symmetry: F_d(x_me, x_j) = F_d(x_j, x_me)).
+// at j's point — matrix_ row j as is; j compares against its own row's
+// value at my point (symmetry: F_d(x_me, x_j) = F_d(x_j, x_me)).
 void FmCoinInstance::send_cross(Outbox& out, ChannelId ch) {
   for (NodeId j = 0; j < env_.n; ++j) {
-    for (NodeId d = 0; d < env_.n; ++d) {
-      scratch_->vals[d] = row_valid_[d] ? eval_at_node(d, j) : sentinel(field_);
-    }
     ByteWriter& w = out.writer();
-    w.masked_u64_vec(scratch_->vals.data(), env_.n, sentinel(field_),
-                     value_bits_);
+    w.masked_u64_vec(matrix_.data() + std::size_t{j} * env_.n, env_.n,
+                     sentinel(field_), value_bits_);
     out.send(j, ch, w.data());
   }
 }
@@ -152,17 +176,19 @@ void FmCoinInstance::send_cross(Outbox& out, ChannelId ch) {
 void FmCoinInstance::recv_cross(const Inbox& in, ChannelId ch) {
   const auto payloads = in.first_per_sender(ch);
   std::fill(cross_matches_.begin(), cross_matches_.end(), 0);
+  std::uint64_t* vals = scratch_->vals.data();
   for (NodeId j = 0; j < env_.n; ++j) {
     if (payloads[j] == nullptr) continue;
     ByteReader r(*payloads[j]);
-    if (!r.masked_u64_vec_into(scratch_->vals.data(), env_.n,
-                               sentinel(field_), value_bits_) ||
+    if (!r.masked_u64_vec_into(vals, env_.n, sentinel(field_), value_bits_) ||
         !r.at_end()) {
       continue;
     }
+    // A canonical value equal to my evaluation implies my row is valid:
+    // invalid dealers' columns hold the (non-canonical) sentinel.
+    const std::uint64_t* mine = matrix_.data() + std::size_t{j} * env_.n;
     for (NodeId d = 0; d < env_.n; ++d) {
-      if (!row_valid_[d] || !field_.valid(scratch_->vals[d])) continue;
-      if (eval_at_node(d, j) == scratch_->vals[d]) ++cross_matches_[d];
+      cross_matches_[d] += field_.valid(vals[d]) && vals[d] == mine[d];
     }
   }
   for (NodeId d = 0; d < env_.n; ++d) {
@@ -203,54 +229,39 @@ void FmCoinInstance::recv_votes(const Inbox& in, ChannelId ch) {
 // every dealing I hold a row for. This is the single round before which
 // the adversary cannot predict the coin (Observation 2.1).
 void FmCoinInstance::send_shares(Outbox& out, ChannelId ch) {
-  for (NodeId d = 0; d < env_.n; ++d) {
-    scratch_->vals[d] = row_valid_[d] ? eval_at_zero(d) : sentinel(field_);
-  }
   ByteWriter& w = out.writer();
-  w.masked_u64_vec(scratch_->vals.data(), env_.n, sentinel(field_),
-                   value_bits_);
+  w.masked_u64_vec(zeros_.data(), env_.n, sentinel(field_), value_bits_);
   out.broadcast(ch, w.data());
 }
 
 void FmCoinInstance::recv_shares(const Inbox& in, ChannelId ch) {
   const auto payloads = in.first_per_sender(ch);
-  // Decode every sender's share vector once, into the shared flat matrix.
+  // Decode every sender's share vector once, into matrix_ (round 2 was
+  // its last reader). Only senders whose shares and votes both decoded
+  // count.
   for (NodeId j = 0; j < env_.n; ++j) {
     scratch_->shares_ok[j] = 0;
     if (payloads[j] == nullptr) continue;
     ByteReader r(*payloads[j]);
     if (!r.masked_u64_vec_into(
-            scratch_->shares.data() + std::size_t{j} * env_.n, env_.n,
+            matrix_.data() + std::size_t{j} * env_.n, env_.n,
             sentinel(field_), value_bits_) ||
         !r.at_end()) {
       continue;
     }
-    scratch_->shares_ok[j] = 1;
+    scratch_->shares_ok[j] = vote_valid_[j];
   }
+  // Only shares from nodes that *voted happy* on d count: a correct happy
+  // voter's row is consistent with the unique dealt polynomial, so lies
+  // among these points come only from Byzantine senders (<= f), within
+  // the Berlekamp-Welch budget.
+  std::uint64_t* secrets = scratch_->vals.data();
+  gvss_recover_batch(field_, scratch_->tables->recover,
+                     matrix_.data(), scratch_->shares_ok.data(),
+                     voted_words_.data(), words_, grades_.data(), secrets,
+                     scratch_->recover);
   std::uint64_t sum = 0;
-  for (NodeId d = 0; d < env_.n; ++d) {
-    if (grades_[d] == GvssGrade::kNone) continue;
-    // Only shares from nodes that *voted happy* on d count: a correct happy
-    // voter's row is consistent with the unique dealt polynomial, so lies
-    // among these points come only from Byzantine senders (<= f), within
-    // the Berlekamp-Welch budget.
-    scratch_->pts.clear();
-    for (NodeId j = 0; j < env_.n; ++j) {
-      if (!scratch_->shares_ok[j] || !vote_valid_[j]) continue;
-      if (!bitword_get(voted_words_.data() + std::size_t{j} * words_, d)) {
-        continue;
-      }
-      const std::uint64_t y = scratch_->shares[std::size_t{j} * env_.n + d];
-      if (!field_.valid(y)) continue;
-      scratch_->pts.push_back(RsPoint{node_point(j), y});
-    }
-    // Unrecoverable dealings (necessarily from a faulty dealer) contribute
-    // the canonical value 0, identically at every node that fails.
-    const std::uint64_t s_d =
-        gvss_recover(field_, env_.f, scratch_->pts, &scratch_->table)
-            .value_or(0);
-    sum = field_.add(sum, s_d);
-  }
+  for (NodeId d = 0; d < env_.n; ++d) sum = field_.add(sum, secrets[d]);
   output_bit_ = (sum & 1) != 0;
 }
 
@@ -261,18 +272,18 @@ void FmCoinInstance::randomize_state(Rng& rng) {
   // the output bit.)
   dealing_.resample(field_, env_.f, rng);
   const std::size_t width = std::size_t{env_.f} + 1;
+  std::uint64_t* rows = scratch_->rows.data();
+  std::size_t m = 0;
   for (NodeId d = 0; d < env_.n; ++d) {
+    row_valid_[d] = 0;
+    zeros_[d] = sentinel(field_);
     if (rng.next_bool()) {
       // A random-but-consistent degree-f row, like a fresh Poly::random.
-      for (std::size_t i = 0; i < width; ++i) {
-        scratch_->row_buf[i] = field_.uniform(rng);
-      }
+      std::uint64_t* row = rows + m * width;
+      for (std::size_t i = 0; i < width; ++i) row[i] = field_.uniform(rng);
       row_valid_[d] = 1;
-      field_.eval_many(scratch_->row_buf.data(), width,
-                       scratch_->points.data(), env_.n, &eval_at_node(d, 0));
-      eval_at_zero(d) = scratch_->row_buf[0];
-    } else {
-      row_valid_[d] = 0;
+      zeros_[d] = row[0];
+      ++m;
     }
     cross_matches_[d] = static_cast<std::uint32_t>(rng.next_below(env_.n + 1));
     bitword_set(happy_words_.data(), d, rng.next_bool());
@@ -282,6 +293,7 @@ void FmCoinInstance::randomize_state(Rng& rng) {
     for (NodeId j = 0; j < env_.n; ++j) bitword_set(row, j, rng.next_bool());
     vote_valid_[d] = 1;
   }
+  evaluate_rows(m);
   output_bit_ = rng.next_bool();
 }
 

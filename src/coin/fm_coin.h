@@ -45,15 +45,41 @@
 //
 // Hot-path layout
 // ---------------
-// All per-dealer state is flat uint64 storage: each received row is
-// validated once and immediately evaluated at every node point (one
-// eval_many pass per dealing feeds rounds 2-4, replacing repeated Horner
-// walks), vote masks are bit-packed words (support/bitwords.h), and every
+// The field work of the four rounds is a handful of matrix products
+// (PrimeField::matmul): one kernel call per dealing or evaluation pass,
+// and one 1-row call per checked sender in recovery. V is the node-point
+// power table (n x (f+1), V[k][i] = node_point(k)^i); it and the recover
+// table are built once per (modulus, n, f) and shared by every pipeline of
+// that shape (GvssTables::shared, fetched in FmCoinScratch::ensure).
+//
+//   deal send     all n rows of my dealing at once: V * C.
+//   deal receive  decode only the present rows; the m valid ones,
+//                 transposed, give V * R^T, the point-major table
+//                 evals[j][d] of every valid row at every node point
+//                 (the instance's n x n matrix). Invalid dealers' columns
+//                 hold the sentinel, silent dealers are never evaluated,
+//                 and zeros[d] keeps each row's constant term for round 4.
+//   cross send    encodes evals[j] as is; cross receive compares the
+//                 decoded vector against it element by element.
+//   share send    encodes zeros.
+//   share receive decodes the share matrix into the same n x n matrix
+//                 (round 2 was the evaluations' last reader), then
+//                 gvss_recover_batch: every graded dealer that all counted
+//                 senders voted for with canonical shares is recovered
+//                 from one (f+1)-row block of prefix shares, each further
+//                 sender's Lagrange row times the block checked against
+//                 its shares; other dealers, and any that fail a check,
+//                 take the per-dealer gvss_recover.
+//
+// Vote masks are bit-packed words (support/bitwords.h). Every
 // round-transient buffer lives in an FmCoinScratch shared by the staggered
-// instances of one pipeline — at any beat exactly one instance executes a
-// given round, so round-local scratch never overlaps. Together with the
-// pipeline's reinit-recycling, a warm FM-coin beat performs zero heap
-// allocations (tests/alloc_test.cpp pins this for the full clock stack).
+// instances of one pipeline: each round's scratch is dead when its
+// send_round/receive_round returns. Scratch is sized from (n, f) alone.
+// Together with the pipeline's reinit-recycling, a warm FM-coin beat
+// performs zero heap allocations (tests/alloc_test.cpp pins this for the
+// full clock stack). Every product computes the same field elements as
+// the per-dealer rules, so wire bytes and coin bits do not depend on the
+// layout (GOLDEN_FM_TRACE_COMMITMENT.txt pins them).
 #pragma once
 
 #include <cstdint>
@@ -77,9 +103,10 @@ struct FmCoinParams {
   }
 };
 
-// Round-transient buffers plus the (field, n, f) recovery tables, shared by
-// all instances of one coin pipeline (and across beats). Instances built
-// without one allocate a private copy, so standalone use needs no plumbing.
+// Round-transient buffers plus the shared (modulus, n, f) tables, shared
+// by all instances of one coin pipeline (and across beats). Instances
+// built without one allocate a private copy, so standalone use needs no
+// plumbing.
 struct FmCoinScratch {
   // Idempotent per (modulus, n, f); rebuilds when the shape changes.
   void ensure(const PrimeField& F, std::uint32_t n, std::uint32_t f);
@@ -88,14 +115,16 @@ struct FmCoinScratch {
   std::uint32_t n = 0;
   std::uint32_t f = 0;
 
-  std::vector<std::uint64_t> points;   // node points 1..n, for eval_many
-  std::vector<std::uint64_t> row_buf;  // f+1 row coefficients (deal codec)
-  std::vector<std::uint64_t> vals;     // n-element payload codec buffer
-  std::vector<std::uint64_t> shares;   // n x n received share matrix
-  std::vector<std::uint8_t> shares_ok; // per sender: decoded cleanly
-  std::vector<std::uint32_t> votes;    // per dealer: happy-vote tally
-  std::vector<RsPoint> pts;            // recovery point set (capacity n)
-  GvssRecoverTable table;              // steady-state recovery fast path
+  std::shared_ptr<const GvssTables> tables;  // V and the recover table
+  // n x (f+1): my dealt rows (round 1 send), the received valid rows
+  // (round 1 receive).
+  std::vector<std::uint64_t> rows;
+  std::vector<std::uint64_t> vals;      // n: payload codec buffer, secrets
+  std::vector<std::uint8_t> shares_ok;  // per sender: shares and votes count
+  std::vector<std::uint32_t> votes;     // per dealer: happy-vote tally
+  // Round-4 batch recovery; its (f+1) x n block also holds round 1's
+  // transposed valid rows.
+  GvssBatchScratch recover;
 };
 
 class FmCoinInstance final : public CoinInstance {
@@ -126,13 +155,9 @@ class FmCoinInstance final : public CoinInstance {
   void recv_votes(const Inbox& in, ChannelId ch);
   void recv_shares(const Inbox& in, ChannelId ch);
 
-  // row_evals_ accessors: dealer d's row evaluated at 0 / at node_point(j).
-  std::uint64_t& eval_at_zero(NodeId d) {
-    return row_evals_[std::size_t{d} * (env_.n + 1)];
-  }
-  std::uint64_t& eval_at_node(NodeId d, NodeId j) {
-    return row_evals_[std::size_t{d} * (env_.n + 1) + 1 + j];
-  }
+  // Evaluates the m valid rows staged in scratch (dealer order) at every
+  // node point into matrix_, with the sentinel in invalid dealers' columns.
+  void evaluate_rows(std::size_t m);
 
   ProtocolEnv env_;
   PrimeField field_;
@@ -142,11 +167,15 @@ class FmCoinInstance final : public CoinInstance {
   std::size_t words_;    // bitword_count(n)
   unsigned value_bits_;  // field_.value_bits(), for the masked wire codec
 
-  // Per dealer d: whether my row of d's dealing is valid, and its
-  // evaluations at 0 and every node point (n x (n+1) flat table) — the one
-  // O(n*f) pass per dealing that rounds 2-4 read from.
+  // Per dealer d: whether my row of d's dealing is valid, and zeros_[d] its
+  // value at 0 (round 4's share), the sentinel where the row is invalid.
+  // matrix_ is n x n and node-major: from round 1's receive through round
+  // 2, entry (j, d) is that row at node_point(j) (the sentinel where
+  // invalid); round 4's receive reuses it for sender j's share of dealer d.
+  // Round 1's receive rewrites all three.
   std::vector<std::uint8_t> row_valid_;
-  std::vector<std::uint64_t> row_evals_;
+  std::vector<std::uint64_t> matrix_;
+  std::vector<std::uint64_t> zeros_;
   // Per dealer d: number of nodes whose cross value matched my row.
   std::vector<std::uint32_t> cross_matches_;
   // My happy votes, bit-packed (wire format of round 3).

@@ -1,5 +1,10 @@
 #include "coin/gvss.h"
 
+#include <map>
+#include <mutex>
+#include <tuple>
+
+#include "support/bitwords.h"
 #include "support/check.h"
 
 namespace ssbft {
@@ -69,7 +74,37 @@ void GvssRecoverTable::init(const PrimeField& F, std::uint32_t n,
   for (std::size_t t = 0; t < targets; ++t) {
     fill_row(f + 2 + t, target_rows_.data() + t * m);
   }
-  ys_scratch_.assign(m, 0);
+}
+
+GvssTables::GvssTables(const PrimeField& F, std::uint32_t n, std::uint32_t f)
+    : powers(std::size_t{n} * (f + 1)), recover(F, n, f) {
+  const std::size_t w = std::size_t{f} + 1;
+  for (NodeId k = 0; k < n; ++k) {
+    std::uint64_t xp = 1;
+    for (std::size_t i = 0; i < w; ++i) {
+      powers[k * w + i] = xp;
+      xp = F.mul(xp, node_point(k));
+    }
+  }
+}
+
+std::shared_ptr<const GvssTables> GvssTables::shared(const PrimeField& F,
+                                                     std::uint32_t n,
+                                                     std::uint32_t f) {
+  // Weak entries: a shape's tables live exactly as long as some pipeline
+  // holds them, and concurrent sweep workers of one shape share one copy.
+  static std::mutex mu;
+  static std::map<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>,
+                  std::weak_ptr<const GvssTables>>
+      cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = cache[{F.modulus(), n, f}];
+  std::shared_ptr<const GvssTables> tables = slot.lock();
+  if (tables == nullptr) {
+    tables = std::make_shared<const GvssTables>(F, n, f);
+    slot = tables;
+  }
+  return tables;
 }
 
 namespace {
@@ -95,17 +130,22 @@ bool table_applies(const GvssRecoverTable* table, const PrimeField& F,
 
 std::optional<std::uint64_t> gvss_recover(const PrimeField& F, std::uint32_t f,
                                           const std::vector<RsPoint>& shares,
-                                          const GvssRecoverTable* table) {
+                                          const GvssRecoverTable* table,
+                                          std::uint64_t* ys) {
   const int deg = static_cast<int>(f);
   if (shares.size() < std::size_t{f} + 1) return std::nullopt;
   // Fast path: the first f+1 shares define a candidate; if *every* share
   // agrees it is the unique degree-f codeword (zero errors).
   if (table_applies(table, F, f, shares)) {
-    // Allocation-free: candidate values at the remaining share points come
-    // straight from the precomputed Lagrange rows as table-row / share dot
-    // products, with the prefix values staged flat once for the kernel.
+    // Candidate values at the remaining share points come straight from
+    // the precomputed Lagrange rows as table-row / share dot products, with
+    // the prefix values staged flat once for the kernel.
     const std::size_t m = std::size_t{f} + 1;
-    std::uint64_t* ys = table->ys_scratch();
+    std::vector<std::uint64_t> local;
+    if (ys == nullptr) {
+      local.resize(m);
+      ys = local.data();
+    }
     for (std::size_t i = 0; i < m; ++i) ys[i] = shares[i].y;
     bool clean = true;
     for (std::size_t k = m; k < shares.size(); ++k) {
@@ -133,6 +173,98 @@ std::optional<std::uint64_t> gvss_recover(const PrimeField& F, std::uint32_t f,
   return decoded->eval(F, 0);
 }
 
+void GvssBatchScratch::resize(std::uint32_t n, std::uint32_t f) {
+  const std::size_t w = std::size_t{f} + 1;
+  senders.clear();
+  senders.reserve(n);
+  dealers.clear();
+  dealers.reserve(n);
+  batched.assign(n, 0);
+  block.assign(w * n, 0);
+  row.assign(n, 0);
+  pts.clear();
+  pts.reserve(n);
+  ys.assign(w, 0);
+}
+
+void gvss_recover_batch(const PrimeField& F, const GvssRecoverTable& table,
+                        const std::uint64_t* shares,
+                        const std::uint8_t* sender_ok,
+                        const std::uint64_t* votes, std::size_t words,
+                        const GvssGrade* grades, std::uint64_t* secrets,
+                        GvssBatchScratch& scratch) {
+  const std::uint32_t n = table.n();
+  const std::uint32_t f = table.f();
+  const std::size_t w = std::size_t{f} + 1;
+  auto& senders = scratch.senders;
+  auto& dealers = scratch.dealers;
+  auto& batched = scratch.batched;
+  senders.clear();
+  for (NodeId j = 0; j < n; ++j) {
+    if (sender_ok[j]) senders.push_back(j);
+  }
+  // Senders are ascending and distinct, so 0..f all count iff the
+  // (f+1)-th counted sender is f.
+  const bool prefix = senders.size() >= w && senders[f] == f;
+  for (NodeId d = 0; d < n; ++d) {
+    batched[d] = prefix && grades[d] != GvssGrade::kNone;
+  }
+  if (prefix) {
+    for (const NodeId j : senders) {
+      const std::uint64_t* vrow = votes + std::size_t{j} * words;
+      const std::uint64_t* srow = shares + std::size_t{j} * n;
+      for (NodeId d = 0; d < n; ++d) {
+        batched[d] &= static_cast<std::uint8_t>(bitword_get(vrow, d) &&
+                                                F.valid(srow[d]));
+      }
+    }
+  }
+  dealers.clear();
+  for (NodeId d = 0; d < n; ++d) {
+    if (batched[d]) dealers.push_back(d);
+  }
+  const std::size_t m = dealers.size();
+  if (m > 0) {
+    std::uint64_t* block = scratch.block.data();
+    std::uint64_t* row = scratch.row.data();
+    for (std::size_t i = 0; i < w; ++i) {
+      for (std::size_t b = 0; b < m; ++b) {
+        block[i * m + b] = shares[i * n + dealers[b]];
+      }
+    }
+    for (std::size_t t = w; t < senders.size(); ++t) {
+      const NodeId j = senders[t];
+      F.matmul(table.target_row(node_point(j)), block, row, 1, w, m);
+      const std::uint64_t* srow = shares + std::size_t{j} * n;
+      for (std::size_t b = 0; b < m; ++b) {
+        if (row[b] != srow[dealers[b]]) batched[dealers[b]] = 0;
+      }
+    }
+    F.matmul(table.zero_row(), block, row, 1, w, m);
+    for (std::size_t b = 0; b < m; ++b) {
+      if (batched[dealers[b]]) secrets[dealers[b]] = row[b];
+    }
+  }
+  for (NodeId d = 0; d < n; ++d) {
+    if (grades[d] == GvssGrade::kNone) {
+      secrets[d] = 0;
+      continue;
+    }
+    if (batched[d]) continue;
+    scratch.pts.clear();
+    for (const NodeId j : senders) {
+      if (!bitword_get(votes + std::size_t{j} * words, d)) continue;
+      const std::uint64_t y = shares[std::size_t{j} * n + d];
+      if (!F.valid(y)) continue;
+      scratch.pts.push_back(RsPoint{node_point(j), y});
+    }
+    // Unrecoverable dealings (necessarily from a faulty dealer) contribute
+    // the canonical value 0, identically at every node that fails.
+    secrets[d] = gvss_recover(F, f, scratch.pts, &table, scratch.ys.data())
+                     .value_or(0);
+  }
+}
+
 GvssDealing GvssDealing::sample(const PrimeField& F, std::uint32_t f,
                                 Rng& rng) {
   GvssDealing d{SymmetricBivariate{}};
@@ -149,13 +281,13 @@ std::vector<std::uint64_t> GvssDealing::row_for(const PrimeField& F,
                                                 NodeId to) const {
   std::vector<std::uint64_t> coeffs(static_cast<std::size_t>(poly_.degree()) + 1,
                                     0);
-  row_into(F, to, coeffs.data());
+  poly_.row_into(F, node_point(to), coeffs.data());
   return coeffs;
 }
 
-void GvssDealing::row_into(const PrimeField& F, NodeId to,
-                           std::uint64_t* out) const {
-  poly_.row_into(F, node_point(to), out);
+void GvssDealing::rows_into(const PrimeField& F, const std::uint64_t* powers,
+                            std::uint32_t n, std::uint64_t* out) const {
+  poly_.rows_into(F, powers, n, out);
 }
 
 }  // namespace ssbft

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -62,16 +63,16 @@ bool gvss_happy(std::uint32_t n, std::uint32_t f, bool row_valid,
 GvssGrade gvss_grade(std::uint32_t n, std::uint32_t f, std::uint32_t votes);
 
 // Precomputed Lagrange tables for the recovery fast path over the fixed
-// node points 1..n, cached per (field, n, f) — typically one per coin
-// pipeline, shared by its staggered instances and reused beat after beat.
+// node points 1..n, built once per (field, n, f) and immutable afterwards
+// (GvssTables::shared hands one copy to every coin pipeline of a shape).
 //
 // The tables carry, for the canonical prefix subset {node_point(0..f)} =
 // {1..f+1}, the basis coefficients L_i(x) of the degree-f interpolant at
 // every other node point and at 0. When the first f+1 shares handed to
 // gvss_recover are exactly that prefix (the steady state: correct low-id
 // senders are present every beat), candidate evaluation is a table/share
-// dot product — no inversion, no allocation. Other subsets fall back to a
-// generic batch-inverted path.
+// dot product — no inversion. Other subsets fall back to a generic
+// batch-inverted path.
 class GvssRecoverTable {
  public:
   GvssRecoverTable() = default;
@@ -94,18 +95,30 @@ class GvssRecoverTable {
     return target_rows_.data() +
            static_cast<std::size_t>(point - f_ - 2) * (f_ + 1);
   }
-  // Staging buffer (f+1 entries) for the fast path: shares arrive as AoS
-  // RsPoints, the dot kernel wants flat values. gvss_recover fills it per
-  // call; sized at init so the steady state allocates nothing.
-  std::uint64_t* ys_scratch() const { return ys_scratch_.data(); }
-
  private:
   std::uint32_t n_ = 0;
   std::uint32_t f_ = 0;
   std::uint64_t modulus_ = 0;
   std::vector<std::uint64_t> zero_row_;
   std::vector<std::uint64_t> target_rows_;  // (n - f - 1) rows x (f+1)
-  mutable std::vector<std::uint64_t> ys_scratch_;  // f+1
+};
+
+// The read-only tables of one (field, n, f) shape: the node-point power
+// table V (n x (f+1), V[k][i] = node_point(k)^i), which turns row
+// polynomials into rows of a dealing (V * C) and into evaluations at every
+// node point (V * R^T) in one matmul each, plus the recover table.
+struct GvssTables {
+  GvssTables(const PrimeField& F, std::uint32_t n, std::uint32_t f);
+
+  // One instance per (modulus, n, f), shared process-wide while anyone
+  // holds it (thread-safe; a cache lookup, so call it at set-up, not per
+  // beat).
+  static std::shared_ptr<const GvssTables> shared(const PrimeField& F,
+                                                  std::uint32_t n,
+                                                  std::uint32_t f);
+
+  std::vector<std::uint64_t> powers;
+  GvssRecoverTable recover;
 };
 
 // Recovers the dealt secret g(0) from shares g(node_point(j)) where
@@ -118,11 +131,50 @@ class GvssRecoverTable {
 //
 // When `table` is provided (ready, same field/f) and the shares' first f+1
 // x's are the canonical prefix 1..f+1, the fast path runs entirely out of
-// the precomputed tables and allocates nothing. All paths compute the same
-// field elements, so results are bit-identical with or without a table.
+// the precomputed tables; it stages the prefix values in `ys` (f+1
+// entries) and allocates nothing, or in a local vector when `ys` is null.
+// All paths compute the same field elements, so results are bit-identical
+// with or without a table.
 std::optional<std::uint64_t> gvss_recover(const PrimeField& F, std::uint32_t f,
                                           const std::vector<RsPoint>& shares,
-                                          const GvssRecoverTable* table = nullptr);
+                                          const GvssRecoverTable* table = nullptr,
+                                          std::uint64_t* ys = nullptr);
+
+// Working storage of gvss_recover_batch, sized from (n, f) by resize() and
+// reused, so a warm call allocates nothing.
+struct GvssBatchScratch {
+  void resize(std::uint32_t n, std::uint32_t f);
+
+  std::vector<std::uint32_t> senders;  // senders whose shares count, ascending
+  std::vector<std::uint32_t> dealers;  // dealers recovered in the batch
+  std::vector<std::uint8_t> batched;   // per dealer: batch candidate
+  std::vector<std::uint64_t> block;    // (f+1) x n: prefix shares, dealer columns
+  std::vector<std::uint64_t> row;      // n: one Lagrange row times the block
+  std::vector<RsPoint> pts;            // n: one dealer's point set
+  std::vector<std::uint64_t> ys;       // f+1: gvss_recover's staging buffer
+};
+
+// Recovers the secret of every dealer d graded >= kLow from one round of
+// share vectors, writing secrets[d] (0 for the other dealers). The result
+// equals, dealer by dealer, gvss_recover(F, f, pts_d, &table).value_or(0)
+// where pts_d holds (node_point(j), shares[j*n + d]) in ascending j over
+// the senders j with sender_ok[j], bit d set in their vote row
+// votes[j*words ...] and a canonical share.
+//
+// The batch: when senders 0..f all count, every graded dealer that all
+// counted senders voted for with canonical shares has the same point set,
+// starting with the table's canonical prefix. Their prefix shares form one
+// (f+1) x m block; each further sender's Lagrange row times the block is
+// checked against that sender's shares, and the zero row times the block
+// gives the secrets. A dealer outside the batch, or one that fails a
+// check, takes the per-dealer gvss_recover (fast path, then
+// Berlekamp-Welch).
+void gvss_recover_batch(const PrimeField& F, const GvssRecoverTable& table,
+                        const std::uint64_t* shares,
+                        const std::uint8_t* sender_ok,
+                        const std::uint64_t* votes, std::size_t words,
+                        const GvssGrade* grades, std::uint64_t* secrets,
+                        GvssBatchScratch& scratch);
 
 // One dealer's side of the share phase.
 class GvssDealing {
@@ -137,8 +189,10 @@ class GvssDealing {
   // Row polynomial for node `to` (degree <= f, f+1 coefficients).
   std::vector<std::uint64_t> row_for(const PrimeField& F, NodeId to) const;
 
-  // Scratch variant: writes the f+1 row coefficients into caller storage.
-  void row_into(const PrimeField& F, NodeId to, std::uint64_t* out) const;
+  // Every node's row at once: out (n x (f+1)) = V * C for the power table
+  // V of GvssTables.
+  void rows_into(const PrimeField& F, const std::uint64_t* powers,
+                 std::uint32_t n, std::uint64_t* out) const;
 
   std::uint64_t secret() const { return poly_.secret(); }
   const SymmetricBivariate& bivariate() const { return poly_; }

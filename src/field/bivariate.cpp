@@ -41,15 +41,24 @@ Poly SymmetricBivariate::row(const PrimeField& F, std::uint64_t x0) const {
 void SymmetricBivariate::row_into(const PrimeField& F, std::uint64_t x0,
                                   std::uint64_t* out) const {
   SSBFT_REQUIRE_MSG(deg_ >= 0, "row of an empty bivariate");
-  const std::size_t w = static_cast<std::size_t>(deg_) + 1;
-  // f_{x0}(y) = sum_j (sum_i c_ij x0^i) y^j — accumulate per column j, one
-  // coefficient row at a time (the batch kernel runs the column sweep).
-  for (std::size_t j = 0; j < w; ++j) out[j] = 0;
+  std::vector<std::uint64_t> powers(static_cast<std::size_t>(deg_) + 1);
   std::uint64_t xp = 1;
-  for (std::size_t i = 0; i < w; ++i) {
-    F.addmul_vec(out, c_.data() + i * w, xp, w);
+  for (auto& p : powers) {
+    p = xp;
     xp = F.mul(xp, x0);
   }
+  rows_into(F, powers.data(), 1, out);
+}
+
+void SymmetricBivariate::rows_into(const PrimeField& F,
+                                   const std::uint64_t* powers,
+                                   std::size_t count,
+                                   std::uint64_t* out) const {
+  SSBFT_REQUIRE_MSG(deg_ >= 0, "rows of an empty bivariate");
+  // f_x(y) = sum_j (sum_i x^i c_ij) y^j: row k of the product is point k's
+  // coefficient vector.
+  const std::size_t w = static_cast<std::size_t>(deg_) + 1;
+  F.matmul(powers, c_.data(), out, count, w, w);
 }
 
 }  // namespace ssbft

@@ -41,10 +41,16 @@ class SymmetricBivariate {
   // Row polynomial f_x0(y) = F(x0, y), as a univariate in y.
   Poly row(const PrimeField& F, std::uint64_t x0) const;
 
-  // Scratch variant: writes the row's deg+1 coefficients (little-endian in
-  // y) into caller storage, allocating nothing.
+  // Writes the row's deg+1 coefficients (little-endian in y) into caller
+  // storage: a one-row rows_into over the power vector of x0.
   void row_into(const PrimeField& F, std::uint64_t x0,
                 std::uint64_t* out) const;
+
+  // The rows of `count` points at once: out (count x (deg+1)) = powers * C,
+  // where row k of `powers` holds x_k^0 .. x_k^deg. One matmul, no
+  // allocation.
+  void rows_into(const PrimeField& F, const std::uint64_t* powers,
+                 std::size_t count, std::uint64_t* out) const;
 
   // The shared secret F(0,0).
   std::uint64_t secret() const { return at(0, 0); }

@@ -114,22 +114,6 @@ void PrimeField::submul_vec(std::uint64_t* dst, const std::uint64_t* src,
   }
 }
 
-void PrimeField::addmul_vec(std::uint64_t* dst, const std::uint64_t* src,
-                            std::uint64_t c, std::size_t len) const {
-  SSBFT_CHECK(c < p_);
-  if (simd_) {
-    m61simd::addmul_vec(dst, src, c, len);
-  } else if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) {
-      dst[i] = add_mod(dst[i], mul_m61(src[i], c), kDefaultPrime);
-    }
-  } else {
-    for (std::size_t i = 0; i < len; ++i) {
-      dst[i] = add_mod(dst[i], mul_mod(src[i], c, p_), p_);
-    }
-  }
-}
-
 std::uint64_t PrimeField::dot(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t len) const {
   if (simd_) return m61simd::dot(a, b, len);
@@ -146,44 +130,26 @@ std::uint64_t PrimeField::dot(const std::uint64_t* a, const std::uint64_t* b,
   return acc;
 }
 
-std::uint64_t PrimeField::horner(const std::uint64_t* coeffs,
-                                 std::size_t count, std::uint64_t x) const {
-  SSBFT_CHECK(x < p_);
-  std::uint64_t acc = 0;
-  if (mersenne61_) {
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_mod(mul_m61(acc, x), coeffs[i], kDefaultPrime);
-    }
-  } else {
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_mod(mul_mod(acc, x, p_), coeffs[i], p_);
-    }
-  }
-  return acc;
-}
-
-void PrimeField::eval_many(const std::uint64_t* coeffs, std::size_t count,
-                           const std::uint64_t* xs, std::size_t m,
-                           std::uint64_t* out) const {
+void PrimeField::matmul(const std::uint64_t* a, const std::uint64_t* b,
+                        std::uint64_t* out, std::size_t rows,
+                        std::size_t inner, std::size_t cols) const {
   if (simd_) {
-    m61simd::eval_many(coeffs, count, xs, m, out);
+    m61simd::matmul(a, b, out, rows, inner, cols);
   } else if (mersenne61_) {
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::uint64_t x = xs[k];
-      std::uint64_t acc = 0;
-      for (std::size_t i = count; i-- > 0;) {
-        acc = add_mod(mul_m61(acc, x), coeffs[i], kDefaultPrime);
-      }
-      out[k] = acc;
-    }
+    m61simd::matmul_scalar(a, b, out, rows, inner, cols);
   } else {
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::uint64_t x = xs[k];
-      std::uint64_t acc = 0;
-      for (std::size_t i = count; i-- > 0;) {
-        acc = add_mod(mul_mod(acc, x, p_), coeffs[i], p_);
+    // The generic-prime reference: one reduction per product, rows of b
+    // accumulated into the output row in order.
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::uint64_t* o = out + r * cols;
+      for (std::size_t c = 0; c < cols; ++c) o[c] = 0;
+      for (std::size_t i = 0; i < inner; ++i) {
+        const std::uint64_t x = a[r * inner + i];
+        const std::uint64_t* brow = b + i * cols;
+        for (std::size_t c = 0; c < cols; ++c) {
+          o[c] = add_mod(o[c], mul_mod(x, brow[c], p_), p_);
+        }
       }
-      out[k] = acc;
     }
   }
 }

@@ -20,7 +20,7 @@
 // so switching between them is bit-exact.
 //
 // The scalar ops keep the contract checks from support/check.h; the batch
-// kernels (mul_vec, eval_many, batch_inv, ...) hoist validation and the
+// kernels (mul_vec, matmul, batch_inv, ...) hoist validation and the
 // backend dispatch out of the element loop — callers must pass canonical
 // elements (the kernels' inputs always come from already-validated flat
 // storage in this codebase).
@@ -129,27 +129,20 @@ class PrimeField {
   void submul_vec(std::uint64_t* dst, const std::uint64_t* src,
                   std::uint64_t c, std::size_t len) const;
 
-  // dst[i] += c * src[i] (the bivariate row accumulation). dst must not
-  // alias src.
-  void addmul_vec(std::uint64_t* dst, const std::uint64_t* src,
-                  std::uint64_t c, std::size_t len) const;
-
   // sum_i a[i] * b[i] — the Lagrange-row dot products of the GVSS recover
   // fast path. Modular addition is associative, so any internal
   // accumulation order yields the same canonical result.
   std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
                     std::size_t len) const;
 
-  // Horner evaluation of sum_i coeffs[i] x^i (count coefficients,
-  // little-endian). count == 0 yields 0.
-  std::uint64_t horner(const std::uint64_t* coeffs, std::size_t count,
-                       std::uint64_t x) const;
-
-  // out[k] = Horner(coeffs, xs[k]) for k < m: one polynomial over a point
-  // set, with the dispatch and bounds work hoisted out of the loop.
-  void eval_many(const std::uint64_t* coeffs, std::size_t count,
-                 const std::uint64_t* xs, std::size_t m,
-                 std::uint64_t* out) const;
+  // out = a * b over row-major matrices: a is rows x inner, b is
+  // inner x cols, out is rows x cols. out must not alias a or b. The GVSS
+  // rounds are built on it: rows of a dealing are V * C, their evaluations
+  // at every node point V * R^T, and recovery checks Lagrange rows times a
+  // block of prefix shares (V = node-point powers, see coin/gvss.h).
+  void matmul(const std::uint64_t* a, const std::uint64_t* b,
+              std::uint64_t* out, std::size_t rows, std::size_t inner,
+              std::size_t cols) const;
 
   // Montgomery batch inversion: replaces vals[i] with vals[i]^-1 using a
   // single inv() and 3(len-1) multiplications. All vals must be nonzero.

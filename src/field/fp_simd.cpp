@@ -52,31 +52,11 @@ void submul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
   }
 }
 
-void addmul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::uint64_t c, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    dst[i] = add_m61(dst[i], mul_m61(src[i], c));
-  }
-}
-
 std::uint64_t dot_scalar(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t len) {
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < len; ++i) acc = add_m61(acc, mul_m61(a[i], b[i]));
   return acc;
-}
-
-void eval_many_scalar(const std::uint64_t* coeffs, std::size_t count,
-                      const std::uint64_t* xs, std::size_t m,
-                      std::uint64_t* out) {
-  for (std::size_t k = 0; k < m; ++k) {
-    const std::uint64_t x = xs[k];
-    std::uint64_t acc = 0;
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_m61(mul_m61(acc, x), coeffs[i]);
-    }
-    out[k] = acc;
-  }
 }
 
 void chunk_prefix_scalar(const std::uint64_t* vals, std::uint64_t* scratch,
@@ -209,23 +189,6 @@ __attribute__((target("avx2"))) void submul_vec_avx2(std::uint64_t* dst,
   for (; i < len; ++i) dst[i] = sub_m61(dst[i], mul_m61(src[i], c));
 }
 
-__attribute__((target("avx2"))) void addmul_vec_avx2(std::uint64_t* dst,
-                                                     const std::uint64_t* src,
-                                                     std::uint64_t c,
-                                                     std::size_t len) {
-  const __m256i vc = _mm256_set1_epi64x(static_cast<long long>(c));
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        m61_addmod(vd, m61_mulmod(vs, vc)));
-  }
-  for (; i < len; ++i) dst[i] = add_m61(dst[i], mul_m61(src[i], c));
-}
-
 __attribute__((target("avx2"))) std::uint64_t dot_avx2(const std::uint64_t* a,
                                                        const std::uint64_t* b,
                                                        std::size_t len) {
@@ -246,35 +209,111 @@ __attribute__((target("avx2"))) std::uint64_t dot_avx2(const std::uint64_t* a,
   return r;
 }
 
-__attribute__((target("avx2"))) void eval_many_avx2(
-    const std::uint64_t* coeffs, std::size_t count, const std::uint64_t* xs,
-    std::size_t m, std::uint64_t* out) {
-  std::size_t k = 0;
-  // Two independent 4-lane Horner chains per tile hide the multiply
-  // latency; the coefficient broadcast is shared by all 8 points.
-  for (; k + 8 <= m; k += 8) {
-    const __m256i x0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + k));
-    const __m256i x1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + k + 4));
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    for (std::size_t i = count; i-- > 0;) {
-      const __m256i c =
-          _mm256_set1_epi64x(static_cast<long long>(coeffs[i]));
-      acc0 = m61_addmod(m61_mulmod(acc0, x0), c);
-      acc1 = m61_addmod(m61_mulmod(acc1, x1), c);
+// The strip kernel multiplies in a split that needs no per-product
+// reduction. With a = a1*2^31 + a0 (a0 < 2^31, a1 < 2^30) and
+// b = b1*2^30 + b0 (b0 < 2^30, b1 < 2^31), and 2^61 = 1 (mod p):
+//   a*b = a0*b0 + a1*b1 + 2^30 * (a0*b1 + 2*a1*b0)      (mod p)
+// Every factor fits the 32-bit multiplier. Per product, the low sum `lo`
+// gains two terms below 2^61 each and the middle sum `mid` less than
+// 1.5 * 2^62. Every kPairFold products `mid` folds into `lo`
+// (mid * 2^30 = (mid >> 31) + (mid mod 2^31) * 2^30) and `lo` folds once;
+// a folded `lo` stays below 2^62 + 2^34, so two more products keep both
+// sums under 2^64.
+constexpr std::size_t kPairFold = 2;
+
+// One strip of NV 4-lane output vectors of row `arow * b`, starting at
+// column 0 of b and out. With kMasked the last vector covers only the
+// lanes set in `mask` (the column tail); masked-off lanes load 0 and are
+// not stored.
+template <int NV, bool kMasked>
+__attribute__((target("avx2"))) inline void matmul_strip(
+    const std::uint64_t* arow, const std::uint64_t* b, std::uint64_t* out,
+    std::size_t inner, std::size_t cols, __m256i mask) {
+  const __m256i M = _mm256_set1_epi64x(static_cast<long long>(kM61));
+  const __m256i m30 = _mm256_set1_epi64x((1LL << 30) - 1);
+  const __m256i m31 = _mm256_set1_epi64x((1LL << 31) - 1);
+  __m256i lo[NV];
+  for (int k = 0; k < NV; ++k) lo[k] = _mm256_setzero_si256();
+  for (std::size_t i0 = 0; i0 < inner; i0 += kPairFold) {
+    const std::size_t i1 = inner - i0 < kPairFold ? inner : i0 + kPairFold;
+    __m256i mid[NV];
+    for (int k = 0; k < NV; ++k) mid[k] = _mm256_setzero_si256();
+    for (std::size_t i = i0; i < i1; ++i) {
+      const __m256i x = _mm256_set1_epi64x(static_cast<long long>(arow[i]));
+      const __m256i a0 = _mm256_and_si256(x, m31);
+      const __m256i a1 = _mm256_srli_epi64(x, 31);
+      const __m256i a1x2 = _mm256_add_epi64(a1, a1);
+      const std::uint64_t* brow = b + i * cols;
+      for (int k = 0; k < NV; ++k) {
+        const auto* src = reinterpret_cast<const long long*>(brow + 4 * k);
+        const __m256i bv =
+            (kMasked && k == NV - 1)
+                ? _mm256_maskload_epi64(src, mask)
+                : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+        const __m256i b0 = _mm256_and_si256(bv, m30);
+        const __m256i b1 = _mm256_srli_epi64(bv, 30);
+        lo[k] = _mm256_add_epi64(
+            lo[k], _mm256_add_epi64(_mm256_mul_epu32(a0, b0),
+                                    _mm256_mul_epu32(a1, b1)));
+        mid[k] = _mm256_add_epi64(
+            mid[k], _mm256_add_epi64(_mm256_mul_epu32(a0, b1),
+                                     _mm256_mul_epu32(a1x2, b0)));
+      }
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k + 4), acc1);
+    for (int k = 0; k < NV; ++k) {
+      lo[k] = _mm256_add_epi64(
+          _mm256_add_epi64(_mm256_and_si256(lo[k], M),
+                           _mm256_srli_epi64(lo[k], 61)),
+          _mm256_add_epi64(
+              _mm256_slli_epi64(_mm256_and_si256(mid[k], m31), 30),
+              _mm256_srli_epi64(mid[k], 31)));
+    }
   }
-  for (; k < m; ++k) {
-    const std::uint64_t x = xs[k];
-    std::uint64_t acc = 0;
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_m61(mul_m61(acc, x), coeffs[i]);
+  const __m256i top = _mm256_set1_epi64x(static_cast<long long>(kM61 - 1));
+  for (int k = 0; k < NV; ++k) {
+    // Below 2^62 + 2^34: one more fold leaves at most 2^61 + 1, and one
+    // conditional subtract canonicalizes.
+    const __m256i s = _mm256_add_epi64(_mm256_and_si256(lo[k], M),
+                                       _mm256_srli_epi64(lo[k], 61));
+    const __m256i v =
+        _mm256_sub_epi64(s, _mm256_and_si256(_mm256_cmpgt_epi64(s, top), M));
+    auto* dst = reinterpret_cast<long long*>(out + 4 * k);
+    if (kMasked && k == NV - 1) {
+      _mm256_maskstore_epi64(dst, mask, v);
+    } else {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
     }
-    out[k] = acc;
+  }
+}
+
+__attribute__((target("avx2"))) void matmul_avx2(const std::uint64_t* a,
+                                                 const std::uint64_t* b,
+                                                 std::uint64_t* out,
+                                                 std::size_t rows,
+                                                 std::size_t inner,
+                                                 std::size_t cols) {
+  const std::size_t full = cols / 16 * 16;
+  const std::size_t rest = cols - full;  // < 16 tail columns
+  // Lanes of the tail's last vector: 1..4 (a whole vector when rest % 4
+  // is 0, which the masked strip handles like any other count).
+  const long long last_lanes = static_cast<long long>((rest + 3) % 4 + 1);
+  const __m256i mask = _mm256_cmpgt_epi64(_mm256_set1_epi64x(last_lanes),
+                                          _mm256_set_epi64x(3, 2, 1, 0));
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* arow = a + r * inner;
+    std::uint64_t* orow = out + r * cols;
+    for (std::size_t c = 0; c < full; c += 16) {
+      matmul_strip<4, false>(arow, b + c, orow + c, inner, cols, mask);
+    }
+    const std::uint64_t* bt = b + full;
+    std::uint64_t* ot = orow + full;
+    switch ((rest + 3) / 4) {
+      case 4: matmul_strip<4, true>(arow, bt, ot, inner, cols, mask); break;
+      case 3: matmul_strip<3, true>(arow, bt, ot, inner, cols, mask); break;
+      case 2: matmul_strip<2, true>(arow, bt, ot, inner, cols, mask); break;
+      case 1: matmul_strip<1, true>(arow, bt, ot, inner, cols, mask); break;
+      default: break;
+    }
   }
 }
 
@@ -367,17 +406,6 @@ void submul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
   submul_vec_scalar(dst, src, c, len);
 }
 
-void addmul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
-                std::size_t len) {
-#if SSBFT_HAVE_AVX2_KERNELS
-  if (available()) {
-    addmul_vec_avx2(dst, src, c, len);
-    return;
-  }
-#endif
-  addmul_vec_scalar(dst, src, c, len);
-}
-
 std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
                   std::size_t len) {
 #if SSBFT_HAVE_AVX2_KERNELS
@@ -386,15 +414,50 @@ std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
   return dot_scalar(a, b, len);
 }
 
-void eval_many(const std::uint64_t* coeffs, std::size_t count,
-               const std::uint64_t* xs, std::size_t m, std::uint64_t* out) {
+void matmul(const std::uint64_t* a, const std::uint64_t* b,
+            std::uint64_t* out, std::size_t rows, std::size_t inner,
+            std::size_t cols) {
 #if SSBFT_HAVE_AVX2_KERNELS
   if (available()) {
-    eval_many_avx2(coeffs, count, xs, m, out);
+    matmul_avx2(a, b, out, rows, inner, cols);
     return;
   }
 #endif
-  eval_many_scalar(coeffs, count, xs, m, out);
+  matmul_scalar(a, b, out, rows, inner, cols);
+}
+
+void matmul_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                   std::uint64_t* out, std::size_t rows, std::size_t inner,
+                   std::size_t cols) {
+  // 64 products of canonical elements sum to under 2^128 - 2^68 + 64,
+  // which leaves room for a canonical carry-in: fold once per 64 terms.
+  constexpr std::size_t kTerms = 64;
+  constexpr std::size_t kCols = 16;  // accumulators held per strip
+  unsigned __int128 acc[kCols];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* arow = a + r * inner;
+    for (std::size_t c0 = 0; c0 < cols; c0 += kCols) {
+      const std::size_t w = cols - c0 < kCols ? cols - c0 : kCols;
+      for (std::size_t c = 0; c < w; ++c) acc[c] = 0;
+      for (std::size_t i0 = 0; i0 < inner; i0 += kTerms) {
+        const std::size_t i1 = inner - i0 < kTerms ? inner : i0 + kTerms;
+        for (std::size_t i = i0; i < i1; ++i) {
+          const unsigned __int128 x = arow[i];
+          const std::uint64_t* brow = b + i * cols + c0;
+          for (std::size_t c = 0; c < w; ++c) acc[c] += x * brow[c];
+        }
+        for (std::size_t c = 0; c < w; ++c) {
+          // (t mod 2^61) + (t >> 61) < 2^68 is within fold61's range.
+          const unsigned __int128 t = acc[c];
+          acc[c] = PrimeField::fold61((t & kM61) + (t >> 61));
+        }
+      }
+      std::uint64_t* orow = out + r * cols + c0;
+      for (std::size_t c = 0; c < w; ++c) {
+        orow[c] = static_cast<std::uint64_t>(acc[c]);
+      }
+    }
+  }
 }
 
 void chunk_prefix(const std::uint64_t* vals, std::uint64_t* scratch,

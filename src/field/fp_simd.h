@@ -42,23 +42,29 @@ void scale_vec(const std::uint64_t* a, std::uint64_t c, std::uint64_t* out,
 void submul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
                 std::size_t len);
 
-// dst[i] = dst[i] + c * src[i] mod 2^61-1. dst must not alias src.
-// (The bivariate row evaluation: out += row_i * x^i, column-wise.)
-void addmul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
-                std::size_t len);
-
 // sum_i a[i] * b[i] mod 2^61-1 (the GVSS recover fast path's Lagrange-row
 // dot products). Canonical result; lane accumulation reassociates the sum,
 // which is exact under modular addition.
 std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
                   std::size_t len);
 
-// out[k] = Horner(coeffs, xs[k]) for k < m. Points are processed in
-// register-resident tiles of 8 with the coefficient stream broadcast
-// across lanes, so one coefficient load amortizes over the whole tile and
-// the per-row tables of the (dealings x node-points) loop stay cache-hot.
-void eval_many(const std::uint64_t* coeffs, std::size_t count,
-               const std::uint64_t* xs, std::size_t m, std::uint64_t* out);
+// out = a * b mod 2^61-1 for row-major a (rows x inner), b (inner x cols)
+// and out (rows x cols); out must not alias a or b. The vector path works
+// on strips of 16 output columns (four 4-lane vectors sharing each
+// broadcast a[r][i]): products split into 32-bit partial products that
+// accumulate unreduced, fold once per two products, and each output is
+// canonicalized once. Column tails run as narrower strips with a masked
+// last vector.
+void matmul(const std::uint64_t* a, const std::uint64_t* b,
+            std::uint64_t* out, std::size_t rows, std::size_t inner,
+            std::size_t cols);
+
+// The portable path of matmul (and its fallback without a vector unit):
+// 128-bit accumulators take up to 64 raw products (each < 2^122) between
+// folds. PrimeField runs it for SimdMode::kOff on the Mersenne prime.
+void matmul_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                   std::uint64_t* out, std::size_t rows, std::size_t inner,
+                   std::size_t cols);
 
 // Lane passes of Montgomery batch inversion over four contiguous chunks of
 // length K (chunk c = [c*K, (c+1)*K)):

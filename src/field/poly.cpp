@@ -37,7 +37,7 @@ void Poly::normalize() {
 std::uint64_t Poly::eval(const PrimeField& F, std::uint64_t x) const {
   // Checked Horner: a Poly built from unvalidated coefficients must fail
   // the field contract loudly, not fold garbage. Hot paths evaluate
-  // already-validated flat storage via eval_raw / F.eval_many instead.
+  // already-validated flat storage with F.matmul instead.
   std::uint64_t acc = 0;
   for (std::size_t i = coeffs_.size(); i-- > 0;) {
     acc = F.add(F.mul(acc, x), coeffs_[i]);

@@ -38,16 +38,6 @@ class Poly {
 
   std::uint64_t eval(const PrimeField& F, std::uint64_t x) const;
 
-  // Scratch counterpart of eval for coefficients held in flat storage
-  // (count little-endian coefficients starting at coeffs). Coefficients
-  // must be canonical — this is the unchecked fast path for
-  // already-validated buffers.
-  static std::uint64_t eval_raw(const PrimeField& F,
-                                const std::uint64_t* coeffs, std::size_t count,
-                                std::uint64_t x) {
-    return F.horner(coeffs, count, x);
-  }
-
   Poly add(const PrimeField& F, const Poly& o) const;
   Poly sub(const PrimeField& F, const Poly& o) const;
   Poly mul(const PrimeField& F, const Poly& o) const;

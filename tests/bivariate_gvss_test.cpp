@@ -2,8 +2,11 @@
 // blocks: the share/decide/recover facts Observation 2.1 relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "coin/gvss.h"
 #include "field/bivariate.h"
+#include "support/bitwords.h"
 
 namespace ssbft {
 namespace {
@@ -226,6 +229,164 @@ TEST_P(GvssRecoverTest, TableFastPathMatchesClassicInterpolation) {
     const auto tail_without = gvss_recover(F, f, tail);
     ASSERT_EQ(tail_with.has_value(), tail_without.has_value());
     if (tail_with) EXPECT_EQ(*tail_with, *tail_without);
+  }
+}
+
+// One dealing per dealer and the sender-major share matrix of a round-4
+// recovery, plus the per-sender inputs gvss_recover_batch reads. Starts
+// clean: every sender counts, voted for every dealer and holds its true
+// share.
+struct ShareRound {
+  ShareRound(const PrimeField& F, std::uint32_t n, std::uint32_t f, Rng& rng)
+      : n(n),
+        words(bitword_count(n)),
+        shares(std::size_t{n} * n),
+        sender_ok(n, 1),
+        votes(std::size_t{n} * words, 0),
+        grades(n, GvssGrade::kHigh) {
+    for (NodeId d = 0; d < n; ++d) {
+      auto dealing = GvssDealing::sample(F, f, rng);
+      for (NodeId j = 0; j < n; ++j) {
+        shares[std::size_t{j} * n + d] = Poly(dealing.row_for(F, j)).eval(F, 0);
+      }
+    }
+    for (NodeId j = 0; j < n; ++j) {
+      for (NodeId d = 0; d < n; ++d) {
+        bitword_set(votes.data() + std::size_t{j} * words, d, true);
+      }
+    }
+  }
+
+  std::uint64_t& share(NodeId j, NodeId d) {
+    return shares[std::size_t{j} * n + d];
+  }
+  void vote(NodeId j, NodeId d, bool v) {
+    bitword_set(votes.data() + std::size_t{j} * words, d, v);
+  }
+
+  // The per-dealer rule the batch must reproduce.
+  std::uint64_t per_dealer(const PrimeField& F, std::uint32_t f,
+                           const GvssRecoverTable& table, NodeId d) const {
+    if (grades[d] == GvssGrade::kNone) return 0;
+    std::vector<RsPoint> pts;
+    for (NodeId j = 0; j < n; ++j) {
+      if (!sender_ok[j]) continue;
+      if (!bitword_get(votes.data() + std::size_t{j} * words, d)) continue;
+      const std::uint64_t y = shares[std::size_t{j} * n + d];
+      if (!F.valid(y)) continue;
+      pts.push_back({node_point(j), y});
+    }
+    return gvss_recover(F, f, pts, &table).value_or(0);
+  }
+
+  std::uint32_t n;
+  std::size_t words;
+  std::vector<std::uint64_t> shares;
+  std::vector<std::uint8_t> sender_ok;
+  std::vector<std::uint64_t> votes;
+  std::vector<GvssGrade> grades;
+};
+
+TEST_P(GvssRecoverTest, BatchMatchesPerDealerRecover) {
+  // gvss_recover_batch against the per-dealer rule on random share
+  // matrices: clean rounds, up to f lying senders (inside and outside the
+  // prefix), missing votes, sentinel shares, ungraded dealers, senders that
+  // do not count, base sets without id 0 (no canonical prefix, so nothing
+  // batches) and base sets of just the prefix. Over the Mersenne prime and
+  // a generic one.
+  const auto [n, f] = GetParam();
+  for (const std::uint64_t p :
+       {PrimeField::kDefaultPrime, std::uint64_t{65537}}) {
+    PrimeField F(p);
+    const auto tables = GvssTables::shared(F, n, f);
+    GvssBatchScratch scratch;
+    scratch.resize(n, f);
+    Rng rng(n * 47 + f + p % 1000);
+    for (int trial = 0; trial < 42; ++trial) {
+      ShareRound round(F, n, f, rng);
+      const int mode = trial % 7;  // 0 = clean
+      if (mode == 1 || mode == 5) {
+        const auto liars = rng.next_below(f + 1);
+        for (std::uint64_t l = 0; l < liars; ++l) {
+          const auto j = static_cast<NodeId>(rng.next_below(n));
+          for (NodeId d = 0; d < n; ++d) {
+            if (rng.next_bool()) round.share(j, d) = F.uniform(rng);
+          }
+        }
+      }
+      if (mode == 2 || mode == 5) {
+        for (int k = 0; k < static_cast<int>(n); ++k) {
+          round.vote(static_cast<NodeId>(rng.next_below(n)),
+                     static_cast<NodeId>(rng.next_below(n)), false);
+        }
+      }
+      if (mode == 3 || mode == 5) {
+        for (int k = 0; k < static_cast<int>(n); ++k) {
+          round.share(static_cast<NodeId>(rng.next_below(n)),
+                      static_cast<NodeId>(rng.next_below(n))) = p;
+        }
+        round.sender_ok[rng.next_below(n)] = 0;
+        round.grades[rng.next_below(n)] = GvssGrade::kNone;
+        round.grades[rng.next_below(n)] = GvssGrade::kLow;
+      }
+      if (mode == 4) round.sender_ok[0] = 0;
+      if (mode == 6) {
+        // Only the prefix counts (no further sender to check against),
+        // and one prefix share is the sentinel: that dealer has f points.
+        for (NodeId j = f + 1; j < n; ++j) round.sender_ok[j] = 0;
+        round.share(static_cast<NodeId>(rng.next_below(f + 1)),
+                    static_cast<NodeId>(rng.next_below(n))) = p;
+      }
+      std::vector<std::uint64_t> secrets(n, 99);
+      gvss_recover_batch(F, tables->recover, round.shares.data(),
+                         round.sender_ok.data(), round.votes.data(),
+                         round.words, round.grades.data(), secrets.data(),
+                         scratch);
+      // Clean rounds batch every dealer; without sender 0 none batches.
+      if (mode == 0) {
+        EXPECT_EQ(scratch.dealers.size(), n);
+      }
+      if (mode == 4) {
+        EXPECT_TRUE(scratch.dealers.empty());
+      }
+      for (NodeId d = 0; d < n; ++d) {
+        ASSERT_EQ(secrets[d], round.per_dealer(F, f, tables->recover, d))
+            << "p=" << p << " trial " << trial << " dealer " << d;
+      }
+    }
+  }
+}
+
+TEST(Gvss, SharedTablesArePerShape) {
+  PrimeField F(2305843009213693951ULL);
+  const auto a = GvssTables::shared(F, 7, 2);
+  const auto b = GvssTables::shared(F, 7, 2);
+  const auto c = GvssTables::shared(F, 7, 1);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_NE(a, GvssTables::shared(PrimeField(65537), 7, 2));
+  // V[k][i] = node_point(k)^i.
+  for (NodeId k = 0; k < 7; ++k) {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(a->powers[k * 3 + i], F.pow(node_point(k), i));
+    }
+  }
+}
+
+TEST(Gvss, RowsIntoMatchesRowFor) {
+  // All n rows in one product equal the rows dealt one at a time.
+  PrimeField F(2305843009213693951ULL);
+  Rng rng(61);
+  const std::uint32_t n = 10, f = 3;
+  auto dealing = GvssDealing::sample(F, f, rng);
+  const auto tables = GvssTables::shared(F, n, f);
+  std::vector<std::uint64_t> rows(std::size_t{n} * (f + 1));
+  dealing.rows_into(F, tables->powers.data(), n, rows.data());
+  for (NodeId j = 0; j < n; ++j) {
+    const std::vector<std::uint64_t> want = dealing.row_for(F, j);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           rows.begin() + std::size_t{j} * (f + 1)))
+        << "node " << j;
   }
 }
 

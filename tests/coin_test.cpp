@@ -253,6 +253,31 @@ TEST(FmCoin, SmallestPrimeFieldStillWorks) {
   EXPECT_EQ(common_bit_fraction(*bundle.engine, FmCoinInstance::kRounds), 1.0);
 }
 
+TEST(FmCoin, RoundTripWhenTwoRowBlocksOutgrowTheShareMatrix) {
+  // n = 4, f = 2: 2(f+1) > n, so two (f+1) x n matrices do not fit the
+  // n x n share matrix; every round buffer is sized from (n, f). With no
+  // faulty node every dealing is recovered, so every bit is common and the
+  // stream is not constant.
+  EngineConfig cfg;
+  cfg.n = 4;
+  cfg.f = 2;
+  cfg.seed = 41;
+  CoinSpec spec = fm_coin_spec();
+  auto factory = [&spec](const ProtocolEnv& env, Rng rng) {
+    return std::make_unique<CoinHostProtocol>(env, spec, rng);
+  };
+  Engine eng(cfg, factory, nullptr);
+  eng.run_beats(200);
+  EXPECT_EQ(common_bit_fraction(eng, FmCoinInstance::kRounds), 1.0);
+  const auto& bits = dynamic_cast<const CoinHostProtocol&>(eng.node(0)).bits();
+  int ones = 0;
+  for (std::size_t i = FmCoinInstance::kRounds; i < bits.size(); ++i) {
+    ones += bits[i] ? 1 : 0;
+  }
+  EXPECT_GT(ones, 40);
+  EXPECT_LT(ones, 156);
+}
+
 TEST(FmCoin, CorrectDealersGetHighGrades) {
   // Drive one instance directly over a 4-node engine with no faults and
   // inspect grades after the decide round.

@@ -223,18 +223,70 @@ TEST_P(BatchKernelsTest, BatchInvMatchesScalarInv) {
   }
 }
 
-TEST_P(BatchKernelsTest, EvalManyMatchesHorner) {
+// out = a * b from the checked scalar ops: the oracle every matmul path is
+// held to.
+std::vector<std::uint64_t> reference_matmul(const PrimeField& F,
+                                            const std::vector<std::uint64_t>& a,
+                                            const std::vector<std::uint64_t>& b,
+                                            std::size_t rows, std::size_t inner,
+                                            std::size_t cols) {
+  std::vector<std::uint64_t> out(rows * cols, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      std::uint64_t acc = 0;
+      for (std::size_t i = 0; i < inner; ++i) {
+        acc = F.add(acc, F.mul(a[r * inner + i], b[i * cols + c]));
+      }
+      out[r * cols + c] = acc;
+    }
+  }
+  return out;
+}
+
+// Matrix entries drawn to hit the edges: 0, 1 and p-1 (whose products are
+// the largest the folds see) mixed into uniform values; `saturated`
+// makes every entry p-1, the worst case for accumulator headroom.
+std::vector<std::uint64_t> edge_matrix(const PrimeField& F, std::size_t len,
+                                       Rng& rng, bool saturated) {
+  const std::uint64_t top = F.modulus() - 1;
+  std::vector<std::uint64_t> m(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::uint64_t pick = rng.next_below(5);
+    m[i] = saturated ? top
+           : pick == 0 ? 0
+           : pick == 1 ? top
+           : pick == 2 ? 1
+                       : F.uniform(rng);
+  }
+  return m;
+}
+
+struct MatShape {
+  std::size_t rows, inner, cols;
+};
+
+// rows = 1 (the recovery checks), column counts off every lane and strip
+// width, inner sizes straddling the scalar path's 64-term fold and the
+// vector path's 6-term fold, and the GVSS shapes at n = 32, 64.
+const MatShape kMatShapes[] = {
+    {1, 1, 1},   {1, 22, 43}, {1, 3, 2},   {2, 6, 3},    {3, 7, 5},
+    {4, 13, 13}, {5, 5, 16},  {2, 9, 17},  {3, 12, 19},  {1, 64, 31},
+    {2, 65, 33}, {3, 130, 7}, {1, 129, 1}, {32, 11, 32}, {64, 22, 43},
+    {0, 4, 4},   {4, 0, 4},   {4, 4, 0}};
+
+TEST_P(BatchKernelsTest, MatMulMatchesScalarOps) {
   PrimeField F(GetParam());
   Rng rng(GetParam() % 1000 + 9);
-  Poly p = Poly::random(F, 7, rng);
-  const std::size_t m = 33;
-  std::vector<std::uint64_t> xs(m), out(m);
-  for (auto& x : xs) x = F.uniform(rng);
-  F.eval_many(p.coeffs().data(), p.coeffs().size(), xs.data(), m, out.data());
-  for (std::size_t k = 0; k < m; ++k) {
-    ASSERT_EQ(out[k], p.eval(F, xs[k]));
-    ASSERT_EQ(out[k], Poly::eval_raw(F, p.coeffs().data(), p.coeffs().size(),
-                                     xs[k]));
+  for (const MatShape& s : kMatShapes) {
+    for (const bool saturated : {false, true}) {
+      const auto a = edge_matrix(F, s.rows * s.inner, rng, saturated);
+      const auto b = edge_matrix(F, s.inner * s.cols, rng, saturated);
+      std::vector<std::uint64_t> out(s.rows * s.cols, 7);
+      F.matmul(a.data(), b.data(), out.data(), s.rows, s.inner, s.cols);
+      ASSERT_EQ(out, reference_matmul(F, a, b, s.rows, s.inner, s.cols))
+          << s.rows << "x" << s.inner << "x" << s.cols
+          << " saturated=" << saturated;
+    }
   }
 }
 
@@ -291,7 +343,7 @@ TEST(Mersenne61Simd, MulScaleSubmulMatchScalarPathOnEdges) {
   }
 }
 
-TEST(Mersenne61Simd, AddmulAndDotMatchScalarPathOnEdges) {
+TEST(Mersenne61Simd, DotMatchesScalarPathOnEdges) {
   PrimeField F(kM61);
   PrimeField R(kM61, SimdMode::kOff);
   Rng rng(2027);
@@ -309,39 +361,47 @@ TEST(Mersenne61Simd, AddmulAndDotMatchScalarPathOnEdges) {
     // modular addition — the scalar left-to-right sum is the oracle.
     ASSERT_EQ(F.dot(a.data(), b.data(), len), R.dot(a.data(), b.data(), len))
         << "dot len=" << len;
-    for (const std::uint64_t c : edges) {
-      std::vector<std::uint64_t> dg = a, dw = a;
-      F.addmul_vec(dg.data(), b.data(), c, len);
-      R.addmul_vec(dw.data(), b.data(), c, len);
-      ASSERT_EQ(dg, dw) << "addmul_vec len=" << len << " c=" << c;
+  }
+}
+
+TEST(Mersenne61Simd, MatMulMatchesScalarPathOnEdges) {
+  // The dispatching field, the pinned scalar path and the raw m61simd
+  // entry points all produce the reference product, bit for bit.
+  PrimeField F(kM61);
+  PrimeField R(kM61, SimdMode::kOff);
+  Rng rng(2025);
+  for (const MatShape& s : kMatShapes) {
+    for (const bool saturated : {false, true}) {
+      const auto a = edge_matrix(F, s.rows * s.inner, rng, saturated);
+      const auto b = edge_matrix(F, s.inner * s.cols, rng, saturated);
+      const auto want = reference_matmul(R, a, b, s.rows, s.inner, s.cols);
+      std::vector<std::uint64_t> got(s.rows * s.cols, 7);
+      F.matmul(a.data(), b.data(), got.data(), s.rows, s.inner, s.cols);
+      ASSERT_EQ(got, want) << "simd " << s.rows << "x" << s.inner << "x"
+                           << s.cols;
+      R.matmul(a.data(), b.data(), got.data(), s.rows, s.inner, s.cols);
+      ASSERT_EQ(got, want) << "kOff " << s.rows << "x" << s.inner << "x"
+                           << s.cols;
+      m61simd::matmul(a.data(), b.data(), got.data(), s.rows, s.inner,
+                      s.cols);
+      ASSERT_EQ(got, want) << "m61simd::matmul";
+      m61simd::matmul_scalar(a.data(), b.data(), got.data(), s.rows, s.inner,
+                             s.cols);
+      ASSERT_EQ(got, want) << "m61simd::matmul_scalar";
     }
   }
 }
 
-TEST(Mersenne61Simd, EvalManyMatchesScalarPathOnEdges) {
+TEST(Mersenne61Simd, MatMulLeavesMaskedTailColumnsUntouched) {
+  // The vector path's masked tail stores only live lanes: a row of 5
+  // columns written into a wider buffer must not touch what follows it.
   PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
-  Rng rng(2025);
-  for (std::size_t count :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{43}}) {
-    for (std::size_t m :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-          std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{129}}) {
-      std::vector<std::uint64_t> coeffs(count), xs(m);
-      for (auto& c : coeffs) c = F.uniform(rng);
-      if (count > 0) coeffs[0] = kM61 - 1;
-      for (std::size_t k = 0; k < m; ++k) {
-        xs[k] = (k % 4 == 0) ? kM61 - 1 : F.uniform(rng);
-      }
-      std::vector<std::uint64_t> got(m), want(m);
-      F.eval_many(coeffs.data(), count, xs.data(), m, got.data());
-      R.eval_many(coeffs.data(), count, xs.data(), m, want.data());
-      ASSERT_EQ(got, want) << "count=" << count << " m=" << m;
-      for (std::size_t k = 0; k < m; ++k) {
-        ASSERT_EQ(got[k], R.horner(coeffs.data(), count, xs[k]));
-      }
-    }
-  }
+  Rng rng(2028);
+  const auto a = edge_matrix(F, 3, rng, false);
+  const auto b = edge_matrix(F, 3 * 5, rng, false);
+  std::vector<std::uint64_t> out(8, 42);
+  F.matmul(a.data(), b.data(), out.data(), 1, 3, 5);
+  for (std::size_t c = 5; c < 8; ++c) EXPECT_EQ(out[c], 42u);
 }
 
 TEST(Mersenne61Simd, BatchInvMatchesScalarPathAcrossLaneBoundaries) {
