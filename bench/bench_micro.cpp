@@ -262,7 +262,7 @@ class BeatLoopProtocol final : public ClockProtocol {
     std::uint64_t acc = 0;
     for (ChannelId ch = 0; ch < 2; ++ch) {
       const auto payloads = in.first_per_sender(ch);
-      for (const Bytes* p : payloads) {
+      for (const ByteSpan* p : payloads) {
         if (p == nullptr) continue;
         ByteReader r(*p);
         if (ch == 0) (void)r.u32();
@@ -364,7 +364,7 @@ class BroadcastHeavyProtocol final : public ClockProtocol {
   void receive_phase(const Inbox& in) override {
     std::uint64_t acc = 0;
     for (ChannelId ch = 0; ch < 4; ++ch) {
-      for (const Bytes* p : in.first_per_sender(ch)) {
+      for (const ByteSpan* p : in.first_per_sender(ch)) {
         if (p == nullptr) continue;
         ByteReader r(*p);
         acc += r.u64_vec_into(vec_.data(), vec_.size());

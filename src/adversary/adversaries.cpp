@@ -40,7 +40,7 @@ class RandomNoiseAdversary final : public Adversary {
  private:
   std::uint32_t per_beat_;
   std::uint32_t max_payload_;
-  Bytes payload_;  // reused scratch; ctx.send copies it into pooled storage
+  Bytes payload_;  // reused scratch; ctx.send copies it into the arena
 };
 
 class SplitValueAdversary final : public Adversary {

@@ -51,7 +51,7 @@ void TurpinCoanInstance::receive_round(int round, const Inbox& in,
                                        ChannelId base) {
   if (round == 1) {
     std::map<std::uint64_t, std::uint32_t> counts;
-    for (const Bytes* p : in.first_per_sender(base)) {
+    for (const ByteSpan* p : in.first_per_sender(base)) {
       if (p == nullptr) continue;
       ByteReader r(*p);
       const std::uint64_t v = r.u64();
@@ -69,7 +69,7 @@ void TurpinCoanInstance::receive_round(int round, const Inbox& in,
     }
   } else if (round == 2) {
     std::map<std::uint64_t, std::uint32_t> counts;
-    for (const Bytes* p : in.first_per_sender(static_cast<ChannelId>(base + 1))) {
+    for (const ByteSpan* p : in.first_per_sender(static_cast<ChannelId>(base + 1))) {
       if (p == nullptr) continue;
       ByteReader r(*p);
       const std::uint8_t tag = r.u8();

@@ -21,7 +21,7 @@ void DolevWelchClock::send_phase(Outbox& out) {
 
 void DolevWelchClock::receive_phase(const Inbox& in) {
   std::map<ClockValue, std::uint32_t> counts;
-  for (const Bytes* p : in.first_per_sender(base_)) {
+  for (const ByteSpan* p : in.first_per_sender(base_)) {
     if (p == nullptr) continue;
     ByteReader r(*p);
     const std::uint64_t v = r.u64();
@@ -75,7 +75,7 @@ void DolevWelchSharedCoin::receive_phase(const Inbox& in) {
   // (the same commitment ordering as Remark 3.1).
   const bool rand = coin_->receive_phase(in);
   std::map<ClockValue, std::uint32_t> counts;
-  for (const Bytes* p : in.first_per_sender(base_)) {
+  for (const ByteSpan* p : in.first_per_sender(base_)) {
     if (p == nullptr) continue;
     ByteReader r(*p);
     const std::uint64_t v = r.u64();

@@ -46,7 +46,7 @@ void PipelinedBaClock::send_phase(Outbox& out) {
 void PipelinedBaClock::receive_phase(const Inbox& in) {
   // Quorum scan over this beat's clock broadcasts.
   std::map<ClockValue, std::uint32_t> counts;
-  for (const Bytes* p : in.first_per_sender(clock_channel_)) {
+  for (const ByteSpan* p : in.first_per_sender(clock_channel_)) {
     if (p == nullptr) continue;
     ByteReader r(*p);
     const std::uint64_t v = r.u64();

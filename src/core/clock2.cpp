@@ -50,7 +50,7 @@ void SsByz2Clock::apply_majority_rule(const Inbox& in, bool rand) {
   // Lines 3-4: count values with "?" read as rand. Malformed or missing
   // payloads are ignored (a Byzantine sender gains nothing by gibberish).
   std::uint32_t count[2] = {0, 0};
-  for (const Bytes* payload : in.first_per_sender(clock_channel_)) {
+  for (const ByteSpan* payload : in.first_per_sender(clock_channel_)) {
     if (payload == nullptr) continue;
     ByteReader r(*payload);
     const std::uint8_t v = r.u8();

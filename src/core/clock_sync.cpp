@@ -107,7 +107,7 @@ void SsByzClockSync::tally(ClockValue v) {
 // End of block (a)'s beat: remember the value (if any) that n-f nodes sent.
 void SsByzClockSync::recv_phase0(const Inbox& in) {
   value_counts_.clear();
-  for (const Bytes* payload : in.first_per_sender(ch_full_)) {
+  for (const ByteSpan* payload : in.first_per_sender(ch_full_)) {
     if (payload == nullptr) continue;
     ByteReader r(*payload);
     const std::uint64_t v = r.u64();
@@ -127,7 +127,7 @@ void SsByzClockSync::recv_phase0(const Inbox& in) {
 // it had n-f support, save := 0 when everything was ?.
 void SsByzClockSync::recv_phase1(const Inbox& in) {
   value_counts_.clear();
-  for (const Bytes* payload : in.first_per_sender(ch_prop_)) {
+  for (const ByteSpan* payload : in.first_per_sender(ch_prop_)) {
     if (payload == nullptr) continue;
     ByteReader r(*payload);
     const std::uint8_t tag = r.u8();
@@ -155,7 +155,7 @@ void SsByzClockSync::recv_phase1(const Inbox& in) {
 void SsByzClockSync::recv_phase2(const Inbox& in) {
   ones_count_ = 0;
   zeros_count_ = 0;
-  for (const Bytes* payload : in.first_per_sender(ch_bit_)) {
+  for (const ByteSpan* payload : in.first_per_sender(ch_bit_)) {
     if (payload == nullptr) continue;
     ByteReader r(*payload);
     const std::uint8_t b = r.u8();

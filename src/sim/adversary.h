@@ -20,9 +20,10 @@ namespace ssbft {
 
 class AdversaryContext {
  public:
-  // `pool`, `sink` and `is_faulty` may be null for standalone use (tests);
-  // the engine passes its per-beat scratch so adversary traffic recycles
-  // payload storage like every other message (see message.h for the
+  // `arena`, `sink` and `is_faulty` may be null for standalone use
+  // (tests): the context then owns an arena and a send vector of its own.
+  // The engine passes its beat arena and scratch, so adversary payloads
+  // live exactly one beat like every other message (see message.h for the
   // ownership rules), and its persistent is-faulty bitmap so the per-send
   // sender check is O(1) instead of a linear scan over `faulty`. Without
   // one, the context builds its own bitmap from `faulty` (a one-time
@@ -30,11 +31,12 @@ class AdversaryContext {
   AdversaryContext(std::uint32_t n, std::uint32_t f,
                    const std::vector<NodeId>& faulty, Beat beat,
                    const std::vector<Message>& observed, Rng& rng,
-                   std::uint32_t channel_count, BytesPool* pool = nullptr,
+                   std::uint32_t channel_count, PayloadArena* arena = nullptr,
                    std::vector<Message>* sink = nullptr,
                    const std::vector<bool>* is_faulty = nullptr)
       : n_(n), f_(f), faulty_(faulty), beat_(beat), observed_(observed),
-        rng_(rng), channel_count_(channel_count), external_pool_(pool),
+        rng_(rng), channel_count_(channel_count),
+        arena_(arena != nullptr ? arena : &owned_arena_),
         sink_(sink != nullptr ? sink : &owned_sends_),
         is_faulty_(is_faulty) {
     if (is_faulty_ == nullptr) {
@@ -53,22 +55,22 @@ class AdversaryContext {
   // never see it; the adversary is part of the environment and may).
   Beat beat() const { return beat_; }
   // Every message sent by a correct node to a faulty node this beat, in
-  // deterministic (sender, emission) order. This is the rushing view.
+  // deterministic (sender, emission) order. This is the rushing view. The
+  // payload spans die with the beat: copy the bytes to keep them.
   const std::vector<Message>& observed() const { return observed_; }
   Rng& rng() { return rng_; }
   std::uint32_t channel_count() const { return channel_count_; }
 
   // Emit a message from a faulty node. `from` must be faulty. The payload
-  // is copied into pooled storage; the caller keeps its buffer.
-  void send(NodeId from, NodeId to, ChannelId channel, const Bytes& payload);
-  // Same payload from `from` to every node. Encodes into pooled storage
-  // once; all n messages alias the buffer (see message.h).
-  void broadcast(NodeId from, ChannelId channel, const Bytes& payload);
+  // is copied into the arena; the caller keeps its buffer.
+  void send(NodeId from, NodeId to, ChannelId channel, ByteSpan payload);
+  // Same payload from `from` to every node. Copied into the arena once;
+  // all n messages carry the same span (see message.h).
+  void broadcast(NodeId from, ChannelId channel, ByteSpan payload);
 
   const std::vector<Message>& sends() const { return *sink_; }
 
  private:
-  BytesPool& pool() { return external_pool_ ? *external_pool_ : owned_pool_; }
   void require_faulty_sender(NodeId from) const;
 
   std::uint32_t n_, f_;
@@ -77,8 +79,8 @@ class AdversaryContext {
   const std::vector<Message>& observed_;
   Rng& rng_;
   std::uint32_t channel_count_;
-  BytesPool* external_pool_;
-  BytesPool owned_pool_;
+  PayloadArena owned_arena_;
+  PayloadArena* arena_;
   std::vector<Message> owned_sends_;
   std::vector<Message>* sink_;
   const std::vector<bool>* is_faulty_;

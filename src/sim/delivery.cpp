@@ -17,15 +17,30 @@ namespace {
 // Under a lossy network the delivered count per inbox is random, so
 // pre-reserve to the deterministic pre-drop addressed count — otherwise
 // inbox capacity chases record peaks and the steady state would keep
-// allocating.
-void reserve_pre_drop(DeliveryBeat& b) {
+// allocating. A deferring policy passes its victim mask: victims' inboxes
+// also take the `backlog` it flushes this beat, and the return value is
+// the payload bytes addressed to victims (the pre-drop bound on what the
+// policy parks this beat).
+std::size_t reserve_pre_drop(DeliveryBeat& b,
+                             const std::vector<bool>* victim = nullptr,
+                             std::size_t backlog = 0) {
   std::vector<std::uint32_t>& addressed = *b.addressed_scratch;
   addressed.assign(b.n, 0);
-  for (const Message& m : *b.correct_msgs) ++addressed[m.to];
-  for (const Message& m : *b.adv_msgs) ++addressed[m.to];
-  for (NodeId id : *b.correct_ids) {
-    (*b.inboxes)[id].reserve(addressed[id] + b.faults->phantoms_per_beat);
+  std::size_t victim_bytes = 0;
+  for (const std::vector<Message>* msgs : {b.correct_msgs, b.adv_msgs}) {
+    for (const Message& m : *msgs) {
+      ++addressed[m.to];
+      if (victim != nullptr && (*victim)[m.to]) {
+        victim_bytes += m.payload.size();
+      }
+    }
   }
+  for (NodeId id : *b.correct_ids) {
+    const bool held = victim != nullptr && (*victim)[id];
+    (*b.inboxes)[id].reserve(addressed[id] + (held ? backlog : 0) +
+                             b.faults->phantoms_per_beat);
+  }
+  return victim_bytes;
 }
 
 // The per-message loss lottery. Draws from net_rng only on sampling beats,
@@ -39,6 +54,11 @@ inline bool drop_sampled(DeliveryBeat& b) {
 // ids, channels and payloads.
 void inject_phantoms(DeliveryBeat& b) {
   Rng& net_rng = *b.net_rng;
+  // Room for the deterministic worst case up front, so the random phantom
+  // lengths never drive the arena's growth.
+  b.arena->reserve(b.correct_ids->size() *
+                   std::size_t{b.faults->phantoms_per_beat} *
+                   b.faults->phantom_max_len);
   for (NodeId id : *b.correct_ids) {
     for (std::uint32_t i = 0; i < b.faults->phantoms_per_beat; ++i) {
       Message m;
@@ -50,26 +70,22 @@ void inject_phantoms(DeliveryBeat& b) {
       // not wrap the bound to zero.
       const std::uint64_t len = net_rng.next_below(
           static_cast<std::uint64_t>(b.faults->phantom_max_len) + 1);
-      m.payload = b.phantom_pool->acquire();
-      Bytes& buf = m.payload.mutable_bytes();
-      // Reserve the maximum once per slot: phantom lengths are random, and
-      // growing to a fresh record length must not allocate in the steady
-      // state.
-      buf.reserve(b.faults->phantom_max_len);
-      buf.resize(static_cast<std::size_t>(len));
+      const std::size_t size = static_cast<std::size_t>(len);
+      std::uint8_t* const buf = b.arena->alloc(size);
       // Bulk fill: one next_u64 draw per 8 payload bytes (little-endian,
       // a partial final draw spends its low bytes first). The draw
       // sequence is part of the replay contract: ceil(len/8) next_u64
       // draws per phantom, after the from/channel/len draws above.
-      for (std::size_t off = 0; off < buf.size(); off += 8) {
+      for (std::size_t off = 0; off < size; off += 8) {
         std::uint64_t word = net_rng.next_u64();
-        const std::size_t chunk = std::min<std::size_t>(8, buf.size() - off);
+        const std::size_t chunk = std::min<std::size_t>(8, size - off);
         for (std::size_t byte = 0; byte < chunk; ++byte) {
           buf[off + byte] = static_cast<std::uint8_t>(word >> (8 * byte));
         }
       }
+      m.payload = ByteSpan{buf, size};
       b.metrics->count_phantom();
-      (*b.inboxes)[id].deliver(std::move(m));
+      (*b.inboxes)[id].deliver(m);
     }
   }
 }
@@ -88,14 +104,14 @@ class SynchronousDelivery final : public DeliveryPolicy {
   }
 
  private:
-  static void deliver_all(DeliveryBeat& b, std::vector<Message>& msgs) {
-    for (Message& m : msgs) {
+  static void deliver_all(DeliveryBeat& b, const std::vector<Message>& msgs) {
+    for (const Message& m : msgs) {
       if ((*b.is_faulty)[m.to]) continue;  // faulty inboxes: the adversary
       if (drop_sampled(b)) {
         b.metrics->count_dropped();
         continue;
       }
-      (*b.inboxes)[m.to].deliver(std::move(m));
+      (*b.inboxes)[m.to].deliver(m);
     }
   }
 };
@@ -126,9 +142,9 @@ class EclipseDelivery final : public DeliveryPolicy {
   }
 
  private:
-  void deliver_filtered(DeliveryBeat& b, std::vector<Message>& msgs,
+  void deliver_filtered(DeliveryBeat& b, const std::vector<Message>& msgs,
                         bool active) {
-    for (Message& m : msgs) {
+    for (const Message& m : msgs) {
       if ((*b.is_faulty)[m.to]) continue;
       if (active && victim_[m.to] && !allowed_[m.from] && m.from != m.to) {
         b.metrics->count_eclipsed();
@@ -138,7 +154,7 @@ class EclipseDelivery final : public DeliveryPolicy {
         b.metrics->count_dropped();
         continue;
       }
-      (*b.inboxes)[m.to].deliver(std::move(m));
+      (*b.inboxes)[m.to].deliver(m);
     }
   }
 
@@ -165,10 +181,10 @@ class PartitionDelivery final : public DeliveryPolicy {
   }
 
  private:
-  void deliver_filtered(DeliveryBeat& b, std::vector<Message>& msgs,
+  void deliver_filtered(DeliveryBeat& b, const std::vector<Message>& msgs,
                         bool active) {
     const std::uint32_t split = spec_.partition_split;
-    for (Message& m : msgs) {
+    for (const Message& m : msgs) {
       if ((*b.is_faulty)[m.to]) continue;
       if (active && (m.from < split) != (m.to < split)) {
         b.metrics->count_eclipsed();
@@ -178,7 +194,7 @@ class PartitionDelivery final : public DeliveryPolicy {
         b.metrics->count_dropped();
         continue;
       }
-      (*b.inboxes)[m.to].deliver(std::move(m));
+      (*b.inboxes)[m.to].deliver(m);
     }
   }
 
@@ -187,18 +203,20 @@ class PartitionDelivery final : public DeliveryPolicy {
 
 // ---------------------------------------------------------------------------
 // TargetedDelayDelivery: messages to victims that survive the loss lottery
-// are parked — pooled payload handles and all — in a delay_beats-slot ring
-// and delivered exactly delay_beats beats later, first in their arrival
-// beat (they are the oldest traffic). Per-sender order is preserved: every
-// victim-addressed message takes the same constant detour, and within one
-// ring slot the park order is the send order. After heal_at new messages
-// flow synchronously; already-parked ones still arrive late. The ring
-// bounds pool demand at delay_beats x one beat's victim traffic, so the
-// steady state stays allocation-free once the slot capacities settle.
+// are parked in a delay_beats-slot ring and delivered exactly delay_beats
+// beats later, first in their arrival beat (they are the oldest traffic).
+// Parking copies the payload into an arena of the policy's own, since the
+// engine arena rewinds at the end of the beat. Per-sender order is
+// preserved: every victim-addressed message takes the same constant
+// detour, and within one ring slot the park order is the send order. After
+// heal_at new messages flow synchronously; already-parked ones still
+// arrive late. Reserves follow the pre-drop victim traffic, so the steady
+// state stays allocation-free once the capacities settle.
 
 class TargetedDelayDelivery final : public DeliveryPolicy {
  public:
-  explicit TargetedDelayDelivery(DeliverySpec spec) : spec_(std::move(spec)) {
+  explicit TargetedDelayDelivery(DeliverySpec spec)
+      : spec_(std::move(spec)), arenas_(spec_.delay_beats + 1) {
     ring_.resize(spec_.delay_beats);
   }
 
@@ -212,18 +230,26 @@ class TargetedDelayDelivery final : public DeliveryPolicy {
     // traffic. The freed slot is exactly the one this beat parks into:
     // beat % d == (beat - d) % d.
     std::vector<Message>& slot = ring_[b.beat % spec_.delay_beats];
+    // Arenas rotate over d + 1 beats, so the flushed payloads (in arena
+    // (beat - d) % (d + 1)) stay readable through this beat's receive
+    // phases, while this beat parks into the arena whose traffic was
+    // delivered last beat.
+    PayloadArena& arena = arenas_[b.beat % arenas_.size()];
+    arena.clear();
     const bool active = b.beat < spec_.heal_at;
     // Under a lossy network every capacity must track a deterministic
     // pre-drop bound, never the random survivor counts: victim inboxes
     // take the flushed backlog on top of the beat's addressed traffic,
-    // and the freed ring slot refills with this beat's victim traffic.
+    // and the freed ring slot and arena refill with this beat's victim
+    // traffic.
+    std::size_t victim_bytes = 0;
     if (b.sample_drops) {
-      reserve_with_backlog(b, slot.size());
+      victim_bytes = reserve_pre_drop(b, &victim_, slot.size());
     }
-    for (Message& m : slot) {
-      (*b.inboxes)[m.to].deliver(std::move(m));
+    for (const Message& m : slot) {
+      (*b.inboxes)[m.to].deliver(m);
     }
-    slot.clear();  // capacity persists; handles were moved out
+    slot.clear();  // capacity persists
     if (active && b.sample_drops) {
       const std::vector<std::uint32_t>& addressed = *b.addressed_scratch;
       std::size_t victim_msgs = 0;
@@ -231,30 +257,17 @@ class TargetedDelayDelivery final : public DeliveryPolicy {
         if (victim_[id]) victim_msgs += addressed[id];
       }
       slot.reserve(victim_msgs);
+      arena.reserve(victim_bytes);
     }
-    route(b, *b.correct_msgs, slot, active);
-    route(b, *b.adv_msgs, slot, active);
+    route(b, *b.correct_msgs, slot, arena, active);
+    route(b, *b.adv_msgs, slot, arena, active);
     if (b.network_faulty) inject_phantoms(b);
   }
 
  private:
-  // reserve_pre_drop, plus the parked backlog a victim's inbox is about
-  // to receive on top of its addressed count.
-  void reserve_with_backlog(DeliveryBeat& b, std::size_t backlog) {
-    std::vector<std::uint32_t>& addressed = *b.addressed_scratch;
-    addressed.assign(b.n, 0);
-    for (const Message& m : *b.correct_msgs) ++addressed[m.to];
-    for (const Message& m : *b.adv_msgs) ++addressed[m.to];
-    for (NodeId id : *b.correct_ids) {
-      const std::size_t extra = victim_[id] ? backlog : 0;
-      (*b.inboxes)[id].reserve(addressed[id] + extra +
-                               b.faults->phantoms_per_beat);
-    }
-  }
-
-  void route(DeliveryBeat& b, std::vector<Message>& msgs,
-             std::vector<Message>& park, bool active) {
-    for (Message& m : msgs) {
+  void route(DeliveryBeat& b, const std::vector<Message>& msgs,
+             std::vector<Message>& park, PayloadArena& arena, bool active) {
+    for (const Message& m : msgs) {
       if ((*b.is_faulty)[m.to]) continue;
       if (drop_sampled(b)) {
         b.metrics->count_dropped();
@@ -262,16 +275,19 @@ class TargetedDelayDelivery final : public DeliveryPolicy {
       }
       if (active && victim_[m.to]) {
         b.metrics->count_delayed();
-        park.push_back(std::move(m));  // handle rides across beats
+        // The bytes ride across beats in the policy's arena.
+        append_message(park, m.from, m.to, m.channel,
+                       arena.store(m.payload));
         continue;
       }
-      (*b.inboxes)[m.to].deliver(std::move(m));
+      (*b.inboxes)[m.to].deliver(m);
     }
   }
 
   DeliverySpec spec_;
   std::vector<bool> victim_;
   std::vector<std::vector<Message>> ring_;  // slot beat % d: due at beat
+  std::vector<PayloadArena> arenas_;        // arena beat % (d + 1)
 };
 
 // ---------------------------------------------------------------------------
@@ -316,22 +332,22 @@ class ReorderDelivery final : public DeliveryPolicy {
         if (order_[i] != i) b.metrics->count_reordered();
       }
     }
-    for (Message& m : scratch_) {
-      (*b.inboxes)[m.to].deliver(std::move(m));
+    for (const Message& m : scratch_) {
+      (*b.inboxes)[m.to].deliver(m);
     }
     scratch_.clear();
     if (b.network_faulty) inject_phantoms(b);
   }
 
  private:
-  void collect(DeliveryBeat& b, std::vector<Message>& msgs) {
-    for (Message& m : msgs) {
+  void collect(DeliveryBeat& b, const std::vector<Message>& msgs) {
+    for (const Message& m : msgs) {
       if ((*b.is_faulty)[m.to]) continue;
       if (drop_sampled(b)) {
         b.metrics->count_dropped();
         continue;
       }
-      scratch_.push_back(std::move(m));
+      scratch_.push_back(m);
     }
   }
 

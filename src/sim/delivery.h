@@ -16,14 +16,17 @@
 //     apply under every policy — the loss/phantom axes compose with the
 //     topology axis. The drop decision is made once per beat
 //     (DeliveryBeat::sample_drops), not re-evaluated per message.
-//   * Payload handles are only moved or parked, never copied: a policy
-//     that defers delivery (TargetedDelayDelivery) carries the pooled
-//     handles across beats in its own buffers, so the pool's slot demand
-//     stays a deterministic function of the traffic shape and the
-//     steady-state beat remains allocation-free (tests/alloc_test.cpp).
+//   * Payloads are spans into the engine's beat arena, which rewinds at
+//     the end of the beat (sim/message.h). Delivering a message copies the
+//     24-byte record, never the bytes. A policy that defers delivery
+//     (TargetedDelayDelivery) copies each held-back payload into an arena
+//     owned by its ring slot — the only payload copy that crosses a beat —
+//     and keeps a flushed slot's bytes readable until the end of the beat
+//     that delivers them. Arena reserves follow deterministic pre-drop
+//     bounds, so the steady-state beat stays allocation-free
+//     (tests/alloc_test.cpp).
 //   * Messages addressed to faulty nodes never reach an inbox (their
-//     inboxes live inside the adversary); suppressed messages keep their
-//     handle in the beat scratch until the engine's end-of-beat reset.
+//     inboxes live inside the adversary).
 //   * Policies own all cross-beat state. The engine hands each beat's
 //     inputs over as one DeliveryBeat view and promises nothing about
 //     engine internals beyond it.
@@ -60,7 +63,8 @@ struct DeliveryBeat {
   std::vector<Inbox>* inboxes = nullptr;           // per node id
   Rng* net_rng = nullptr;
   Metrics* metrics = nullptr;
-  BytesPool* phantom_pool = nullptr;
+  // The engine's beat arena; phantom payloads are written into it.
+  PayloadArena* arena = nullptr;
   // Engine-owned per-target count scratch (capacity persists across
   // beats), used by the lossy-network reserve pass.
   std::vector<std::uint32_t>* addressed_scratch = nullptr;
@@ -77,8 +81,8 @@ class DeliveryPolicy {
     (void)channel_count;
   }
 
-  // Runs the delivery phase of one beat: moves (or parks) every message
-  // handle out of the beat scratch, fills inboxes, injects phantoms.
+  // Runs the delivery phase of one beat: delivers (or parks) the beat
+  // scratch's messages, fills inboxes, injects phantoms.
   virtual void deliver_beat(DeliveryBeat& b) = 0;
 };
 

@@ -14,23 +14,17 @@ void AdversaryContext::require_faulty_sender(NodeId from) const {
 }
 
 void AdversaryContext::send(NodeId from, NodeId to, ChannelId channel,
-                            const Bytes& payload) {
+                            ByteSpan payload) {
   SSBFT_REQUIRE_MSG(to < n_, "adversary send target out of range");
   require_faulty_sender(from);
-  SharedBytes b = pool().acquire();
-  b.mutable_bytes().assign(payload.begin(), payload.end());
-  sink_->push_back(Message{from, to, channel, std::move(b)});
+  append_message(*sink_, from, to, channel, arena_->store(payload));
 }
 
 void AdversaryContext::broadcast(NodeId from, ChannelId channel,
-                                 const Bytes& payload) {
+                                 ByteSpan payload) {
   require_faulty_sender(from);
-  // Copy once; all n messages alias the slot (message.h ownership rules).
-  SharedBytes b = pool().acquire();
-  b.mutable_bytes().assign(payload.begin(), payload.end());
-  for (NodeId to = 0; to < n_; ++to) {
-    sink_->push_back(Message{from, to, channel, b});
-  }
+  // Copy once; all n messages carry the span (message.h ownership rules).
+  append_broadcast(*sink_, from, n_, channel, arena_->store(payload));
 }
 
 std::vector<NodeId> EngineConfig::last_ids_faulty(std::uint32_t n,
@@ -50,7 +44,7 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
       corrupt_rng_(Rng(cfg_.seed).split("corrupt")),
       net_rng_(Rng(cfg_.seed).split("network")),
       metrics_(cfg_.metrics_history_limit),
-      outbox_(0, cfg_.n, &pool_) {
+      outbox_(0, cfg_.n, &arena_) {
   SSBFT_REQUIRE(cfg_.n >= 1);
   SSBFT_REQUIRE_MSG(adversary_ != nullptr || cfg_.faulty.empty(),
                     "faulty nodes present but no adversary supplied");
@@ -181,7 +175,7 @@ void Engine::run_beat() {
 
   // 1. Send phases: pure functions of pre-beat state, in id order. The
   //    outbox writes straight into the persistent beat scratch; payload
-  //    storage stays pooled.
+  //    bytes land in the beat arena.
   for (NodeId id : correct_ids_) {
     outbox_.reset(id);
     protocols_[id]->send_phase(outbox_);
@@ -198,14 +192,14 @@ void Engine::run_beat() {
 
   // 2. Adversary turn (rushing): it sees exactly the beat-r messages
   //    addressed to faulty nodes, then commits the faulty nodes' sends.
-  //    The observed view borrows the payload handles — no byte copies.
+  //    The observed view copies the messages' spans — no byte copies.
   if (adversary_ != nullptr && !cfg_.faulty.empty()) {
     for (const Message& m : correct_msgs_) {
       if (!is_faulty_[m.to]) continue;
       observed_.push_back(m);
     }
     AdversaryContext ctx(cfg_.n, cfg_.f, cfg_.faulty, beat_, observed_,
-                         adv_rng_, channel_count_, &pool_, &adv_msgs_,
+                         adv_rng_, channel_count_, &arena_, &adv_msgs_,
                          &is_faulty_);
     adversary_->act(ctx);
     std::uint64_t adv_bytes = 0;
@@ -216,9 +210,8 @@ void Engine::run_beat() {
   // 3. Delivery, run by the configured DeliveryPolicy (sim/delivery.h).
   //    Inboxes were cleared at the end of the previous beat. The per-beat
   //    drop decision is hoisted here — policies never re-derive it per
-  //    message. Suppressed (dropped/eclipsed) messages keep their payload
-  //    handle in the beat scratch until the end-of-beat reset below;
-  //    deferring policies park handles in their own cross-beat buffers.
+  //    message. Deferring policies copy what they hold back into arenas of
+  //    their own; everything else reads the beat arena.
   const bool network_faulty = beat_ < cfg_.faults.network_faulty_until;
   DeliveryBeat db;
   db.beat = beat_;
@@ -235,7 +228,7 @@ void Engine::run_beat() {
   db.inboxes = &inboxes_;
   db.net_rng = &net_rng_;
   db.metrics = &metrics_;
-  db.phantom_pool = &phantom_pool_;
+  db.arena = &arena_;
   db.addressed_scratch = &addressed_;
   delivery_->deliver_beat(db);
 
@@ -247,17 +240,14 @@ void Engine::run_beat() {
   // 5. Trace emission (sim/trace.h), observing post-receive state.
   if (trace_ != nullptr) emit_beat_trace();
 
-  // Reset the beat scratch and the inboxes. Clearing drops every payload
-  // handle of the beat — delivered, dropped and observed alike — in one
-  // place, recycling last-referenced slots into the pool. Releasing
-  // everything here (rather than at the drop sites) keeps the pool's
-  // per-beat slot demand a deterministic function of the traffic shape,
-  // independent of drop patterns: once the pool has grown to one beat's
-  // worth of slots, no beat ever allocates again, lossy network or not.
+  // Reset the beat scratch and the inboxes, and rewind the arena: every
+  // payload of the beat — delivered, dropped and observed alike — dies
+  // here. Each clear is O(1) per container; messages own nothing.
   correct_msgs_.clear();
   adv_msgs_.clear();
   observed_.clear();
   for (Inbox& ib : inboxes_) ib.clear();
+  arena_.clear();
 
   ++beat_;
 }

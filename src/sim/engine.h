@@ -124,16 +124,12 @@ class Engine {
   std::vector<bool> is_faulty_;
   std::vector<NodeId> correct_ids_;
   std::vector<std::unique_ptr<Protocol>> protocols_;  // null for faulty ids
-  BytesPool pool_;  // owns recycled payload storage; declared before users
-  // Phantom payloads draw from their own pool: its slots reserve
-  // phantom_max_len on first use and are reused beat after beat, so the
-  // random phantom sizes neither allocate in the steady state nor inflate
-  // the protocol-payload slots of pool_.
-  BytesPool phantom_pool_;
+  // Every payload of the current beat — sends, adversary traffic and
+  // phantoms — rewound at the end of run_beat (message.h ownership rules).
+  PayloadArena arena_;
   // The delivery phase of run_beat (sim/delivery.h), chosen by
-  // FaultPlan::delivery. Declared after the pools: a deferring policy
-  // parks pooled payload handles across beats, so it must be destroyed
-  // before the pools it borrows slots from.
+  // FaultPlan::delivery. A deferring policy copies held-back payloads into
+  // arenas of its own, so it borrows nothing across beats.
   std::unique_ptr<DeliveryPolicy> delivery_;
   std::vector<Inbox> inboxes_;                        // per node id
   std::unique_ptr<Adversary> adversary_;
@@ -151,10 +147,10 @@ class Engine {
   std::vector<std::uint64_t> channel_bytes_;  // per channel, when tracked
   std::uint64_t channel_bytes_beats_ = 0;
   // Persistent per-beat scratch: cleared every beat, capacity retained.
-  Outbox outbox_{0, 0, &pool_};
+  Outbox outbox_{0, 0, &arena_};
   std::vector<Message> correct_msgs_;
   std::vector<Message> adv_msgs_;
-  std::vector<Message> observed_;  // borrowed handles; the rushing view
+  std::vector<Message> observed_;  // the rushing view
   std::vector<std::uint32_t> addressed_;  // per-target count, lossy beats
 };
 

@@ -36,8 +36,9 @@ enum class DeliveryKind : std::uint8_t {
 struct DeliverySpec {
   // heal_at value meaning "the topology adversary never stops".
   static constexpr Beat kNever = ~Beat{0};
-  // Largest supported targeted delay. The pending buffer holds
-  // delay_beats x one beat's victim traffic in pooled handles, so the
+  // Largest supported targeted delay. The pending ring holds
+  // delay_beats x one beat's victim traffic (messages and payload
+  // copies), so the
   // bound keeps the policy's steady-state memory a sane multiple of the
   // per-beat traffic shape.
   static constexpr std::uint32_t kMaxDelayBeats = 1u << 12;

@@ -1,56 +1,89 @@
 #include "sim/message.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "support/check.h"
 
 namespace ssbft {
 
-BytesPool::~BytesPool() {
-  for (detail::PayloadSlot* s : free_) delete s;
+void PayloadArena::open(std::size_t size) {
+  chunks_.push_back(
+      Chunk{std::unique_ptr<std::uint8_t[]>(new std::uint8_t[size]), size});
+  cur_ = chunks_.back().data.get();
+  end_ = cur_ + size;
+#if defined(SSBFT_ARENA_POISONING)
+  ASAN_POISON_MEMORY_REGION(cur_, size);
+#endif
 }
 
-SharedBytes BytesPool::acquire() {
-  detail::PayloadSlot* s;
-  if (free_.empty()) {
-    s = new detail::PayloadSlot;
-    s->pool = this;
-  } else {
-    s = free_.back();
-    free_.pop_back();
+void PayloadArena::spill(std::size_t len) {
+  const std::size_t grown =
+      chunks_.empty() ? kFirstChunk : 2 * chunks_.back().size;
+  open(std::max(len, grown));
+}
+
+void PayloadArena::clear() {
+  if (chunks_.size() > 1) {
+    // The beat spilled: keep one chunk of the total size, so the next beat
+    // of the same shape fits without spilling.
+    const std::size_t total = capacity();
+    chunks_.clear();
+    open(total);
+    return;
   }
-  s->refs = 1;
-  return SharedBytes{s};
+  if (chunks_.empty()) return;
+  std::uint8_t* const begin = chunks_.front().data.get();
+#if defined(SSBFT_ARENA_POISONING)
+  ASAN_POISON_MEMORY_REGION(begin, static_cast<std::size_t>(cur_ - begin));
+#endif
+  cur_ = begin;
 }
 
-void BytesPool::recycle(detail::PayloadSlot* slot) {
-  slot->buf.clear();
-  free_.push_back(slot);
+std::size_t PayloadArena::capacity() const {
+  std::size_t total = 0;
+  for (const Chunk& c : chunks_) total += c.size;
+  return total;
 }
 
-void Outbox::send(NodeId to, ChannelId channel, const Bytes& payload) {
+void append_message(std::vector<Message>& sink, NodeId from, NodeId to,
+                    ChannelId channel, ByteSpan payload) {
+  Message& m = sink.emplace_back();
+  m.from = from;
+  m.to = to;
+  m.channel = channel;
+  m.payload = payload;
+}
+
+void append_broadcast(std::vector<Message>& sink, NodeId from,
+                      std::uint32_t n, ChannelId channel, ByteSpan payload) {
+  const std::size_t base = sink.size();
+  sink.resize(base + n);
+  Message* m = sink.data() + base;
+  for (NodeId to = 0; to < n; ++to, ++m) {
+    m->from = from;
+    m->to = to;
+    m->channel = channel;
+    m->payload = payload;
+  }
+}
+
+void Outbox::send(NodeId to, ChannelId channel, ByteSpan payload) {
   SSBFT_REQUIRE_MSG(to < n_, "send target out of range");
-  SharedBytes b = pool().acquire();
-  b.mutable_bytes().assign(payload.begin(), payload.end());
   ++sent_messages_;
   sent_bytes_ += payload.size();
-  sink_->push_back(Message{self_, to, channel, std::move(b)});
+  append_message(*sink_, self_, to, channel, arena_->store(payload));
 }
 
-void Outbox::broadcast(ChannelId channel, const Bytes& payload) {
+void Outbox::broadcast(ChannelId channel, ByteSpan payload) {
   sent_messages_ += n_;
   sent_bytes_ += std::uint64_t{payload.size()} * n_;
-  // Copy once; every recipient's Message aliases the same slot.
-  SharedBytes b = pool().acquire();
-  b.mutable_bytes().assign(payload.begin(), payload.end());
-  for (NodeId to = 0; to < n_; ++to) {
-    sink_->push_back(Message{self_, to, channel, b});
-  }
+  // Copy once; every recipient's Message carries the same span.
+  append_broadcast(*sink_, self_, n_, channel, arena_->store(payload));
 }
 
 void Outbox::clear() {
   sink_->clear();
+  if (arena_ == &owned_arena_) owned_arena_.clear();
   sent_messages_ = 0;
   sent_bytes_ = 0;
 }
@@ -63,24 +96,6 @@ Inbox::Inbox(std::uint32_t n, std::uint32_t max_channels)
       cursor_(max_channels, 0),
       first_(std::size_t{max_channels} * n, nullptr),
       null_row_(n, nullptr) {}
-
-void Inbox::deliver(Message m) {
-  if (m.channel >= max_channels_) {
-    // Unknown stream: dropped, but the handle is parked until clear() so
-    // payload slots release at the beat boundary like every other dropped
-    // message (deterministic pool demand — see Engine::run_beat).
-    dropped_.push_back(std::move(m));
-    return;
-  }
-  sealed_ = false;  // a later read re-buckets
-  staged_.push_back(std::move(m));
-}
-
-void Inbox::clear() {
-  staged_.clear();
-  dropped_.clear();
-  sealed_ = false;
-}
 
 // Bucket the staged messages' indices into the flat order array and
 // canonicalize each bucket. Messages stay put; only 4-byte indices move.
@@ -133,11 +148,11 @@ void Inbox::seal() const {
       b[j] = idx;
     }
     // First-per-sender table: one pass in canonical order. The pointers
-    // land on the shared slots' byte storage, which never moves.
-    const Bytes** row = first_.data() + std::size_t{ch} * n_;
+    // land on the staged messages' spans.
+    const ByteSpan** row = first_.data() + std::size_t{ch} * n_;
     for (std::uint32_t i = 0; i < len; ++i) {
       const Message& m = msgs[b[i]];
-      if (m.from < n_ && row[m.from] == nullptr) row[m.from] = &m.payload.bytes();
+      if (m.from < n_ && row[m.from] == nullptr) row[m.from] = &m.payload;
     }
   }
 }

@@ -7,179 +7,137 @@
 // sub-protocol instances co-execute, so a fixed channel space suffices and
 // is trivially recyclable (self-stabilization needs no unbounded counters).
 //
-// Bytes-pool ownership rules (shared-payload model, PR 4)
-// --------------------------------------------------------
-// Payload storage is refcounted: a `SharedBytes` is a handle to a pooled
-// buffer slot, and every `Message` carries one. A broadcast encodes and
-// copies its payload into pooled storage exactly ONCE — all n Messages
-// alias the same slot — and delivery, the adversary's rushing view, and
-// the inboxes only move or copy handles (refcount bumps), never bytes.
-// Per-beat payload memcpy is therefore O(traffic encoded), not O(messages
-// delivered). Wire-byte accounting is unchanged: a broadcast still counts
-// n x payload-size sent bytes, and every aliased Message reports the full
-// payload size.
+// Payload ownership: one arena per beat
+// -------------------------------------
+// The protocols run in synchronous beats: a message sent in a beat is
+// delivered and read in that same beat. Payload bytes therefore live in a
+// `PayloadArena` — a bump allocator the engine rewinds at the end of every
+// beat — and a `Message` carries a borrowed `ByteSpan` (pointer + length)
+// into it. Messages are trivially copyable 24-byte records: delivery, the
+// adversary's rushing view and the inboxes copy them freely, and clearing
+// an inbox costs nothing per message.
 //
-// Lifecycle of a slot:
+//   * Copy once. A broadcast copies its encoded payload into the arena
+//     exactly once; all n Messages carry the same span. Wire-byte
+//     accounting is unchanged: a broadcast still counts n x payload-size
+//     sent bytes, and every Message reports the full payload size.
+//   * Lifetime. A span stays readable until the end of the beat it was
+//     sent in (the arena's next `clear()`), never longer. Protocols read
+//     their inbox during the beat; an adversary that wants to keep
+//     observed bytes past its turn copies them. The one sanctioned
+//     exception is a deferring delivery policy (sim/delivery.h), which
+//     copies each held-back payload into an arena of its own.
+//   * Views. `on()` / `first_per_sender()` borrow index tables from the
+//     inbox and are invalidated by its next `deliver()` or `clear()`; the
+//     payload bytes they lead to stay put until the arena rewinds.
 //
-//   1. The pool owns free slots. `acquire()` hands out a handle to an
-//      *empty* buffer (capacity retained from earlier use) with refcount 1.
-//   2. Handles share the slot. Copying a SharedBytes (outbox fan-out,
-//      the adversary's observed view, inbox delivery) bumps the refcount;
-//      destroying or reassigning one drops it. Nobody may mutate a slot's
-//      bytes after more than one handle exists (`mutable_bytes()` enforces
-//      uniqueness), so aliased readers are always safe.
-//   3. The last handle recycles the slot. When the refcount reaches zero
-//      the slot returns to its pool's free list — content cleared,
-//      capacity kept — so the steady-state beat performs no heap
-//      allocation. Slots created without a pool (standalone SharedBytes
-//      built from a Bytes literal, e.g. in tests) are heap-owned and
-//      deleted on last release instead.
-//
-// Views returned by `on()` / `first_per_sender()` borrow payload bytes
-// from the slots referenced by the inbox and stay valid until the inbox's
-// next `clear()` (or destruction); `deliver()` invalidates the *index*
-// structure of a view but never moves payload bytes.
-//
-// An Outbox/Inbox constructed without an external pool owns a private one,
-// so standalone use (tests, harnesses) needs no extra plumbing. A shared
-// pool must outlive every Outbox/Inbox bound to it AND every SharedBytes
-// handle drawn from it; the Engine owns the pool and all of its users, in
-// that order.
+// An Outbox or AdversaryContext built without an external arena owns a
+// private one, so standalone use (tests, harnesses) needs no plumbing.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
-#include <utility>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "support/bytes.h"
-#include "support/check.h"
 #include "support/types.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SSBFT_ARENA_POISONING 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SSBFT_ARENA_POISONING 1
+#endif
+#endif
+#if defined(SSBFT_ARENA_POISONING)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace ssbft {
-
-class BytesPool;
-
-namespace detail {
-// Control block + storage for one shared payload buffer. Not thread-safe;
-// one pool (and all of its slots) per engine.
-struct PayloadSlot {
-  Bytes buf;
-  std::uint32_t refs = 0;
-  BytesPool* pool = nullptr;  // null: heap slot, deleted on last release
-};
-}  // namespace detail
-
-// Refcounted handle to a payload buffer. Copying shares the buffer; the
-// last handle recycles it into its pool (or deletes a pool-less slot).
-class SharedBytes {
- public:
-  SharedBytes() = default;
-  // Standalone handles over a heap slot (tests, literals). Implicit so
-  // Message{from, to, ch, {0xaa}} keeps working.
-  SharedBytes(Bytes b)
-      : slot_(new detail::PayloadSlot{std::move(b), 1, nullptr}) {}
-  SharedBytes(std::initializer_list<std::uint8_t> il)
-      : SharedBytes(Bytes(il)) {}
-
-  SharedBytes(const SharedBytes& o) : slot_(o.slot_) {
-    if (slot_ != nullptr) ++slot_->refs;
-  }
-  SharedBytes(SharedBytes&& o) noexcept : slot_(o.slot_) {
-    o.slot_ = nullptr;
-  }
-  SharedBytes& operator=(const SharedBytes& o) {
-    if (slot_ != o.slot_) {
-      reset();
-      slot_ = o.slot_;
-      if (slot_ != nullptr) ++slot_->refs;
-    }
-    return *this;
-  }
-  SharedBytes& operator=(SharedBytes&& o) noexcept {
-    if (this != &o) {
-      reset();
-      slot_ = o.slot_;
-      o.slot_ = nullptr;
-    }
-    return *this;
-  }
-  ~SharedBytes() { reset(); }
-
-  // Drops this handle (recycling the slot if it was the last one).
-  void reset();
-
-  // Read view. A null handle reads as an empty buffer.
-  const Bytes& bytes() const {
-    static const Bytes kEmpty;
-    return slot_ != nullptr ? slot_->buf : kEmpty;
-  }
-  operator const Bytes&() const { return bytes(); }
-  std::size_t size() const { return bytes().size(); }
-  bool empty() const { return bytes().empty(); }
-  std::uint8_t operator[](std::size_t i) const { return bytes()[i]; }
-
-  // Mutable access, only while this is the sole handle: aliased payloads
-  // (a broadcast already fanned out) must never change under a reader.
-  Bytes& mutable_bytes() {
-    SSBFT_REQUIRE_MSG(slot_ != nullptr && slot_->refs == 1,
-                      "mutable_bytes() on a shared or null payload");
-    return slot_->buf;
-  }
-
-  // Handles aliasing the same slot (diagnostics/tests).
-  bool shares_with(const SharedBytes& o) const {
-    return slot_ != nullptr && slot_ == o.slot_;
-  }
-
- private:
-  friend class BytesPool;
-  explicit SharedBytes(detail::PayloadSlot* slot) : slot_(slot) {}
-
-  detail::PayloadSlot* slot_ = nullptr;
-};
 
 struct Message {
   NodeId from = 0;
   NodeId to = 0;
   ChannelId channel = 0;
-  SharedBytes payload;
+  ByteSpan payload;  // borrowed from an arena, readable until its clear()
 };
+static_assert(sizeof(Message) == 24, "Message must stay 24 bytes");
+static_assert(std::is_trivially_copyable<Message>::value,
+              "Message is copied freely by delivery and the inboxes");
 
-// Free list of payload slots. Not thread-safe; one pool per engine.
-class BytesPool {
+// Appends Message{from, to, channel, payload} to `sink`, or one message
+// per recipient 0..n-1 sharing `payload`. Both write the fields in place:
+// building a Message temporary and copying it in makes every append a
+// wide load of narrower stores still in flight, which stalls store-to-load
+// forwarding and costs more than the copy itself.
+void append_message(std::vector<Message>& sink, NodeId from, NodeId to,
+                    ChannelId channel, ByteSpan payload);
+void append_broadcast(std::vector<Message>& sink, NodeId from,
+                      std::uint32_t n, ChannelId channel, ByteSpan payload);
+
+// Bump allocator for payload bytes. Chunks are retained and never move, so
+// a span stays valid until `clear()`. The first chunk is small and later
+// ones grow geometrically; `clear()` after a beat that spilled into several
+// chunks replaces them with one chunk of their total size, so demand
+// settles after a few beats and a steady-state beat never allocates.
+// Not thread-safe; one arena per engine (plus a deferring policy's own).
+//
+// Under AddressSanitizer the free part of every chunk is poisoned: reading
+// through a span after the arena rewound is reported as use-after-poison.
+class PayloadArena {
  public:
-  BytesPool() = default;
-  BytesPool(const BytesPool&) = delete;
-  BytesPool& operator=(const BytesPool&) = delete;
-  ~BytesPool();
+  static constexpr std::size_t kFirstChunk = 1024;
 
-  // A handle (refcount 1) to an empty buffer, reusing pooled capacity when
-  // available.
-  SharedBytes acquire();
-  // Slots currently sitting in the free list.
-  std::size_t free_count() const { return free_.size(); }
+  PayloadArena() = default;
+  // Spans and the users' arena pointers point into it: never copied or
+  // moved.
+  PayloadArena(const PayloadArena&) = delete;
+  PayloadArena& operator=(const PayloadArena&) = delete;
+
+  // Uninitialised room for `len` bytes, readable until clear().
+  std::uint8_t* alloc(std::size_t len) {
+    reserve(len);
+    std::uint8_t* p = cur_;
+    cur_ += len;
+#if defined(SSBFT_ARENA_POISONING)
+    ASAN_UNPOISON_MEMORY_REGION(p, len);
+#endif
+    return p;
+  }
+  // Copies `bytes` in; the returned span reads them until clear().
+  ByteSpan store(ByteSpan bytes) {
+    std::uint8_t* p = alloc(bytes.size());
+    if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
+    return ByteSpan{p, bytes.size()};
+  }
+  // Makes the next `len` bytes of alloc() calls fit in the current chunk.
+  // Callers reserve a deterministic worst case up front so random request
+  // sizes (phantom payloads) cannot drive the arena's growth.
+  void reserve(std::size_t len) {
+    if (static_cast<std::size_t>(end_ - cur_) < len) spill(len);
+  }
+  // Rewinds: every span handed out since the last clear() is dead. Keeps
+  // the capacity (merged into one chunk if the beat spilled).
+  void clear();
+
+  // Total bytes across the retained chunks.
+  std::size_t capacity() const;
 
  private:
-  friend class SharedBytes;
-  // Takes a slot back (refcount already zero). Content is discarded, the
-  // buffer's capacity and the slot node itself are kept for reuse.
-  void recycle(detail::PayloadSlot* slot);
+  struct Chunk {
+    std::unique_ptr<std::uint8_t[]> data;
+    std::size_t size;
+  };
+  // Opens a fresh chunk of at least `len` bytes.
+  void spill(std::size_t len);
+  void open(std::size_t size);
 
-  std::vector<detail::PayloadSlot*> free_;
+  std::vector<Chunk> chunks_;
+  std::uint8_t* cur_ = nullptr;  // next free byte of the last chunk
+  std::uint8_t* end_ = nullptr;  // end of the last chunk
 };
-
-inline void SharedBytes::reset() {
-  if (slot_ == nullptr) return;
-  detail::PayloadSlot* s = slot_;
-  slot_ = nullptr;
-  if (--s->refs != 0) return;
-  if (s->pool != nullptr) {
-    s->pool->recycle(s);
-  } else {
-    delete s;
-  }
-}
 
 // Borrowed view of one channel bucket: a contiguous run of indices into
 // the inbox's arrival-order message store. Iteration order is canonical
@@ -225,17 +183,17 @@ class MessageView {
 class PayloadView {
  public:
   PayloadView() = default;
-  PayloadView(const Bytes* const* data, std::size_t size)
+  PayloadView(const ByteSpan* const* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  const Bytes* const* begin() const { return data_; }
-  const Bytes* const* end() const { return data_ + size_; }
-  const Bytes* operator[](std::size_t i) const { return data_[i]; }
+  const ByteSpan* const* begin() const { return data_; }
+  const ByteSpan* const* end() const { return data_ + size_; }
+  const ByteSpan* operator[](std::size_t i) const { return data_[i]; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
-  const Bytes* const* data_ = nullptr;
+  const ByteSpan* const* data_ = nullptr;
   std::size_t size_ = 0;
 };
 
@@ -247,8 +205,13 @@ class PayloadView {
 // outboxes collect into an internal vector.
 class Outbox {
  public:
-  Outbox(NodeId self, std::uint32_t n, BytesPool* pool = nullptr)
-      : self_(self), n_(n), external_pool_(pool), sink_(&owned_msgs_) {}
+  Outbox(NodeId self, std::uint32_t n, PayloadArena* arena = nullptr)
+      : self_(self),
+        n_(n),
+        arena_(arena != nullptr ? arena : &owned_arena_),
+        sink_(&owned_msgs_) {}
+  Outbox(const Outbox&) = delete;  // points into itself
+  Outbox& operator=(const Outbox&) = delete;
 
   // Redirect sends into an external vector (the engine's beat scratch).
   // Pass null to return to the internal vector.
@@ -257,10 +220,11 @@ class Outbox {
   }
 
   // Rebind to a new sender and restart this sender's traffic accounting.
-  // Messages already in the sink are left in place (the engine owns them).
+  // Messages already in an external sink are left in place (the engine
+  // owns them); a standalone outbox forgets its messages.
   void reset(NodeId self) {
     self_ = self;
-    if (sink_ == &owned_msgs_) owned_msgs_.clear();
+    if (sink_ == &owned_msgs_) clear();
     sent_messages_ = 0;
     sent_bytes_ = 0;
   }
@@ -273,30 +237,27 @@ class Outbox {
     return writer_;
   }
 
-  // Point-to-point send. The payload is copied into pooled storage.
-  void send(NodeId to, ChannelId channel, const Bytes& payload);
+  // Point-to-point send. The payload is copied into the arena.
+  void send(NodeId to, ChannelId channel, ByteSpan payload);
   // "Broadcast" in the paper's sense: send the same payload to all n nodes,
   // including self (no broadcast channels are assumed). The payload is
-  // encoded into pooled storage ONCE; all n messages alias that buffer.
+  // copied into the arena ONCE; all n messages carry the same span.
   // Sent-byte accounting still counts n x payload-size wire bytes.
-  void broadcast(ChannelId channel, const Bytes& payload);
+  void broadcast(ChannelId channel, ByteSpan payload);
 
   // Messages and payload bytes emitted since the last reset().
   std::uint64_t sent_messages() const { return sent_messages_; }
   std::uint64_t sent_bytes() const { return sent_bytes_; }
 
   const std::vector<Message>& messages() const { return *sink_; }
-  // Drops all payload handles (recycling last-referenced slots) and
-  // forgets the messages.
+  // Forgets the messages (and rewinds the arena if this outbox owns it).
   void clear();
 
  private:
-  BytesPool& pool() { return external_pool_ ? *external_pool_ : owned_pool_; }
-
   NodeId self_;
   std::uint32_t n_;
-  BytesPool* external_pool_;
-  BytesPool owned_pool_;
+  PayloadArena owned_arena_;
+  PayloadArena* arena_;
   ByteWriter writer_;
   std::vector<Message> owned_msgs_;
   std::vector<Message>* sink_;
@@ -309,20 +270,20 @@ class Outbox {
 // Storage is a flat bucket layout: delivered messages live in one
 // arrival-order array; on first read a flat index array is bucketed by
 // channel and canonically ordered by sender id within each bucket (stable,
-// so duplicates keep arrival order). Messages are moved in exactly once
-// and never again. All per-beat state keeps its capacity across `clear()`,
-// so a steady-state beat touches the allocator not at all.
+// so duplicates keep arrival order). Messages are copied in exactly once
+// and never move again. All per-beat state keeps its capacity across
+// `clear()`, so a steady-state beat touches the allocator not at all.
 class Inbox {
  public:
-  // Payload storage is managed by the handles themselves, so the inbox
-  // needs no pool of its own.
+  // Payload bytes live in the sender's arena; the inbox stores spans only.
   Inbox(std::uint32_t n, std::uint32_t max_channels);
 
-  // Takes the message's payload handle (sharing the slot with any other
-  // aliases of a broadcast). Messages on unknown channels are dropped;
-  // their handles are parked until the next clear() so slots release at
-  // the beat boundary like all other dropped traffic.
-  void deliver(Message m);
+  // Messages on unknown channels are dropped.
+  void deliver(const Message& m) {
+    if (m.channel >= max_channels_) return;
+    sealed_ = false;  // a later read re-buckets
+    staged_.push_back(m);
+  }
   // Pre-reserves storage for `messages` deliveries this beat. The engine
   // calls this with the pre-drop addressed count when the network is
   // lossy, so inbox capacity converges to the deterministic traffic shape
@@ -331,9 +292,11 @@ class Inbox {
     staged_.reserve(messages);
     order_.reserve(messages);
   }
-  // Drops all payload handles (last-referenced slots recycle into the
-  // pool, keeping capacity); forgets the messages.
-  void clear();
+  // Forgets the messages in O(1), keeping capacity.
+  void clear() {
+    staged_.clear();
+    sealed_ = false;
+  }
 
   // All messages on a channel, ordered by sender id (then arrival order for
   // duplicates). Channels out of range return an empty view. The view is
@@ -354,8 +317,7 @@ class Inbox {
   std::uint32_t n_;
   std::uint32_t max_channels_;
 
-  std::vector<Message> staged_;   // arrival order; holds the payload handles
-  std::vector<Message> dropped_;  // unknown-channel parking, until clear()
+  std::vector<Message> staged_;  // arrival order
 
   // Mutable: seal() runs lazily from the const read accessors.
   mutable bool sealed_ = false;
@@ -364,8 +326,8 @@ class Inbox {
   mutable std::vector<std::uint32_t> offset_;  // per channel, into order_
   mutable std::vector<std::uint32_t> cursor_;  // scratch for bucketing
   mutable std::vector<ChannelId> touched_;     // channels with count > 0
-  mutable std::vector<const Bytes*> first_;    // max_channels x n table
-  std::vector<const Bytes*> null_row_;         // n nulls, for empty channels
+  mutable std::vector<const ByteSpan*> first_;  // max_channels x n table
+  std::vector<const ByteSpan*> null_row_;       // n nulls, for empty channels
 };
 
 }  // namespace ssbft

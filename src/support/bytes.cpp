@@ -132,11 +132,11 @@ void ByteWriter::bits(const std::uint64_t* words, std::size_t nbits) {
 }
 
 bool ByteReader::take(std::size_t len, const std::uint8_t** out) {
-  if (!ok_ || buf_->size() - pos_ < len) {
+  if (!ok_ || buf_.size() - pos_ < len) {
     ok_ = false;
     return false;
   }
-  *out = buf_->data() + pos_;
+  *out = buf_.data() + pos_;
   pos_ += len;
   return true;
 }

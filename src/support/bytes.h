@@ -8,13 +8,46 @@
 // gibberish — Definition 2.2 only guarantees integrity of what was sent).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "support/check.h"
+
 namespace ssbft {
 
 using Bytes = std::vector<std::uint8_t>;
+
+// Borrowed, read-only run of bytes: a pointer plus a 32-bit length. The
+// owner (a Bytes buffer, a PayloadArena — see sim/message.h) must outlive
+// every span over it. Packed to 12 bytes with 4-byte alignment so a
+// Message (two node ids, a channel and a span) fits in 24 bytes.
+#pragma pack(push, 4)
+class ByteSpan {
+ public:
+  ByteSpan() = default;
+  ByteSpan(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(static_cast<std::uint32_t>(size)) {
+    SSBFT_REQUIRE_MSG(size <= UINT32_MAX, "ByteSpan: payload over 4 GiB");
+  }
+  // Implicit: every Bytes buffer reads as a span (ByteReader, Outbox).
+  ByteSpan(const Bytes& b) : ByteSpan(b.data(), b.size()) {}
+
+  const std::uint8_t* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::uint8_t operator[](std::size_t i) const { return data_[i]; }
+  const std::uint8_t* begin() const { return data_; }
+  const std::uint8_t* end() const { return data_ + size_; }
+
+ private:
+  const std::uint8_t* data_ = nullptr;
+  std::uint32_t size_ = 0;
+};
+#pragma pack(pop)
+static_assert(sizeof(ByteSpan) == 12 && alignof(ByteSpan) == 4,
+              "ByteSpan must stay 12 bytes so Message packs into 24");
 
 // Little-endian append-only encoder.
 class ByteWriter {
@@ -70,11 +103,11 @@ class ByteWriter {
   Bytes buf_;
 };
 
-// Bounds-checked decoder over a borrowed buffer. The buffer must outlive
-// the reader.
+// Bounds-checked decoder over a borrowed span. The bytes must outlive the
+// reader.
 class ByteReader {
  public:
-  explicit ByteReader(const Bytes& buf) : buf_(&buf) {}
+  explicit ByteReader(ByteSpan buf) : buf_(buf) {}
 
   std::uint8_t u8();
   std::uint16_t u16();
@@ -109,13 +142,13 @@ class ByteReader {
   // True iff no read has run past the end so far.
   bool ok() const { return ok_; }
   // True iff the whole buffer was consumed (and no read failed).
-  bool at_end() const { return ok_ && pos_ == buf_->size(); }
-  std::size_t remaining() const { return ok_ ? buf_->size() - pos_ : 0; }
+  bool at_end() const { return ok_ && pos_ == buf_.size(); }
+  std::size_t remaining() const { return ok_ ? buf_.size() - pos_ : 0; }
 
  private:
   bool take(std::size_t len, const std::uint8_t** out);
 
-  const Bytes* buf_;
+  ByteSpan buf_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };

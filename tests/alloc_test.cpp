@@ -1,7 +1,7 @@
 // Proof that the steady-state beat loop is allocation-free: global
 // operator new/delete are replaced with counting versions, an engine is
-// warmed up until every pooled buffer and scratch vector has reached its
-// steady capacity, and then whole beats must run with a zero allocation
+// warmed up until the payload arena and every scratch vector have reached
+// their steady capacity, and then whole beats must run with a zero allocation
 // delta — send phases, adversary turn, delivery, inbox bucketing, receive
 // phases and metrics included.
 //
@@ -66,7 +66,7 @@ class SteadyProtocol final : public ClockProtocol {
   void receive_phase(const Inbox& in) override {
     std::uint64_t acc = 0;
     for (ChannelId ch = 0; ch < 2; ++ch) {
-      for (const Bytes* p : in.first_per_sender(ch)) {
+      for (const ByteSpan* p : in.first_per_sender(ch)) {
         if (p == nullptr) continue;
         ByteReader r(*p);
         if (ch == 0) (void)r.u32();
@@ -117,7 +117,7 @@ TEST(AllocationFreeBeat, AllCorrect) {
   cfg.seed = 3;
   cfg.metrics_history_limit = 8;  // unbounded history would grow per beat
   Engine eng(cfg, steady_factory(), nullptr);
-  eng.run_beats(64);  // pool and scratch capacities settle
+  eng.run_beats(64);  // arena and scratch capacities settle
   const std::size_t before = g_allocations;
   eng.run_beats(32);
   EXPECT_EQ(g_allocations - before, 0u)
@@ -144,11 +144,11 @@ class BroadcastingAdversary final : public Adversary {
   ByteWriter w_;
 };
 
-// The full fabric under stress: broadcasts fanning out as shared payloads,
-// an adversary observing and re-broadcasting, a permanently faulty network
+// The full fabric under stress: broadcasts fanning out as shared spans, an
+// adversary observing and re-broadcasting, a permanently faulty network
 // dropping messages and injecting phantom payloads, and faulty recipients
-// swallowing traffic — all must recycle slots through the pool with a zero
-// steady-state allocation delta.
+// swallowing traffic — all must reuse the arena with a zero steady-state
+// allocation delta.
 TEST(AllocationFreeBeat, BroadcastsDropsPhantomsAndFaultyRecipients) {
   EngineConfig cfg;
   cfg.n = 16;
@@ -161,7 +161,7 @@ TEST(AllocationFreeBeat, BroadcastsDropsPhantomsAndFaultyRecipients) {
   cfg.faults.phantoms_per_beat = 3;
   cfg.faults.phantom_max_len = 48;
   Engine eng(cfg, steady_factory(), std::make_unique<BroadcastingAdversary>());
-  eng.run_beats(64);  // slot pool, inbox buckets and phantom buffers settle
+  eng.run_beats(64);  // arena, inbox buckets and phantom reserve settle
   const std::size_t before = g_allocations;
   eng.run_beats(32);
   EXPECT_EQ(g_allocations - before, 0u)
@@ -169,8 +169,8 @@ TEST(AllocationFreeBeat, BroadcastsDropsPhantomsAndFaultyRecipients) {
          "heap";
 }
 
-// A deferring delivery policy parks pooled payload handles across beats in
-// its pending ring. Once the ring slots, the pools and the inbox buckets
+// A deferring delivery policy parks payload copies across beats in its
+// pending ring. Once the ring slots, the arenas and the inbox buckets
 // have settled, a warm beat — flush due traffic, sample drops, park the
 // victims' messages, inject phantoms — must still not touch the heap.
 TEST(AllocationFreeBeat, TargetedDelayDeliveryWithDropsAndPhantoms) {
@@ -188,7 +188,7 @@ TEST(AllocationFreeBeat, TargetedDelayDeliveryWithDropsAndPhantoms) {
   cfg.faults.delivery.victims = {0, 1, 2};
   cfg.faults.delivery.delay_beats = 3;
   Engine eng(cfg, steady_factory(), std::make_unique<BroadcastingAdversary>());
-  eng.run_beats(64);  // ring slots and pool demand settle
+  eng.run_beats(64);  // ring slots and arena demand settle
   const std::size_t before = g_allocations;
   eng.run_beats(32);
   EXPECT_EQ(g_allocations - before, 0u)
@@ -310,7 +310,7 @@ TEST(AllocationFreeBeat, FmCoinClockSyncStack) {
     return std::make_unique<SsByzClockSync>(env, 64, spec, rng);
   };
   Engine eng(cfg, factory, make_silent_adversary());
-  eng.run_beats(96);  // pools, scratch and pipeline slots all settle
+  eng.run_beats(96);  // arena, scratch and pipeline slots all settle
   const std::size_t before = g_allocations;
   eng.run_beats(32);
   EXPECT_EQ(g_allocations - before, 0u)

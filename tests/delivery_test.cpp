@@ -217,6 +217,87 @@ TEST(TargetedDelayDelivery, HealStopsHoldingNewTraffic) {
   EXPECT_EQ(eng.metrics().total().delayed_messages, 4u * 4u);  // beats 0-3
 }
 
+// The payload of (sender, beat, seq): a length and a byte pattern that
+// change every beat, so bytes read through a stale span never pass.
+Bytes pinned_payload(NodeId from, Beat beat, std::uint32_t seq) {
+  Bytes b((from * 7 + beat * 13 + seq * 5) % 41 + 1);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<std::uint8_t>(from * 31 + beat * 17 + seq * 3 + i);
+  }
+  return b;
+}
+
+// Broadcasts pinned_payload(self, beat, seq) and keeps every payload it
+// receives, byte for byte, with its arrival beat.
+class PinProtocol final : public ClockProtocol {
+ public:
+  explicit PinProtocol(const ProtocolEnv& env) : env_(env) {}
+
+  void send_phase(Outbox& out) override {
+    for (std::uint32_t seq = 0; seq < 2; ++seq) {
+      out.broadcast(0, pinned_payload(env_.self, beat_, seq));
+    }
+  }
+
+  void receive_phase(const Inbox& in) override {
+    for (const Message& m : in.on(0)) {
+      got_.push_back({beat_, m.from, Bytes(m.payload.begin(), m.payload.end())});
+    }
+    ++beat_;
+  }
+
+  void randomize_state(Rng&) override {}
+  ClockValue clock() const override { return beat_ % 4; }
+  ClockValue modulus() const override { return 4; }
+  std::uint32_t channel_count() const override { return 1; }
+
+  struct Got {
+    Beat beat;
+    NodeId from;
+    Bytes bytes;
+  };
+  ProtocolEnv env_;
+  Beat beat_ = 0;
+  std::vector<Got> got_;
+};
+
+TEST(TargetedDelayDelivery, ParkedPayloadsArriveByteEqual) {
+  // Parked messages outlive the beat they were sent in, while the engine
+  // arena is rewound and refilled with fresh payloads every beat. Each
+  // victim payload must still arrive delay_beats later byte-equal to what
+  // was sent.
+  EngineConfig cfg = probe_config(5);
+  cfg.faults.delivery.kind = DeliveryKind::kTargetedDelay;
+  cfg.faults.delivery.victims = {0, 2};
+  cfg.faults.delivery.delay_beats = 3;
+  auto eng = Engine(
+      cfg,
+      [](const ProtocolEnv& env, Rng) {
+        return std::make_unique<PinProtocol>(env);
+      },
+      nullptr);
+  const Beat beats = 12;
+  eng.run_beats(beats);
+  for (NodeId v : {NodeId{0}, NodeId{2}}) {
+    const auto& got = dynamic_cast<const PinProtocol&>(eng.node(v)).got_;
+    // Beats 3..11 each flush one beat of 5 senders x 2 broadcasts, in
+    // sender order (seq order within a sender).
+    ASSERT_EQ(got.size(), (beats - 3) * 5u * 2u) << "victim " << v;
+    std::size_t i = 0;
+    for (Beat b = 3; b < beats; ++b) {
+      for (NodeId from = 0; from < 5; ++from) {
+        for (std::uint32_t seq = 0; seq < 2; ++seq, ++i) {
+          EXPECT_EQ(got[i].beat, b);
+          EXPECT_EQ(got[i].from, from);
+          EXPECT_EQ(got[i].bytes, pinned_payload(from, b - 3, seq))
+              << "victim " << v << " beat " << b << " from " << from
+              << " seq " << seq;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // PartitionDelivery
 

@@ -524,7 +524,7 @@ TEST(FuzzCodec, ProtocolsIgnoreSelfTargetedGarbageChannels) {
         if (!spray_) return;
         for (NodeId from : ctx.faulty()) {
           // Channel ids beyond the stack's layout: must be dropped.
-          ctx.broadcast(from, static_cast<ChannelId>(60000), {1, 2, 3});
+          ctx.broadcast(from, static_cast<ChannelId>(60000), Bytes{1, 2, 3});
         }
       }
       bool spray_;

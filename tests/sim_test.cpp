@@ -2,6 +2,8 @@
 // fault injection, metrics, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <set>
 
@@ -28,7 +30,7 @@ class EchoProtocol final : public ClockProtocol {
   void receive_phase(const Inbox& in) override {
     last_senders_.clear();
     last_payload_count_ = 0;
-    for (const Bytes* p : in.first_per_sender(0)) {
+    for (const ByteSpan* p : in.first_per_sender(0)) {
       if (p != nullptr) ++last_payload_count_;
     }
     for (const Message& m : in.on(0)) last_senders_.push_back(m.from);
@@ -69,9 +71,23 @@ EngineConfig basic_config(std::uint32_t n, std::uint32_t f_actual) {
   return cfg;
 }
 
+// Inbox tests deliver hand-written messages: this keeps their literal
+// payloads in an arena, as a sender's would be.
+class Wire {
+ public:
+  Message msg(NodeId from, NodeId to, ChannelId ch,
+              std::initializer_list<std::uint8_t> bytes) {
+    const Bytes b(bytes);
+    return Message{from, to, ch, arena_.store(b)};
+  }
+
+ private:
+  PayloadArena arena_;
+};
+
 TEST(Outbox, BroadcastReachesAllIncludingSelf) {
   Outbox out(2, 5);
-  out.broadcast(1, {0xaa});
+  out.broadcast(1, Bytes{0xaa});
   ASSERT_EQ(out.messages().size(), 5u);
   for (NodeId to = 0; to < 5; ++to) {
     EXPECT_EQ(out.messages()[to].to, to);
@@ -82,25 +98,27 @@ TEST(Outbox, BroadcastReachesAllIncludingSelf) {
 
 TEST(Outbox, SendTargetValidated) {
   Outbox out(0, 3);
-  EXPECT_THROW(out.send(3, 0, {}), contract_error);
+  EXPECT_THROW(out.send(3, 0, Bytes{}), contract_error);
 }
 
 TEST(Inbox, RoutesByChannelAndDropsUnknown) {
+  Wire w;
   Inbox in(4, 2);
-  in.deliver({0, 1, 0, {1}});
-  in.deliver({0, 1, 1, {2}});
-  in.deliver({0, 1, 7, {3}});  // out-of-range channel: dropped
+  in.deliver(w.msg(0, 1, 0, {1}));
+  in.deliver(w.msg(0, 1, 1, {2}));
+  in.deliver(w.msg(0, 1, 7, {3}));  // out-of-range channel: dropped
   EXPECT_EQ(in.on(0).size(), 1u);
   EXPECT_EQ(in.on(1).size(), 1u);
   EXPECT_TRUE(in.on(7).empty());
 }
 
 TEST(Inbox, OrderedBySenderIdRegardlessOfArrival) {
+  Wire w;
   Inbox in(4, 1);
-  in.deliver({2, 0, 0, {0x22}});
-  in.deliver({3, 0, 0, {0x33}});
-  in.deliver({0, 0, 0, {0x00}});  // low-id sender arriving last (e.g. faulty)
-  in.deliver({2, 0, 0, {0x99}});  // duplicate: keeps arrival order within 2
+  in.deliver(w.msg(2, 0, 0, {0x22}));
+  in.deliver(w.msg(3, 0, 0, {0x33}));
+  in.deliver(w.msg(0, 0, 0, {0x00}));  // low-id sender arriving last
+  in.deliver(w.msg(2, 0, 0, {0x99}));  // duplicate: keeps arrival order
   const auto msgs = in.on(0);
   ASSERT_EQ(msgs.size(), 4u);
   EXPECT_EQ(msgs[0].from, 0u);
@@ -112,10 +130,11 @@ TEST(Inbox, OrderedBySenderIdRegardlessOfArrival) {
 }
 
 TEST(Inbox, DeliverAfterReadReopensTheBeat) {
+  Wire w;
   Inbox in(3, 1);
-  in.deliver({1, 0, 0, {0x11}});
+  in.deliver(w.msg(1, 0, 0, {0x11}));
   EXPECT_EQ(in.on(0).size(), 1u);  // forces the lazy seal
-  in.deliver({0, 0, 0, {0x01}});
+  in.deliver(w.msg(0, 0, 0, {0x01}));
   const auto msgs = in.on(0);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].from, 0u);  // still canonical after the re-open
@@ -123,23 +142,25 @@ TEST(Inbox, DeliverAfterReadReopensTheBeat) {
 }
 
 TEST(Inbox, ClearKeepsWorking) {
+  Wire w;
   Inbox in(2, 2);
-  in.deliver({0, 1, 0, {0xaa}});
+  in.deliver(w.msg(0, 1, 0, {0xaa}));
   EXPECT_EQ(in.on(0).size(), 1u);
   in.clear();
   EXPECT_TRUE(in.on(0).empty());
   EXPECT_EQ(in.first_per_sender(0)[0], nullptr);
-  in.deliver({1, 1, 1, {0xbb}});
+  in.deliver(w.msg(1, 1, 1, {0xbb}));
   EXPECT_TRUE(in.on(0).empty());
   ASSERT_EQ(in.on(1).size(), 1u);
   EXPECT_EQ(in.on(1)[0].payload[0], 0xbb);
 }
 
 TEST(Inbox, FirstPerSenderDeduplicates) {
+  Wire w;
   Inbox in(3, 1);
-  in.deliver({1, 0, 0, {0xaa}});
-  in.deliver({1, 0, 0, {0xbb}});  // duplicate flood from node 1
-  in.deliver({2, 0, 0, {0xcc}});
+  in.deliver(w.msg(1, 0, 0, {0xaa}));
+  in.deliver(w.msg(1, 0, 0, {0xbb}));  // duplicate flood from node 1
+  in.deliver(w.msg(2, 0, 0, {0xcc}));
   const auto per = in.first_per_sender(0);
   ASSERT_EQ(per.size(), 3u);
   EXPECT_EQ(per[0], nullptr);
@@ -149,74 +170,122 @@ TEST(Inbox, FirstPerSenderDeduplicates) {
   EXPECT_EQ((*per[2])[0], 0xcc);
 }
 
-TEST(Outbox, BroadcastSharesOnePayloadBuffer) {
-  // Copy-once fabric: all n messages of a broadcast alias the same pooled
-  // slot (one encode, one copy), while wire-byte accounting still counts
+TEST(PayloadArena, BroadcastMessagesShareOneSpan) {
+  // Copy-once fabric: all n messages of a broadcast carry the same span
+  // (one copy into the arena), while wire-byte accounting still counts
   // n x payload-size.
   Outbox out(1, 4);
-  out.broadcast(0, {1, 2, 3});
+  out.broadcast(0, Bytes{1, 2, 3});
   ASSERT_EQ(out.messages().size(), 4u);
-  const Bytes* first = &out.messages()[0].payload.bytes();
+  const std::uint8_t* first = out.messages()[0].payload.data();
   for (const Message& m : out.messages()) {
-    EXPECT_TRUE(m.payload.shares_with(out.messages()[0].payload));
-    EXPECT_EQ(&m.payload.bytes(), first);
+    EXPECT_EQ(m.payload.data(), first);
     EXPECT_EQ(m.payload.size(), 3u);
   }
+  EXPECT_EQ(first[2], 3);
   EXPECT_EQ(out.sent_messages(), 4u);
   EXPECT_EQ(out.sent_bytes(), 12u);  // n x B, not B
-  // Point-to-point sends get private buffers.
-  out.send(2, 0, {9});
-  EXPECT_FALSE(
-      out.messages()[4].payload.shares_with(out.messages()[0].payload));
+  // A point-to-point send gets bytes of its own.
+  out.send(2, 0, Bytes{9});
+  EXPECT_NE(out.messages()[4].payload.data(), first);
+  EXPECT_EQ(out.messages()[4].payload[0], 9);
 }
 
-TEST(SharedBytes, MutationRequiresUniqueOwnership) {
-  BytesPool pool;
-  SharedBytes a = pool.acquire();
-  a.mutable_bytes().assign({1, 2});
-  SharedBytes b = a;  // aliased: readers may hold the buffer
-  EXPECT_THROW(a.mutable_bytes(), contract_error);
-  b.reset();
-  EXPECT_EQ(a.mutable_bytes().size(), 2u);  // unique again
+TEST(PayloadArena, SpansSurviveAChunkSpill) {
+  PayloadArena a;
+  const Bytes small{7, 7, 7};
+  const ByteSpan early = a.store(small);
+  // Far more than the first chunk holds: the arena opens new chunks, and
+  // the bytes already handed out stay where they are.
+  const Bytes big(3 * PayloadArena::kFirstChunk, 0x5c);
+  const ByteSpan spilled = a.store(big);
+  EXPECT_GT(a.capacity(), PayloadArena::kFirstChunk);  // it spilled
+  ASSERT_EQ(early.size(), 3u);
+  EXPECT_TRUE(std::equal(early.begin(), early.end(), small.begin()));
+  EXPECT_TRUE(std::equal(spilled.begin(), spilled.end(), big.begin()));
 }
 
-TEST(SharedBytes, LastHandleRecyclesIntoThePool) {
-  BytesPool pool;
-  {
-    SharedBytes a = pool.acquire();
-    a.mutable_bytes().assign(64, 0xab);
-    SharedBytes b = a;
-    a.reset();
-    EXPECT_EQ(pool.free_count(), 0u);  // b still holds the slot
-    EXPECT_EQ(b.size(), 64u);
-  }
-  EXPECT_EQ(pool.free_count(), 1u);
-  // Reacquiring hands back an empty buffer reusing the slot.
-  SharedBytes c = pool.acquire();
-  EXPECT_EQ(pool.free_count(), 0u);
-  EXPECT_TRUE(c.empty());
+TEST(PayloadArena, ClearRewindsAndReusesTheChunk) {
+  PayloadArena a;
+  const ByteSpan s1 = a.store(Bytes{1, 2});
+  const std::size_t cap = a.capacity();
+  a.clear();
+  const ByteSpan s2 = a.store(Bytes{3, 4});
+  EXPECT_EQ(s2.data(), s1.data());  // rewound to the chunk's start
+  EXPECT_EQ(a.capacity(), cap);     // no new storage
+  // A beat that spilled leaves one chunk of the total size after clear():
+  // a request for the whole capacity then fits without growing it.
+  (void)a.alloc(4 * PayloadArena::kFirstChunk);
+  const std::size_t spilled_cap = a.capacity();
+  ASSERT_GT(spilled_cap, cap);
+  a.clear();
+  EXPECT_EQ(a.capacity(), spilled_cap);
+  (void)a.alloc(spilled_cap);
+  EXPECT_EQ(a.capacity(), spilled_cap);
 }
+
+TEST(PayloadArena, StandaloneOutboxAndAdversaryContextOwnTheirArenas) {
+  Outbox a(0, 2);
+  Outbox b(1, 2);
+  const Bytes payload{0x42};
+  a.send(1, 0, payload);
+  b.send(0, 0, payload);
+  const ByteSpan sa = a.messages()[0].payload;
+  const ByteSpan sb = b.messages()[0].payload;
+  EXPECT_NE(sa.data(), sb.data());
+  EXPECT_NE(sa.data(), payload.data());  // copied, not borrowed
+  a.clear();  // rewinds a's arena only
+  EXPECT_EQ(sb[0], 0x42);
+
+  const std::vector<NodeId> faulty{1};
+  const std::vector<Message> observed;
+  Rng rng(1);
+  AdversaryContext ctx(2, 1, faulty, 0, observed, rng, 1);
+  ctx.broadcast(1, 0, payload);
+  ASSERT_EQ(ctx.sends().size(), 2u);
+  EXPECT_EQ(ctx.sends()[0].payload.data(), ctx.sends()[1].payload.data());
+  EXPECT_NE(ctx.sends()[0].payload.data(), payload.data());
+  EXPECT_EQ(ctx.sends()[1].payload[0], 0x42);
+}
+
+#if defined(SSBFT_ARENA_POISONING)
+TEST(PayloadArenaDeathTest, StaleSpanReadIsReported) {
+  // AddressSanitizer builds poison rewound arena memory: a read through a
+  // span kept past clear() must be reported, not silently see new bytes.
+  EXPECT_DEATH(
+      {
+        PayloadArena a;
+        const ByteSpan s = a.store(Bytes{1, 2, 3, 4});
+        a.clear();
+        volatile std::uint8_t sink = s[1];
+        (void)sink;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(Inbox, ViewsStayValidUntilClear) {
-  // Payload views borrow from the shared slots; later deliver() calls
-  // re-bucket the indices but never move payload bytes, so pointers taken
-  // from one read remain valid until clear().
+  // Payload bytes live in the sender's arena; later deliver() calls
+  // re-bucket the inbox's index tables (invalidating views) but never move
+  // payload bytes, so spans read from one view remain valid until the
+  // arena rewinds.
+  Wire w;
   Inbox in(4, 2);
-  in.deliver({1, 0, 0, {0x11}});
-  in.deliver({2, 0, 0, {0x22}});
+  in.deliver(w.msg(1, 0, 0, {0x11}));
+  in.deliver(w.msg(2, 0, 0, {0x22}));
   const auto per = in.first_per_sender(0);
-  const Bytes* p1 = per[1];
-  const Bytes* p2 = per[2];
-  ASSERT_NE(p1, nullptr);
-  ASSERT_NE(p2, nullptr);
-  in.deliver({0, 0, 1, {0x33}});  // invalidates the view's index structure
-  (void)in.on(1);                 // force a re-seal
-  EXPECT_EQ((*p1)[0], 0x11);      // ...but the borrowed bytes still stand
-  EXPECT_EQ((*p2)[0], 0x22);
-  // After clear() the old pointers are dead; fresh reads see fresh state.
+  ASSERT_NE(per[1], nullptr);
+  ASSERT_NE(per[2], nullptr);
+  const ByteSpan p1 = *per[1];
+  const ByteSpan p2 = *per[2];
+  in.deliver(w.msg(0, 0, 1, {0x33}));  // invalidates the view
+  (void)in.on(1);                      // force a re-seal
+  EXPECT_EQ(p1[0], 0x11);              // ...but the bytes still stand
+  EXPECT_EQ(p2[0], 0x22);
+  // After clear() fresh reads see fresh state.
   in.clear();
   EXPECT_EQ(in.first_per_sender(0)[1], nullptr);
-  in.deliver({1, 0, 0, {0x44}});
+  in.deliver(w.msg(1, 0, 0, {0x44}));
   ASSERT_NE(in.first_per_sender(0)[1], nullptr);
   EXPECT_EQ((*in.first_per_sender(0)[1])[0], 0x44);
 }
@@ -252,7 +321,7 @@ TEST(Engine, SilentAdversaryMeansFewerMessages) {
 class ForgingAdversary final : public Adversary {
  public:
   void act(AdversaryContext& ctx) override {
-    ctx.send(/*from=*/0, /*to=*/1, 0, {0x99});  // node 0 is correct
+    ctx.send(/*from=*/0, /*to=*/1, 0, Bytes{0x99});  // node 0 is correct
   }
 };
 
@@ -273,7 +342,7 @@ class ObservingAdversary final : public Adversary {
       for (NodeId fid : ctx.faulty()) to_faulty |= (m.to == fid);
       EXPECT_TRUE(to_faulty);
     }
-    for (NodeId from : ctx.faulty()) ctx.broadcast(from, 0, {0x01});
+    for (NodeId from : ctx.faulty()) ctx.broadcast(from, 0, Bytes{0x01});
   }
   std::vector<std::size_t> observed_per_beat;
 };
