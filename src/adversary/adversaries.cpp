@@ -1,5 +1,6 @@
 #include "adversary/adversaries.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <optional>
@@ -49,9 +50,12 @@ class SplitValueAdversary final : public Adversary {
       : channel_(channel), a_(std::move(a)), b_(std::move(b)) {}
 
   void act(AdversaryContext& ctx) override {
+    // Stored once per beat; every message shares the arena copy.
+    const ByteSpan a = ctx.store(a_);
+    const ByteSpan b = ctx.store(b_);
     for (NodeId from : ctx.faulty()) {
       for (NodeId to = 0; to < ctx.n(); ++to) {
-        ctx.send(from, to, channel_, to < ctx.n() / 2 ? a_ : b_);
+        ctx.send(from, to, channel_, to < ctx.n() / 2 ? a : b);
       }
     }
   }
@@ -71,15 +75,16 @@ class AntiCoinAdversary final : public Adversary {
     // recover shares would be on the wire by now).
     const bool rand = beacon_->is_common() ? beacon_->common_value()
                                            : beacon_->bit_for(0);
-    ByteWriter with, against;
-    with.u8(rand ? 1 : 0);
-    against.u8(rand ? 0 : 1);
+    const std::uint8_t with_byte = rand ? 1 : 0;
+    const std::uint8_t against_byte = rand ? 0 : 1;
+    // Stored once per beat; every message shares the arena copy.
+    const ByteSpan with = ctx.store(ByteSpan{&with_byte, 1});
+    const ByteSpan against = ctx.store(ByteSpan{&against_byte, 1});
     for (NodeId from : ctx.faulty()) {
       for (NodeId to = 0; to < ctx.n(); ++to) {
         // Feed half the nodes the revealed coin and half its complement,
         // maximizing the spread of majority counts around the threshold.
-        ctx.send(from, to, channel_,
-                 to % 2 == 0 ? with.data() : against.data());
+        ctx.send(from, to, channel_, to % 2 == 0 ? with : against);
       }
     }
   }
@@ -98,29 +103,40 @@ class ClockSkewAdversary final : public Adversary {
     const auto prop = static_cast<ChannelId>(full_ + 1);
     const auto bit = static_cast<ChannelId>(full_ + 2);
     for (NodeId from : ctx.faulty()) {
-      // Two fresh inconsistent clock stories per beat.
+      // Two fresh inconsistent clock stories per beat, each encoded and
+      // stored once: every recipient's messages share the arena copies.
       const ClockValue va = ctx.rng().next_below(k_);
       const ClockValue vb = ctx.rng().next_below(k_);
+      const Story low = story(ctx, va, 1);
+      const Story high = story(ctx, vb, 0);
       for (NodeId to = 0; to < ctx.n(); ++to) {
-        const bool low = to < ctx.n() / 2;
-        wf_.clear();
-        wf_.u64(low ? va : vb);
-        ctx.send(from, to, full_, wf_.data());
-        wp_.clear();
-        wp_.u8(1);
-        wp_.u64(low ? va : vb);
-        ctx.send(from, to, prop, wp_.data());
-        wb_.clear();
-        wb_.u8(low ? 1 : 0);
-        ctx.send(from, to, bit, wb_.data());
+        const Story& s = to < ctx.n() / 2 ? low : high;
+        ctx.send(from, to, full_, s.full);
+        ctx.send(from, to, prop, s.prop);
+        ctx.send(from, to, bit, s.bit);
       }
     }
   }
 
  private:
+  // One story's payloads on the full-clock, proposal and bit channels.
+  struct Story {
+    ByteSpan full, prop, bit;
+  };
+  Story story(AdversaryContext& ctx, ClockValue v, std::uint8_t support) {
+    w_.clear();
+    w_.u64(v);
+    const ByteSpan full = ctx.store(w_.data());
+    w_.clear();
+    w_.u8(1);
+    w_.u64(v);
+    const ByteSpan prop = ctx.store(w_.data());
+    return Story{full, prop, ctx.store(ByteSpan{&support, 1})};
+  }
+
   ClockValue k_;
   ChannelId full_;
-  ByteWriter wf_, wp_, wb_;  // reused across beats
+  ByteWriter w_;  // reused across beats
 };
 
 class AdaptiveQuorumSplitter final : public Adversary {
@@ -133,51 +149,67 @@ class AdaptiveQuorumSplitter final : public Adversary {
     const std::uint32_t f = ctx.f();
     // Rushing view: one clock value per correct sender (they broadcast, so
     // the copy addressed to our first faulty node is the full picture).
-    std::map<NodeId, ClockValue> sender_value;
+    // The first decodable value per sender counts. All scratch is reused
+    // across beats.
+    value_.assign(n, kNone);
+    values_.clear();
     for (const Message& m : ctx.observed()) {
-      if (m.channel != channel_) continue;
-      if (sender_value.count(m.from)) continue;
+      if (m.channel != channel_ || value_[m.from] != kNone) continue;
       ByteReader r(m.payload);
       const std::uint64_t v = r.u64();
       if (!r.at_end() || v >= k_) continue;
-      sender_value[m.from] = v;
+      value_[m.from] = v;
+      values_.push_back(v);
     }
-    std::map<ClockValue, std::uint32_t> support;
-    for (const auto& [from, v] : sender_value) ++support[v];
+    // The value with the largest support; ties go to the lowest value.
+    std::sort(values_.begin(), values_.end());
     ClockValue u = 0;
     std::uint32_t c = 0;
-    for (const auto& [v, cnt] : support) {
-      if (cnt > c) {
-        u = v;
-        c = cnt;
+    for (std::size_t i = 0; i < values_.size();) {
+      std::size_t j = i;
+      while (j < values_.size() && values_[j] == values_[i]) ++j;
+      if (j - i > c) {
+        u = values_[i];
+        c = static_cast<std::uint32_t>(j - i);
       }
+      i = j;
     }
     if (c + f < n - f || c >= n - f) {
       // Either no boostable value (even our votes cannot complete a
       // quorum) or the correct nodes already hold one on their own — the
       // split cannot be created; inject noise instead.
       for (NodeId from : ctx.faulty()) {
-        ByteWriter w;
-        w.u64(ctx.rng().next_below(k_));
-        ctx.broadcast(from, channel_, w.data());
+        w_.clear();
+        w_.u64(ctx.rng().next_below(k_));
+        ctx.broadcast(from, channel_, w_.data());
       }
       return;
     }
     // Complete u's quorum only at the nodes already holding u.
+    w_.clear();
+    w_.u64(u);
+    const ByteSpan held = ctx.store(w_.data());
     for (NodeId from : ctx.faulty()) {
       for (NodeId to = 0; to < n; ++to) {
-        ByteWriter w;
-        const auto it = sender_value.find(to);
-        const bool holder = it != sender_value.end() && it->second == u;
-        w.u64(holder ? u : ctx.rng().next_below(k_));
-        ctx.send(from, to, channel_, w.data());
+        if (value_[to] == u) {
+          ctx.send(from, to, channel_, held);
+          continue;
+        }
+        w_.clear();
+        w_.u64(ctx.rng().next_below(k_));
+        ctx.send(from, to, channel_, w_.data());
       }
     }
   }
 
  private:
+  static constexpr ClockValue kNone = ~ClockValue{0};  // no value seen
+
   ClockValue k_;
   ChannelId channel_;
+  std::vector<ClockValue> value_;   // per sender id: its clock value
+  std::vector<ClockValue> values_;  // the values seen this beat
+  ByteWriter w_;
 };
 
 // --- FM coin attacker -----------------------------------------------------

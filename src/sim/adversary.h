@@ -61,11 +61,16 @@ class AdversaryContext {
   Rng& rng() { return rng_; }
   std::uint32_t channel_count() const { return channel_count_; }
 
-  // Emit a message from a faulty node. `from` must be faulty. The payload
-  // is copied into the arena; the caller keeps its buffer.
+  // Copies `payload` into the beat arena and returns the arena's span.
+  // Sending that span, to any number of recipients, copies nothing more:
+  // a payload addressed to many is stored once.
+  ByteSpan store(ByteSpan payload);
+  // Emit a message from a faulty node. `from` must be faulty. A payload
+  // the arena does not hold yet (see store()) is copied into it; the
+  // caller keeps its buffer.
   void send(NodeId from, NodeId to, ChannelId channel, ByteSpan payload);
-  // Same payload from `from` to every node. Copied into the arena once;
-  // all n messages carry the same span (see message.h).
+  // Same payload from `from` to every node. Copied into the arena at most
+  // once; all n messages carry the same span (see message.h).
   void broadcast(NodeId from, ChannelId channel, ByteSpan payload);
 
   const std::vector<Message>& sends() const { return *sink_; }

@@ -12,35 +12,29 @@ namespace {
 // ---------------------------------------------------------------------------
 // Sub-steps shared by the policies. These reproduce the pre-extraction
 // engine behavior bit for bit (draw order included) — SynchronousDelivery
-// is nothing but these three in sequence.
+// is nothing but the loss lottery and phantom injection below.
 
-// Under a lossy network the delivered count per inbox is random, so
-// pre-reserve to the deterministic pre-drop addressed count — otherwise
-// inbox capacity chases record peaks and the steady state would keep
-// allocating. A deferring policy passes its victim mask: victims' inboxes
-// also take the `backlog` it flushes this beat, and the return value is
-// the payload bytes addressed to victims (the pre-drop bound on what the
-// policy parks this beat).
-std::size_t reserve_pre_drop(DeliveryBeat& b,
-                             const std::vector<bool>* victim = nullptr,
-                             std::size_t backlog = 0) {
-  std::vector<std::uint32_t>& addressed = *b.addressed_scratch;
-  addressed.assign(b.n, 0);
-  std::size_t victim_bytes = 0;
+// Under a lossy network the survivor counts are random, so a policy that
+// buffers messages sizes its buffers to the deterministic pre-drop
+// addressed counts — otherwise their capacity chases record peaks and the
+// steady state would keep allocating. Counts the messages, and their
+// payload bytes, addressed to targets `to` with addressed_to(to) true.
+struct Addressed {
+  std::size_t messages = 0;
+  std::size_t bytes = 0;
+};
+
+template <typename Pred>
+Addressed count_addressed(const DeliveryBeat& b, Pred addressed_to) {
+  Addressed out;
   for (const std::vector<Message>* msgs : {b.correct_msgs, b.adv_msgs}) {
     for (const Message& m : *msgs) {
-      ++addressed[m.to];
-      if (victim != nullptr && (*victim)[m.to]) {
-        victim_bytes += m.payload.size();
-      }
+      if (!addressed_to(m.to)) continue;
+      ++out.messages;
+      out.bytes += m.payload.size();
     }
   }
-  for (NodeId id : *b.correct_ids) {
-    const bool held = victim != nullptr && (*victim)[id];
-    (*b.inboxes)[id].reserve(addressed[id] + (held ? backlog : 0) +
-                             b.faults->phantoms_per_beat);
-  }
-  return victim_bytes;
+  return out;
 }
 
 // The per-message loss lottery. Draws from net_rng only on sampling beats,
@@ -97,7 +91,6 @@ void inject_phantoms(DeliveryBeat& b) {
 class SynchronousDelivery final : public DeliveryPolicy {
  public:
   void deliver_beat(DeliveryBeat& b) override {
-    if (b.sample_drops) reserve_pre_drop(b);
     deliver_all(b, *b.correct_msgs);
     deliver_all(b, *b.adv_msgs);
     if (b.network_faulty) inject_phantoms(b);
@@ -135,7 +128,6 @@ class EclipseDelivery final : public DeliveryPolicy {
 
   void deliver_beat(DeliveryBeat& b) override {
     const bool active = b.beat < spec_.heal_at;
-    if (b.sample_drops) reserve_pre_drop(b);
     deliver_filtered(b, *b.correct_msgs, active);
     deliver_filtered(b, *b.adv_msgs, active);
     if (b.network_faulty) inject_phantoms(b);
@@ -174,7 +166,6 @@ class PartitionDelivery final : public DeliveryPolicy {
 
   void deliver_beat(DeliveryBeat& b) override {
     const bool active = b.beat < spec_.heal_at;
-    if (b.sample_drops) reserve_pre_drop(b);
     deliver_filtered(b, *b.correct_msgs, active);
     deliver_filtered(b, *b.adv_msgs, active);
     if (b.network_faulty) inject_phantoms(b);
@@ -237,27 +228,21 @@ class TargetedDelayDelivery final : public DeliveryPolicy {
     PayloadArena& arena = arenas_[b.beat % arenas_.size()];
     arena.clear();
     const bool active = b.beat < spec_.heal_at;
-    // Under a lossy network every capacity must track a deterministic
-    // pre-drop bound, never the random survivor counts: victim inboxes
-    // take the flushed backlog on top of the beat's addressed traffic,
-    // and the freed ring slot and arena refill with this beat's victim
-    // traffic.
-    std::size_t victim_bytes = 0;
+    // Under a lossy network the freed ring slot and arena refill to a
+    // deterministic pre-drop bound (this beat's victim traffic), never to
+    // the random survivor counts.
+    Addressed victim_traffic;
     if (b.sample_drops) {
-      victim_bytes = reserve_pre_drop(b, &victim_, slot.size());
+      victim_traffic =
+          count_addressed(b, [this](NodeId to) { return victim_[to]; });
     }
     for (const Message& m : slot) {
       (*b.inboxes)[m.to].deliver(m);
     }
     slot.clear();  // capacity persists
     if (active && b.sample_drops) {
-      const std::vector<std::uint32_t>& addressed = *b.addressed_scratch;
-      std::size_t victim_msgs = 0;
-      for (NodeId id : *b.correct_ids) {
-        if (victim_[id]) victim_msgs += addressed[id];
-      }
-      slot.reserve(victim_msgs);
-      arena.reserve(victim_bytes);
+      slot.reserve(victim_traffic.messages);
+      arena.reserve(victim_traffic.bytes);
     }
     route(b, *b.correct_msgs, slot, arena, active);
     route(b, *b.adv_msgs, slot, arena, active);
@@ -293,11 +278,10 @@ class TargetedDelayDelivery final : public DeliveryPolicy {
 // ---------------------------------------------------------------------------
 // ReorderDelivery: every message that survives the loss lottery lands in a
 // scratch buffer; a Fisher-Yates permutation drawn from net_rng decides
-// the beat's arrival order. This exercises the Inbox canonical-ordering
-// contract (per-channel views sort by sender id, duplicates keep arrival
-// order) — protocols reading first_per_sender see a different duplicate
-// win when a Byzantine sender equivocates. Phantoms are injected after
-// the shuffle, in node order, as always.
+// the beat's arrival order. Inboxes keep the first arrival per (channel,
+// sender), so when a Byzantine sender equivocates on a channel the
+// permutation decides which duplicate a protocol reading first_per_sender
+// sees. Phantoms are injected after the shuffle, in node order, as always.
 
 class ReorderDelivery final : public DeliveryPolicy {
  public:
@@ -305,13 +289,11 @@ class ReorderDelivery final : public DeliveryPolicy {
 
   void deliver_beat(DeliveryBeat& b) override {
     if (b.sample_drops) {
-      reserve_pre_drop(b);
-      // The shuffle scratch also sizes to the pre-drop bound, so its
-      // capacity never chases random survivor peaks.
-      std::size_t total = 0;
-      for (NodeId id : *b.correct_ids) {
-        total += (*b.addressed_scratch)[id];
-      }
+      // The shuffle scratch sizes to the pre-drop bound, so its capacity
+      // never chases random survivor peaks.
+      const std::size_t total =
+          count_addressed(b, [&b](NodeId to) { return !(*b.is_faulty)[to]; })
+              .messages;
       scratch_.reserve(total);
       order_.reserve(total);
     }

@@ -17,8 +17,11 @@
 //     topology axis. The drop decision is made once per beat
 //     (DeliveryBeat::sample_drops), not re-evaluated per message.
 //   * Payloads are spans into the engine's beat arena, which rewinds at
-//     the end of the beat (sim/message.h). Delivering a message copies the
-//     24-byte record, never the bytes. A policy that defers delivery
+//     the end of the beat (sim/message.h). Delivering a message writes its
+//     12-byte span into the recipient inbox's (channel, sender) slot if
+//     that slot is still empty, never the bytes: the first arrival wins,
+//     so a policy's arrival order decides which of a sender's duplicates a
+//     protocol sees. A policy that defers delivery
 //     (TargetedDelayDelivery) copies each held-back payload into an arena
 //     owned by its ring slot — the only payload copy that crosses a beat —
 //     and keeps a flushed slot's bytes readable until the end of the beat
@@ -65,9 +68,6 @@ struct DeliveryBeat {
   Metrics* metrics = nullptr;
   // The engine's beat arena; phantom payloads are written into it.
   PayloadArena* arena = nullptr;
-  // Engine-owned per-target count scratch (capacity persists across
-  // beats), used by the lossy-network reserve pass.
-  std::vector<std::uint32_t>* addressed_scratch = nullptr;
 };
 
 class DeliveryPolicy {

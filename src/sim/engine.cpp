@@ -13,6 +13,10 @@ void AdversaryContext::require_faulty_sender(NodeId from) const {
                     "identity is unforgeable, Definition 2.2.2)");
 }
 
+ByteSpan AdversaryContext::store(ByteSpan payload) {
+  return arena_->store(payload);
+}
+
 void AdversaryContext::send(NodeId from, NodeId to, ChannelId channel,
                             ByteSpan payload) {
   SSBFT_REQUIRE_MSG(to < n_, "adversary send target out of range");
@@ -23,7 +27,8 @@ void AdversaryContext::send(NodeId from, NodeId to, ChannelId channel,
 void AdversaryContext::broadcast(NodeId from, ChannelId channel,
                                  ByteSpan payload) {
   require_faulty_sender(from);
-  // Copy once; all n messages carry the span (message.h ownership rules).
+  // At most one copy; all n messages carry the span (message.h ownership
+  // rules).
   append_broadcast(*sink_, from, n_, channel, arena_->store(payload));
 }
 
@@ -69,9 +74,11 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
       protocols_[id]->randomize_state(corrupt_rng_);
     }
   }
+  // Only correct ids get a slot table: traffic to faulty ids never reaches
+  // an inbox (their inboxes live inside the adversary).
   inboxes_.reserve(cfg_.n);
   for (NodeId id = 0; id < cfg_.n; ++id) {
-    inboxes_.emplace_back(cfg_.n, channel_count_);
+    inboxes_.emplace_back(cfg_.n, is_faulty_[id] ? 0 : channel_count_);
   }
   if (cfg_.track_channel_bytes) {
     channel_bytes_.assign(channel_count_, 0);
@@ -229,7 +236,6 @@ void Engine::run_beat() {
   db.net_rng = &net_rng_;
   db.metrics = &metrics_;
   db.arena = &arena_;
-  db.addressed_scratch = &addressed_;
   delivery_->deliver_beat(db);
 
   // 4. Receive phases.

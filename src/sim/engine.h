@@ -151,7 +151,6 @@ class Engine {
   std::vector<Message> correct_msgs_;
   std::vector<Message> adv_msgs_;
   std::vector<Message> observed_;  // the rushing view
-  std::vector<std::uint32_t> addressed_;  // per-target count, lossy beats
 };
 
 }  // namespace ssbft

@@ -39,6 +39,14 @@ void PayloadArena::clear() {
   cur_ = begin;
 }
 
+bool PayloadArena::in_spilled_chunk(std::uintptr_t p, std::size_t len) const {
+  for (std::size_t i = 0; i + 1 < chunks_.size(); ++i) {
+    const auto begin = reinterpret_cast<std::uintptr_t>(chunks_[i].data.get());
+    if (p >= begin && p + len <= begin + chunks_[i].size) return true;
+  }
+  return false;
+}
+
 std::size_t PayloadArena::capacity() const {
   std::size_t total = 0;
   for (const Chunk& c : chunks_) total += c.size;
@@ -77,7 +85,7 @@ void Outbox::send(NodeId to, ChannelId channel, ByteSpan payload) {
 void Outbox::broadcast(ChannelId channel, ByteSpan payload) {
   sent_messages_ += n_;
   sent_bytes_ += std::uint64_t{payload.size()} * n_;
-  // Copy once; every recipient's Message carries the same span.
+  // At most one copy; every recipient's Message carries the same span.
   append_broadcast(*sink_, self_, n_, channel, arena_->store(payload));
 }
 
@@ -91,84 +99,20 @@ void Outbox::clear() {
 Inbox::Inbox(std::uint32_t n, std::uint32_t max_channels)
     : n_(n),
       max_channels_(max_channels),
-      count_(max_channels, 0),
-      offset_(max_channels, 0),
-      cursor_(max_channels, 0),
-      first_(std::size_t{max_channels} * n, nullptr),
-      null_row_(n, nullptr) {}
+      stamps_((std::size_t{max_channels} + 1) * n, 0),
+      spans_((std::size_t{max_channels} + 1) * n) {}
 
-// Bucket the staged messages' indices into the flat order array and
-// canonicalize each bucket. Messages stay put; only 4-byte indices move.
-// Cost is proportional to this beat's traffic plus the channels touched
-// last beat (their per-channel state is reset here).
-void Inbox::seal() const {
-  if (sealed_) return;
-  sealed_ = true;
-
-  // Reset the previous beat's per-channel state.
-  for (ChannelId ch : touched_) {
-    count_[ch] = 0;
-    std::fill_n(first_.begin() + std::size_t{ch} * n_, n_, nullptr);
-  }
-  touched_.clear();
-
-  // Count per channel; remember which channels carry traffic.
-  for (const Message& m : staged_) {
-    if (count_[m.channel]++ == 0) touched_.push_back(m.channel);
-  }
-
-  // Prefix offsets over the touched channels (bucket order in order_ is
-  // the order channels first appeared; reads only ever use offset+count).
-  std::uint32_t acc = 0;
-  for (ChannelId ch : touched_) {
-    offset_[ch] = acc;
-    cursor_[ch] = acc;
-    acc += count_[ch];
-  }
-
-  // Stable counting placement of indices into the flat array.
-  order_.resize(staged_.size());
-  for (std::uint32_t i = 0; i < staged_.size(); ++i) {
-    order_[cursor_[staged_[i].channel]++] = i;
-  }
-
-  // Canonical order within each bucket: sender id, stable (duplicates keep
-  // arrival order — equal keys never shift). Insertion sort is in-place
-  // and allocation-free; buckets are near-sorted already (correct senders
-  // arrive in id order, Byzantine/phantom stragglers follow).
-  const Message* const msgs = staged_.data();
-  for (ChannelId ch : touched_) {
-    std::uint32_t* const b = order_.data() + offset_[ch];
-    const std::uint32_t len = count_[ch];
-    for (std::uint32_t i = 1; i < len; ++i) {
-      const std::uint32_t idx = b[i];
-      const NodeId key = msgs[idx].from;
-      std::uint32_t j = i;
-      for (; j > 0 && msgs[b[j - 1]].from > key; --j) b[j] = b[j - 1];
-      b[j] = idx;
-    }
-    // First-per-sender table: one pass in canonical order. The pointers
-    // land on the staged messages' spans.
-    const ByteSpan** row = first_.data() + std::size_t{ch} * n_;
-    for (std::uint32_t i = 0; i < len; ++i) {
-      const Message& m = msgs[b[i]];
-      if (m.from < n_ && row[m.from] == nullptr) row[m.from] = &m.payload;
-    }
-  }
-}
-
-MessageView Inbox::on(ChannelId channel) const {
-  if (channel >= max_channels_) return MessageView{};
-  seal();
-  if (count_[channel] == 0) return MessageView{};
-  return MessageView{staged_.data(), order_.data() + offset_[channel],
-                     count_[channel]};
+void Inbox::clear() {
+  if (++epoch_ != 0) return;
+  // Wrapped: every stamp may equal some future epoch, so reset them all.
+  std::fill(stamps_.begin(), stamps_.end(), std::uint8_t{0});
+  epoch_ = 1;
 }
 
 PayloadView Inbox::first_per_sender(ChannelId channel) const {
-  if (channel >= max_channels_) return PayloadView{null_row_.data(), n_};
-  seal();
-  return PayloadView{first_.data() + std::size_t{channel} * n_, n_};
+  const std::size_t row =
+      std::size_t{std::min<std::uint32_t>(channel, max_channels_)} * n_;
+  return PayloadView{spans_.data() + row, stamps_.data() + row, epoch_, n_};
 }
 
 }  // namespace ssbft

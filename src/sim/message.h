@@ -13,9 +13,9 @@
 // delivered and read in that same beat. Payload bytes therefore live in a
 // `PayloadArena` — a bump allocator the engine rewinds at the end of every
 // beat — and a `Message` carries a borrowed `ByteSpan` (pointer + length)
-// into it. Messages are trivially copyable 24-byte records: delivery, the
-// adversary's rushing view and the inboxes copy them freely, and clearing
-// an inbox costs nothing per message.
+// into it. Messages are trivially copyable 24-byte records: delivery and
+// the adversary's rushing view copy them freely, and an inbox keeps only
+// the span of the first message per (channel, sender).
 //
 //   * Copy once. A broadcast copies its encoded payload into the arena
 //     exactly once; all n Messages carry the same span. Wire-byte
@@ -27,9 +27,16 @@
 //     observed bytes past its turn copies them. The one sanctioned
 //     exception is a deferring delivery policy (sim/delivery.h), which
 //     copies each held-back payload into an arena of its own.
-//   * Views. `on()` / `first_per_sender()` borrow index tables from the
-//     inbox and are invalidated by its next `deliver()` or `clear()`; the
-//     payload bytes they lead to stay put until the arena rewinds.
+//   * Store once, address many. `PayloadArena::store` copies only bytes
+//     the arena does not already hold: a span it handed out earlier in the
+//     beat comes back as is. A sender that addresses one payload to many
+//     recipients stores it once (AdversaryContext::store) and passes the
+//     span to every send, so the bytes are copied once however many
+//     messages carry them.
+//   * Views. `first_per_sender()` borrows a row of the inbox's slot table.
+//     A later `deliver()` may fill an empty slot of the row but never
+//     changes a filled one; only `clear()` invalidates the view. The
+//     payload bytes it leads to stay put until the arena rewinds.
 //
 // An Outbox or AdversaryContext built without an external arena owns a
 // private one, so standalone use (tests, harnesses) needs no plumbing.
@@ -106,8 +113,10 @@ class PayloadArena {
 #endif
     return p;
   }
-  // Copies `bytes` in; the returned span reads them until clear().
+  // Copies `bytes` in, unless the arena already holds them (owns()): then
+  // they come back as is. Either way the span reads them until clear().
   ByteSpan store(ByteSpan bytes) {
+    if (owns(bytes)) return bytes;
     std::uint8_t* p = alloc(bytes.size());
     if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
     return ByteSpan{p, bytes.size()};
@@ -117,6 +126,17 @@ class PayloadArena {
   // sizes (phantom payloads) cannot drive the arena's growth.
   void reserve(std::size_t len) {
     if (static_cast<std::size_t>(end_ - cur_) < len) spill(len);
+  }
+  // True iff `bytes` lie in memory this arena handed out since its last
+  // clear(). A null span is never owned.
+  bool owns(ByteSpan bytes) const {
+    const auto p = reinterpret_cast<std::uintptr_t>(bytes.data());
+    if (p == 0 || chunks_.empty()) return false;
+    const auto last = reinterpret_cast<std::uintptr_t>(
+        chunks_.back().data.get());
+    const auto used_end = reinterpret_cast<std::uintptr_t>(cur_);
+    if (p >= last && p + bytes.size() <= used_end) return true;
+    return chunks_.size() > 1 && in_spilled_chunk(p, bytes.size());
   }
   // Rewinds: every span handed out since the last clear() is dead. Keeps
   // the capacity (merged into one chunk if the beat spilled).
@@ -130,6 +150,10 @@ class PayloadArena {
     std::unique_ptr<std::uint8_t[]> data;
     std::size_t size;
   };
+  // owns() for the chunks before the last one (only during a spilled
+  // beat). Such a chunk counts whole: nothing past its last allocation was
+  // ever handed out.
+  bool in_spilled_chunk(std::uintptr_t p, std::size_t len) const;
   // Opens a fresh chunk of at least `len` bytes.
   void spill(std::size_t len);
   void open(std::size_t size);
@@ -139,61 +163,53 @@ class PayloadArena {
   std::uint8_t* end_ = nullptr;  // end of the last chunk
 };
 
-// Borrowed view of one channel bucket: a contiguous run of indices into
-// the inbox's arrival-order message store. Iteration order is canonical
-// (sender id, then arrival order); messages themselves are never moved.
-class MessageView {
+// Borrowed row of an inbox's first-per-sender table: entry s is the
+// payload sender s delivered first on the channel, or null if s sent
+// nothing. A zero-length payload is a non-null entry of size 0. A slot is
+// filled iff its stamp equals the inbox's current epoch.
+class PayloadView {
  public:
   class iterator {
    public:
-    iterator(const Message* base, const std::uint32_t* idx)
-        : base_(base), idx_(idx) {}
-    const Message& operator*() const { return base_[*idx_]; }
-    const Message* operator->() const { return &base_[*idx_]; }
+    iterator(const ByteSpan* span, const std::uint8_t* stamp,
+             std::uint8_t epoch)
+        : span_(span), stamp_(stamp), epoch_(epoch) {}
+    const ByteSpan* operator*() const {
+      return *stamp_ == epoch_ ? span_ : nullptr;
+    }
     iterator& operator++() {
-      ++idx_;
+      ++span_;
+      ++stamp_;
       return *this;
     }
-    bool operator==(const iterator& o) const { return idx_ == o.idx_; }
-    bool operator!=(const iterator& o) const { return idx_ != o.idx_; }
+    bool operator==(const iterator& o) const { return span_ == o.span_; }
+    bool operator!=(const iterator& o) const { return span_ != o.span_; }
 
    private:
-    const Message* base_;
-    const std::uint32_t* idx_;
+    const ByteSpan* span_;
+    const std::uint8_t* stamp_;
+    std::uint8_t epoch_;
   };
 
-  MessageView() = default;
-  MessageView(const Message* base, const std::uint32_t* idx, std::size_t size)
-      : base_(base), idx_(idx), size_(size) {}
-
-  iterator begin() const { return iterator{base_, idx_}; }
-  iterator end() const { return iterator{base_, idx_ + size_}; }
-  const Message& operator[](std::size_t i) const { return base_[idx_[i]]; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
- private:
-  const Message* base_ = nullptr;
-  const std::uint32_t* idx_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-// Borrowed per-sender payload table: entry s is null if sender s sent
-// nothing valid on the channel.
-class PayloadView {
- public:
   PayloadView() = default;
-  PayloadView(const ByteSpan* const* data, std::size_t size)
-      : data_(data), size_(size) {}
+  PayloadView(const ByteSpan* spans, const std::uint8_t* stamps,
+              std::uint8_t epoch, std::size_t size)
+      : spans_(spans), stamps_(stamps), epoch_(epoch), size_(size) {}
 
-  const ByteSpan* const* begin() const { return data_; }
-  const ByteSpan* const* end() const { return data_ + size_; }
-  const ByteSpan* operator[](std::size_t i) const { return data_[i]; }
+  iterator begin() const { return iterator{spans_, stamps_, epoch_}; }
+  iterator end() const {
+    return iterator{spans_ + size_, stamps_ + size_, epoch_};
+  }
+  const ByteSpan* operator[](std::size_t i) const {
+    return stamps_[i] == epoch_ ? spans_ + i : nullptr;
+  }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
-  const ByteSpan* const* data_ = nullptr;
+  const ByteSpan* spans_ = nullptr;
+  const std::uint8_t* stamps_ = nullptr;
+  std::uint8_t epoch_ = 0;
   std::size_t size_ = 0;
 };
 
@@ -237,11 +253,12 @@ class Outbox {
     return writer_;
   }
 
-  // Point-to-point send. The payload is copied into the arena.
+  // Point-to-point send. The payload is copied into the arena unless the
+  // arena already holds it.
   void send(NodeId to, ChannelId channel, ByteSpan payload);
   // "Broadcast" in the paper's sense: send the same payload to all n nodes,
   // including self (no broadcast channels are assumed). The payload is
-  // copied into the arena ONCE; all n messages carry the same span.
+  // copied into the arena at most ONCE; all n messages carry the same span.
   // Sent-byte accounting still counts n x payload-size wire bytes.
   void broadcast(ChannelId channel, ByteSpan payload);
 
@@ -265,69 +282,52 @@ class Outbox {
   std::uint64_t sent_bytes_ = 0;
 };
 
-// A node's view of the messages delivered to it during one beat.
+// A node's view of the messages delivered to it during one beat: a
+// channels x senders table holding, per slot, the payload span of the
+// first message that (channel, sender) delivered.
 //
-// Storage is a flat bucket layout: delivered messages live in one
-// arrival-order array; on first read a flat index array is bucketed by
-// channel and canonically ordered by sender id within each bucket (stable,
-// so duplicates keep arrival order). Messages are copied in exactly once
-// and never move again. All per-beat state keeps its capacity across
-// `clear()`, so a steady-state beat touches the allocator not at all.
+// The paper's nodes count at most one value per sender per beat against
+// their thresholds, so this is all a protocol reads: a Byzantine duplicate
+// flood counts once, and which duplicate counts is the delivery policy's
+// arrival order, first arrival winning. `deliver()` is one slot write
+// plus its one-byte stamp; a read is a row lookup. A slot is filled iff
+// its stamp equals the current epoch, so `clear()` only advances the
+// epoch — it rewrites the stamps once every 255 beats, when the epoch
+// wraps — and nothing is allocated after construction.
 class Inbox {
  public:
-  // Payload bytes live in the sender's arena; the inbox stores spans only.
+  // `max_channels` = 0 builds an inbox that drops everything (the engine's
+  // stand-in for faulty ids, whose traffic never reaches an inbox).
   Inbox(std::uint32_t n, std::uint32_t max_channels);
 
-  // Messages on unknown channels are dropped.
+  // Fills the (channel, sender) slot if it is still empty. Messages on
+  // unknown channels or from out-of-range senders are dropped, as are
+  // later duplicates.
   void deliver(const Message& m) {
-    if (m.channel >= max_channels_) return;
-    sealed_ = false;  // a later read re-buckets
-    staged_.push_back(m);
+    if (m.channel >= max_channels_ || m.from >= n_) return;
+    const std::size_t slot = std::size_t{m.channel} * n_ + m.from;
+    if (stamps_[slot] == epoch_) return;  // first arrival wins
+    stamps_[slot] = epoch_;
+    spans_[slot] = m.payload;
   }
-  // Pre-reserves storage for `messages` deliveries this beat. The engine
-  // calls this with the pre-drop addressed count when the network is
-  // lossy, so inbox capacity converges to the deterministic traffic shape
-  // instead of chasing random record peaks of the delivered count.
-  void reserve(std::size_t messages) {
-    staged_.reserve(messages);
-    order_.reserve(messages);
-  }
-  // Forgets the messages in O(1), keeping capacity.
-  void clear() {
-    staged_.clear();
-    sealed_ = false;
-  }
-
-  // All messages on a channel, ordered by sender id (then arrival order for
-  // duplicates). Channels out of range return an empty view. The view is
-  // invalidated by deliver() and clear().
-  MessageView on(ChannelId channel) const;
+  // Forgets the beat's messages, keeping all storage.
+  void clear();
 
   // At most one payload per sender on a channel: the first message each
-  // sender delivered. Index s is null if sender s sent nothing valid.
-  // Byzantine duplicate floods therefore count once, deterministically.
-  // The view is invalidated by deliver() and clear().
+  // sender delivered. Index s is null if sender s sent nothing. Channels
+  // out of range read as all-null. Valid until clear().
   PayloadView first_per_sender(ChannelId channel) const;
 
   std::uint32_t node_count() const { return n_; }
 
  private:
-  void seal() const;  // bucket + canonicalize the index array
-
   std::uint32_t n_;
   std::uint32_t max_channels_;
-
-  std::vector<Message> staged_;  // arrival order
-
-  // Mutable: seal() runs lazily from the const read accessors.
-  mutable bool sealed_ = false;
-  mutable std::vector<std::uint32_t> order_;   // flat channel buckets (indices)
-  mutable std::vector<std::uint32_t> count_;   // per channel
-  mutable std::vector<std::uint32_t> offset_;  // per channel, into order_
-  mutable std::vector<std::uint32_t> cursor_;  // scratch for bucketing
-  mutable std::vector<ChannelId> touched_;     // channels with count > 0
-  mutable std::vector<const ByteSpan*> first_;  // max_channels x n table
-  std::vector<const ByteSpan*> null_row_;       // n nulls, for empty channels
+  std::uint8_t epoch_ = 1;  // never 0, the stamp of a slot never filled
+  // (max_channels + 1) x n, channel-major; the last row is never filled
+  // and serves every out-of-range channel.
+  std::vector<std::uint8_t> stamps_;
+  std::vector<ByteSpan> spans_;
 };
 
 }  // namespace ssbft

@@ -7,19 +7,37 @@
 
 namespace ssbft {
 
+namespace {
+
+// Little-endian store of the low `width` bytes of v; compilers fold the
+// shifts into one store on little-endian targets.
+inline void store_le(std::uint8_t* p, std::uint64_t v, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+}  // namespace
+
 void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
 
+// The word encoders grow the buffer once per call and store whole words.
 void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 2);
+  store_le(buf_.data() + at, v, 2);
 }
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 4);
+  store_le(buf_.data() + at, v, 4);
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 8);
+  store_le(buf_.data() + at, v, 8);
 }
 
 void ByteWriter::u64_vec(const std::vector<std::uint64_t>& v) {
@@ -27,8 +45,11 @@ void ByteWriter::u64_vec(const std::vector<std::uint64_t>& v) {
 }
 
 void ByteWriter::u64_vec(const std::uint64_t* data, std::size_t len) {
-  u32(static_cast<std::uint32_t>(len));
-  for (std::size_t i = 0; i < len; ++i) u64(data[i]);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 4 + 8 * len);
+  std::uint8_t* p = buf_.data() + at;
+  store_le(p, static_cast<std::uint32_t>(len), 4);
+  for (std::size_t i = 0; i < len; ++i) store_le(p + 4 + 8 * i, data[i], 8);
 }
 
 void ByteWriter::bytes(const Bytes& v) {

@@ -291,6 +291,63 @@ TEST(AllocationFreeBeat, WithAdversary) {
       << "steady-state run_beat() with an adversary touched the heap";
 }
 
+// Broadcasts one clock value (u64 < kVoteModulus) on channel 0. On even
+// beats ids 0..6 agree on one value and the rest differ, which puts the
+// adaptive quorum splitter in its split window (n-2f <= c < n-f at n=16,
+// f=5); on odd beats every value differs, which sends it to its noise
+// branch.
+constexpr ClockValue kVoteModulus = 64;
+
+class ClockVoteProtocol final : public ClockProtocol {
+ public:
+  explicit ClockVoteProtocol(const ProtocolEnv& env) : env_(env) {}
+
+  void send_phase(Outbox& out) override {
+    const bool agree = beat_ % 2 == 0 && env_.self < 7;
+    ByteWriter& w = out.writer();
+    w.u64(agree ? 5 : (env_.self + 8 + beat_) % kVoteModulus);
+    out.broadcast(0, w.data());
+  }
+
+  void receive_phase(const Inbox& in) override {
+    for (const ByteSpan* p : in.first_per_sender(0)) {
+      if (p == nullptr) continue;
+      ByteReader r(*p);
+      sum_ += r.u64();
+    }
+    ++beat_;
+  }
+
+  void randomize_state(Rng&) override {}
+  ClockValue clock() const override { return beat_ % 4; }
+  ClockValue modulus() const override { return 4; }
+  std::uint32_t channel_count() const override { return 1; }
+
+ private:
+  ProtocolEnv env_;
+  std::uint64_t beat_ = 0;
+  std::uint64_t sum_ = 0;
+};
+
+TEST(AllocationFreeBeat, WithAdaptiveQuorumSplitter) {
+  EngineConfig cfg;
+  cfg.n = 16;
+  cfg.f = 5;
+  cfg.faulty = EngineConfig::last_ids_faulty(16, 5);
+  cfg.seed = 9;
+  cfg.metrics_history_limit = 8;
+  auto factory = [](const ProtocolEnv& env, Rng) {
+    return std::make_unique<ClockVoteProtocol>(env);
+  };
+  Engine eng(cfg, factory, make_adaptive_quorum_splitter(kVoteModulus, 0));
+  eng.run_beats(64);  // splitter scratch and arena settle
+  const std::size_t before = g_allocations;
+  eng.run_beats(32);  // both the split and the noise branch, alternately
+  EXPECT_EQ(g_allocations - before, 0u)
+      << "steady-state beat with the adaptive quorum splitter touched the "
+         "heap";
+}
+
 // The full protocol stack — ss-Byz-Clock-Sync over three FM-coin pipelines
 // — must also run warm beats without touching the heap: coin instances are
 // reinit-recycled by the pipeline, all round state lives in flat scratch,

@@ -19,9 +19,10 @@
 namespace ssbft {
 namespace {
 
-// Broadcasts (self, beat, seq) x sends_per_beat each beat and records every
-// arrival in inbox-canonical order (sender id asc, arrival order within a
-// sender) — enough to observe delay, partition cuts and reordering.
+// Broadcasts (self, beat, seq) x sends_per_beat each beat and records what
+// its inbox shows — enough to observe delay, partition cuts and
+// reordering. The inbox shows only the first arrival per (channel,
+// sender), so the channel layout decides what is visible: see Channels.
 struct Arrival {
   Beat recv_beat;
   NodeId from;
@@ -29,26 +30,39 @@ struct Arrival {
   std::uint32_t seq;
 };
 
+enum class Channels {
+  kPerSeq,   // seq s on channel s: every message of a beat is visible.
+  kShared,   // every seq on channel 0: only the first arrival per sender
+             // shows, which pins per-sender arrival order.
+  kPerBeat,  // seq s of beat b on channel (b % 3) * sends + s: traffic
+             // sent in different beats (up to 2 apart) never shares a slot.
+};
+
 class ProbeProtocol final : public ClockProtocol {
  public:
-  ProbeProtocol(const ProtocolEnv& env, std::uint32_t sends_per_beat)
-      : env_(env), sends_per_beat_(sends_per_beat) {}
+  ProbeProtocol(const ProtocolEnv& env, std::uint32_t sends_per_beat,
+                Channels channels)
+      : env_(env), sends_per_beat_(sends_per_beat), channels_(channels) {}
 
   void send_phase(Outbox& out) override {
     for (std::uint32_t seq = 0; seq < sends_per_beat_; ++seq) {
       ByteWriter w;
       w.u64(beat_);
       w.u32(seq);
-      out.broadcast(0, w.data());
+      out.broadcast(channel_of(seq), w.data());
     }
   }
 
   void receive_phase(const Inbox& in) override {
-    for (const Message& m : in.on(0)) {
-      ByteReader r(m.payload);
-      const std::uint64_t sent_beat = r.u64();
-      const std::uint32_t seq = r.u32();
-      arrivals_.push_back(Arrival{beat_, m.from, sent_beat, seq});
+    for (ChannelId ch = 0; ch < channel_count(); ++ch) {
+      const PayloadView per = in.first_per_sender(ch);
+      for (NodeId from = 0; from < per.size(); ++from) {
+        if (per[from] == nullptr) continue;
+        ByteReader r(*per[from]);
+        const std::uint64_t sent_beat = r.u64();
+        const std::uint32_t seq = r.u32();
+        arrivals_.push_back(Arrival{beat_, from, sent_beat, seq});
+      }
     }
     ++beat_;
   }
@@ -56,9 +70,31 @@ class ProbeProtocol final : public ClockProtocol {
   void randomize_state(Rng&) override {}
   ClockValue clock() const override { return beat_ % 4; }
   ClockValue modulus() const override { return 4; }
-  std::uint32_t channel_count() const override { return 1; }
+  std::uint32_t channel_count() const override {
+    switch (channels_) {
+      case Channels::kShared:
+        return 1;
+      case Channels::kPerBeat:
+        return 3 * sends_per_beat_;
+      case Channels::kPerSeq:
+        break;
+    }
+    return sends_per_beat_;
+  }
 
-  // Arrivals of one beat, in inbox-canonical order.
+  ChannelId channel_of(std::uint32_t seq) const {
+    switch (channels_) {
+      case Channels::kShared:
+        return 0;
+      case Channels::kPerBeat:
+        return static_cast<ChannelId>((beat_ % 3) * sends_per_beat_ + seq);
+      case Channels::kPerSeq:
+        break;
+    }
+    return static_cast<ChannelId>(seq);
+  }
+
+  // Arrivals of one beat, channel by channel in sender-id order.
   std::vector<Arrival> beat_arrivals(Beat b) const {
     std::vector<Arrival> out;
     for (const Arrival& a : arrivals_) {
@@ -69,13 +105,15 @@ class ProbeProtocol final : public ClockProtocol {
 
   ProtocolEnv env_;
   std::uint32_t sends_per_beat_;
+  Channels channels_;
   Beat beat_ = 0;
   std::vector<Arrival> arrivals_;
 };
 
-ProtocolFactory probe_factory(std::uint32_t sends_per_beat = 1) {
-  return [sends_per_beat](const ProtocolEnv& env, Rng) {
-    return std::make_unique<ProbeProtocol>(env, sends_per_beat);
+ProtocolFactory probe_factory(std::uint32_t sends_per_beat = 1,
+                              Channels channels = Channels::kPerSeq) {
+  return [sends_per_beat, channels](const ProtocolEnv& env, Rng) {
+    return std::make_unique<ProbeProtocol>(env, sends_per_beat, channels);
   };
 }
 
@@ -170,7 +208,7 @@ TEST(TargetedDelayDelivery, DeliversExactlyDelayBeatsLate) {
     }
   }
   // The victim sees nothing until the first flush, then every beat's
-  // traffic exactly delay_beats late, per-sender send order intact.
+  // traffic exactly delay_beats late, every seq of every sender.
   const ProbeProtocol& victim = probe(eng, 0);
   EXPECT_TRUE(victim.beat_arrivals(0).empty());
   EXPECT_TRUE(victim.beat_arrivals(1).empty());
@@ -185,11 +223,37 @@ TEST(TargetedDelayDelivery, DeliversExactlyDelayBeatsLate) {
     ASSERT_EQ(seqs.size(), 4u);
     for (const auto& [from, s] : seqs) {
       EXPECT_EQ(s, (std::vector<std::uint32_t>{0, 1, 2}))
-          << "per-sender order broken for sender " << from;
+          << "messages lost for sender " << from;
     }
   }
   // 4 senders x 3 sends x 6 beats addressed to the victim, all held.
   EXPECT_EQ(eng.metrics().total().delayed_messages, 4u * 3u * 6u);
+}
+
+TEST(TargetedDelayDelivery, FirstSendWinsAfterTheDetour) {
+  // Two sends per beat on one channel: the inbox keeps the first arrival
+  // per sender, so seq 0 must win at every node — at the victim too,
+  // because parking keeps each sender's send order.
+  EngineConfig cfg = probe_config(4);
+  cfg.faults.delivery.kind = DeliveryKind::kTargetedDelay;
+  cfg.faults.delivery.victims = {0};
+  cfg.faults.delivery.delay_beats = 2;
+  auto eng =
+      Engine(cfg, probe_factory(/*sends_per_beat=*/2, Channels::kShared),
+             nullptr);
+  eng.run_beats(6);
+  for (NodeId id = 0; id < 4; ++id) {
+    const Beat first = id == 0 ? 2 : 0;
+    for (Beat b = first; b < 6; ++b) {
+      const auto arr = probe(eng, id).beat_arrivals(b);
+      ASSERT_EQ(arr.size(), 4u) << "node " << id << " beat " << b;
+      for (const Arrival& a : arr) {
+        EXPECT_EQ(a.seq, 0u) << "node " << id << " beat " << b << " from "
+                             << a.from;
+        EXPECT_EQ(a.sent_beat, b - first);
+      }
+    }
+  }
 }
 
 TEST(TargetedDelayDelivery, HealStopsHoldingNewTraffic) {
@@ -198,7 +262,9 @@ TEST(TargetedDelayDelivery, HealStopsHoldingNewTraffic) {
   cfg.faults.delivery.victims = {0};
   cfg.faults.delivery.delay_beats = 2;
   cfg.faults.delivery.heal_at = 4;
-  auto eng = Engine(cfg, probe_factory(), nullptr);
+  // Each beat's traffic travels on its own channel (Channels::kPerBeat),
+  // so a flushed copy and a fresh message never compete for one slot.
+  auto eng = Engine(cfg, probe_factory(1, Channels::kPerBeat), nullptr);
   eng.run_beats(7);
 
   // Per-beat arrival counts at the victim: beats 0-3 hold, so beat b >= 2
@@ -235,13 +301,20 @@ class PinProtocol final : public ClockProtocol {
 
   void send_phase(Outbox& out) override {
     for (std::uint32_t seq = 0; seq < 2; ++seq) {
-      out.broadcast(0, pinned_payload(env_.self, beat_, seq));
+      out.broadcast(static_cast<ChannelId>(seq),
+                    pinned_payload(env_.self, beat_, seq));
     }
   }
 
+  // Reads sender by sender, seq (channel) by seq.
   void receive_phase(const Inbox& in) override {
-    for (const Message& m : in.on(0)) {
-      got_.push_back({beat_, m.from, Bytes(m.payload.begin(), m.payload.end())});
+    for (NodeId from = 0; from < env_.n; ++from) {
+      for (ChannelId ch = 0; ch < 2; ++ch) {
+        const ByteSpan* p = in.first_per_sender(ch)[from];
+        if (p != nullptr) {
+          got_.push_back({beat_, from, Bytes(p->begin(), p->end())});
+        }
+      }
     }
     ++beat_;
   }
@@ -249,7 +322,7 @@ class PinProtocol final : public ClockProtocol {
   void randomize_state(Rng&) override {}
   ClockValue clock() const override { return beat_ % 4; }
   ClockValue modulus() const override { return 4; }
-  std::uint32_t channel_count() const override { return 1; }
+  std::uint32_t channel_count() const override { return 2; }
 
   struct Got {
     Beat beat;
@@ -352,16 +425,13 @@ TEST(EclipseDelivery, VictimHearsOnlyAllowlistUntilHeal) {
 // ReorderDelivery
 
 TEST(ReorderDelivery, PermutesArrivalOrderButKeepsTheSet) {
-  // Same-sender duplicates are the observable: the inbox canonicalizes
-  // across senders but preserves arrival order within one, so a shuffled
-  // beat shows as a permuted seq sequence for some sender.
+  // One channel per seq: every message stays visible, so the shuffle must
+  // neither lose nor delay any of them.
   EngineConfig cfg = probe_config(3);
   cfg.seed = 11;
   cfg.faults.delivery.kind = DeliveryKind::kReorder;
   auto eng = Engine(cfg, probe_factory(/*sends_per_beat=*/6), nullptr);
   eng.run_beats(5);
-
-  bool saw_permutation = false;
   for (NodeId id : eng.correct_ids()) {
     for (Beat b = 0; b < 5; ++b) {
       std::map<NodeId, std::vector<std::uint32_t>> seqs;
@@ -370,37 +440,123 @@ TEST(ReorderDelivery, PermutesArrivalOrderButKeepsTheSet) {
         seqs[a.from].push_back(a.seq);
       }
       ASSERT_EQ(seqs.size(), 3u);  // no message lost
-      for (auto& [from, s] : seqs) {
-        ASSERT_EQ(s.size(), 6u);
-        if (!std::is_sorted(s.begin(), s.end())) saw_permutation = true;
-        std::sort(s.begin(), s.end());
+      for (const auto& [from, s] : seqs) {
         EXPECT_EQ(s, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
       }
     }
   }
-  EXPECT_TRUE(saw_permutation);
   EXPECT_GT(eng.metrics().total().reordered_messages, 0u);
+
+  // One shared channel: the inbox keeps each sender's first arrival, so a
+  // shuffled beat shows as a winner other than seq 0 for some sender.
+  auto shared = Engine(cfg, probe_factory(6, Channels::kShared), nullptr);
+  shared.run_beats(5);
+  bool saw_permutation = false;
+  for (NodeId id : shared.correct_ids()) {
+    for (Beat b = 0; b < 5; ++b) {
+      const auto arr = probe(shared, id).beat_arrivals(b);
+      EXPECT_EQ(arr.size(), 3u);
+      for (const Arrival& a : arr) saw_permutation |= a.seq != 0;
+    }
+  }
+  EXPECT_TRUE(saw_permutation);
 }
 
 TEST(ReorderDelivery, SynchronousBaselineKeepsSendOrder) {
   // The control for the test above: without the reorder policy, every
-  // sender's duplicates arrive in send order.
+  // sender's first send arrives first.
   EngineConfig cfg = probe_config(3);
   cfg.seed = 11;
-  auto eng = Engine(cfg, probe_factory(/*sends_per_beat=*/6), nullptr);
+  auto eng = Engine(cfg, probe_factory(6, Channels::kShared), nullptr);
   eng.run_beats(5);
   for (NodeId id : eng.correct_ids()) {
     for (Beat b = 0; b < 5; ++b) {
-      std::map<NodeId, std::vector<std::uint32_t>> seqs;
-      for (const Arrival& a : probe(eng, id).beat_arrivals(b)) {
-        seqs[a.from].push_back(a.seq);
-      }
-      for (const auto& [from, s] : seqs) {
-        EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
-      }
+      const auto arr = probe(eng, id).beat_arrivals(b);
+      EXPECT_EQ(arr.size(), 3u);
+      for (const Arrival& a : arr) EXPECT_EQ(a.seq, 0u);
     }
   }
   EXPECT_EQ(eng.metrics().total().reordered_messages, 0u);
+}
+
+// Faulty node 3 equivocates: kDuplicates different payloads on channel 0 to
+// every correct node each beat, encoded like a probe's (beat, seq).
+constexpr std::uint32_t kDuplicates = 4;
+
+class EquivocatingAdversary final : public Adversary {
+ public:
+  void act(AdversaryContext& ctx) override {
+    for (NodeId to = 0; to < 3; ++to) {
+      for (std::uint32_t dup = 0; dup < kDuplicates; ++dup) {
+        ByteWriter w;
+        w.u64(ctx.beat());
+        w.u32(dup);
+        ctx.send(3, to, 0, w.data());
+      }
+    }
+  }
+};
+
+TEST(ReorderDelivery, EquivocationWinnerMatchesStableSortReference) {
+  // Reference model: stable-sort the beat's shuffled arrival list by
+  // sender and take the sender's first entry. The winning duplicate the
+  // protocol reads must be exactly that one.
+  EngineConfig cfg = probe_config(4);
+  cfg.f = 1;
+  cfg.faulty = {3};
+  cfg.seed = 29;
+  cfg.faults.delivery.kind = DeliveryKind::kReorder;
+  const Beat beats = 8;
+  auto eng = Engine(cfg, probe_factory(),
+                    std::make_unique<EquivocatingAdversary>());
+  eng.run_beats(beats);
+
+  struct Sent {
+    NodeId from;
+    NodeId to;
+    std::uint32_t seq;
+  };
+  // The policy's arrival list before the shuffle: the correct broadcasts
+  // in send order, then the adversary's sends, traffic to node 3 skipped.
+  std::vector<Sent> sent;
+  for (NodeId from = 0; from < 3; ++from) {
+    for (NodeId to = 0; to < 3; ++to) sent.push_back({from, to, 0});
+  }
+  for (NodeId to = 0; to < 3; ++to) {
+    for (std::uint32_t dup = 0; dup < kDuplicates; ++dup) {
+      sent.push_back({3, to, dup});
+    }
+  }
+  // No drops and no phantoms: the shuffle is net_rng's only consumer.
+  Rng net_rng = Rng(cfg.seed).split("network");
+  std::set<std::uint32_t> winners;
+  for (Beat b = 0; b < beats; ++b) {
+    std::vector<Sent> arrived = sent;
+    for (std::size_t i = arrived.size() - 1; i > 0; --i) {
+      std::swap(arrived[i], arrived[net_rng.next_below(i + 1)]);
+    }
+    for (NodeId id = 0; id < 3; ++id) {
+      std::vector<Sent> mine;
+      for (const Sent& m : arrived) {
+        if (m.to == id) mine.push_back(m);
+      }
+      std::stable_sort(mine.begin(), mine.end(),
+                       [](const Sent& x, const Sent& y) {
+                         return x.from < y.from;
+                       });
+      const auto want = std::find_if(mine.begin(), mine.end(),
+                                     [](const Sent& m) { return m.from == 3; });
+      ASSERT_NE(want, mine.end());
+      const auto arr = probe(eng, id).beat_arrivals(b);
+      ASSERT_EQ(arr.size(), 4u) << "node " << id << " beat " << b;
+      EXPECT_EQ(arr[3].from, 3u);
+      EXPECT_EQ(arr[3].sent_beat, b);
+      EXPECT_EQ(arr[3].seq, want->seq) << "node " << id << " beat " << b;
+      winners.insert(arr[3].seq);
+    }
+  }
+  // The shuffle really moved the winner around.
+  EXPECT_GT(winners.size(), 1u);
 }
 
 // ---------------------------------------------------------------------

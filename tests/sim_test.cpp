@@ -30,16 +30,11 @@ class EchoProtocol final : public ClockProtocol {
   void receive_phase(const Inbox& in) override {
     last_senders_.clear();
     last_payload_count_ = 0;
-    for (const ByteSpan* p : in.first_per_sender(0)) {
-      if (p != nullptr) ++last_payload_count_;
-    }
-    for (const Message& m : in.on(0)) last_senders_.push_back(m.from);
-    phantom_bytes_seen_ = 0;
-    for (const Message& m : in.on(0)) {
-      ByteReader r(m.payload);
-      (void)r.u32();
-      (void)r.u64();
-      if (!r.at_end()) ++phantom_bytes_seen_;
+    const PayloadView per = in.first_per_sender(0);
+    for (NodeId from = 0; from < per.size(); ++from) {
+      if (per[from] == nullptr) continue;
+      ++last_payload_count_;
+      last_senders_.push_back(from);
     }
     ++state_;
   }
@@ -53,7 +48,6 @@ class EchoProtocol final : public ClockProtocol {
   std::uint64_t state_ = 0;
   std::vector<NodeId> last_senders_;
   std::uint32_t last_payload_count_ = 0;
-  std::uint32_t phantom_bytes_seen_ = 0;
 };
 
 ProtocolFactory echo_factory() {
@@ -101,58 +95,131 @@ TEST(Outbox, SendTargetValidated) {
   EXPECT_THROW(out.send(3, 0, Bytes{}), contract_error);
 }
 
+// Senders with a payload on `ch`, in id order.
+std::vector<NodeId> senders_on(const Inbox& in, ChannelId ch) {
+  std::vector<NodeId> out;
+  const PayloadView per = in.first_per_sender(ch);
+  for (NodeId from = 0; from < per.size(); ++from) {
+    if (per[from] != nullptr) out.push_back(from);
+  }
+  return out;
+}
+
 TEST(Inbox, RoutesByChannelAndDropsUnknown) {
   Wire w;
   Inbox in(4, 2);
   in.deliver(w.msg(0, 1, 0, {1}));
   in.deliver(w.msg(0, 1, 1, {2}));
   in.deliver(w.msg(0, 1, 7, {3}));  // out-of-range channel: dropped
-  EXPECT_EQ(in.on(0).size(), 1u);
-  EXPECT_EQ(in.on(1).size(), 1u);
-  EXPECT_TRUE(in.on(7).empty());
+  in.deliver(w.msg(9, 1, 0, {4}));  // out-of-range sender: dropped
+  EXPECT_EQ(senders_on(in, 0), (std::vector<NodeId>{0}));
+  EXPECT_EQ((*in.first_per_sender(0)[0])[0], 1);
+  EXPECT_EQ(senders_on(in, 1), (std::vector<NodeId>{0}));
+  EXPECT_EQ((*in.first_per_sender(1)[0])[0], 2);
+  const PayloadView unknown = in.first_per_sender(7);
+  ASSERT_EQ(unknown.size(), 4u);
+  for (const ByteSpan* p : unknown) EXPECT_EQ(p, nullptr);
 }
 
-TEST(Inbox, OrderedBySenderIdRegardlessOfArrival) {
+TEST(Inbox, FirstArrivalWinsRegardlessOfSenderOrder) {
   Wire w;
   Inbox in(4, 1);
   in.deliver(w.msg(2, 0, 0, {0x22}));
   in.deliver(w.msg(3, 0, 0, {0x33}));
   in.deliver(w.msg(0, 0, 0, {0x00}));  // low-id sender arriving last
-  in.deliver(w.msg(2, 0, 0, {0x99}));  // duplicate: keeps arrival order
-  const auto msgs = in.on(0);
-  ASSERT_EQ(msgs.size(), 4u);
-  EXPECT_EQ(msgs[0].from, 0u);
-  EXPECT_EQ(msgs[1].from, 2u);
-  EXPECT_EQ(msgs[1].payload[0], 0x22);
-  EXPECT_EQ(msgs[2].from, 2u);
-  EXPECT_EQ(msgs[2].payload[0], 0x99);
-  EXPECT_EQ(msgs[3].from, 3u);
+  in.deliver(w.msg(2, 0, 0, {0x99}));  // later duplicate: ignored
+  const PayloadView per = in.first_per_sender(0);
+  EXPECT_EQ(senders_on(in, 0), (std::vector<NodeId>{0, 2, 3}));
+  EXPECT_EQ((*per[0])[0], 0x00);
+  EXPECT_EQ((*per[2])[0], 0x22);
+  EXPECT_EQ((*per[3])[0], 0x33);
 }
 
-TEST(Inbox, DeliverAfterReadReopensTheBeat) {
+TEST(Inbox, DeliverAfterReadFillsOnlyEmptySlots) {
   Wire w;
   Inbox in(3, 1);
   in.deliver(w.msg(1, 0, 0, {0x11}));
-  EXPECT_EQ(in.on(0).size(), 1u);  // forces the lazy seal
+  const PayloadView per = in.first_per_sender(0);
+  ASSERT_NE(per[1], nullptr);
+  EXPECT_EQ(per[0], nullptr);
+  // A read does not close the beat: a later arrival from a new sender
+  // shows up in the same view, a later duplicate does not.
   in.deliver(w.msg(0, 0, 0, {0x01}));
-  const auto msgs = in.on(0);
-  ASSERT_EQ(msgs.size(), 2u);
-  EXPECT_EQ(msgs[0].from, 0u);  // still canonical after the re-open
-  EXPECT_EQ(msgs[1].from, 1u);
+  in.deliver(w.msg(1, 0, 0, {0x99}));
+  ASSERT_NE(per[0], nullptr);
+  EXPECT_EQ((*per[0])[0], 0x01);
+  EXPECT_EQ((*per[1])[0], 0x11);
+  EXPECT_EQ(senders_on(in, 0), (std::vector<NodeId>{0, 1}));
+}
+
+TEST(Inbox, ZeroLengthPayloadIsPresentNotAbsent) {
+  Inbox in(3, 1);
+  // A default span (null data, length 0) and an empty buffer's span both
+  // count as "sent an empty payload", never as "sent nothing".
+  in.deliver(Message{1, 0, 0, ByteSpan{}});
+  const Bytes empty;
+  in.deliver(Message{2, 0, 0, ByteSpan{empty}});
+  const PayloadView per = in.first_per_sender(0);
+  EXPECT_EQ(per[0], nullptr);
+  ASSERT_NE(per[1], nullptr);
+  EXPECT_TRUE(per[1]->empty());
+  ASSERT_NE(per[2], nullptr);
+  EXPECT_TRUE(per[2]->empty());
+  // The empty payload occupies the slot: a later non-empty one loses.
+  const std::uint8_t late = 0x7f;
+  in.deliver(Message{1, 0, 0, ByteSpan{&late, 1}});
+  EXPECT_TRUE(in.first_per_sender(0)[1]->empty());
 }
 
 TEST(Inbox, ClearKeepsWorking) {
   Wire w;
   Inbox in(2, 2);
   in.deliver(w.msg(0, 1, 0, {0xaa}));
-  EXPECT_EQ(in.on(0).size(), 1u);
+  EXPECT_EQ(senders_on(in, 0), (std::vector<NodeId>{0}));
   in.clear();
-  EXPECT_TRUE(in.on(0).empty());
+  EXPECT_TRUE(senders_on(in, 0).empty());
   EXPECT_EQ(in.first_per_sender(0)[0], nullptr);
   in.deliver(w.msg(1, 1, 1, {0xbb}));
-  EXPECT_TRUE(in.on(0).empty());
-  ASSERT_EQ(in.on(1).size(), 1u);
-  EXPECT_EQ(in.on(1)[0].payload[0], 0xbb);
+  EXPECT_TRUE(senders_on(in, 0).empty());
+  ASSERT_EQ(senders_on(in, 1), (std::vector<NodeId>{1}));
+  EXPECT_EQ((*in.first_per_sender(1)[1])[0], 0xbb);
+  // A cleared slot takes a new first arrival.
+  in.clear();
+  in.deliver(w.msg(0, 1, 0, {0xcc}));
+  EXPECT_EQ((*in.first_per_sender(0)[0])[0], 0xcc);
+}
+
+TEST(Inbox, EpochWrapForgetsEveryOldSlot) {
+  // clear() advances a one-byte epoch. Across its wraps no slot filled in
+  // an earlier beat may read as filled — sender 2 speaks only in beat 0 —
+  // and fresh deliveries still land.
+  Wire w;
+  Inbox in(3, 2);
+  in.deliver(w.msg(2, 0, 0, {0xee}));
+  in.deliver(w.msg(2, 0, 1, {0xef}));
+  for (int beat = 0; beat < 600; ++beat) {
+    const NodeId from = static_cast<NodeId>(beat % 2);
+    in.deliver(w.msg(from, 0, 0, {static_cast<std::uint8_t>(beat)}));
+    const std::vector<NodeId> want =
+        beat == 0 ? std::vector<NodeId>{0, 2} : std::vector<NodeId>{from};
+    ASSERT_EQ(senders_on(in, 0), want) << "beat " << beat;
+    EXPECT_EQ((*in.first_per_sender(0)[from])[0],
+              static_cast<std::uint8_t>(beat));
+    EXPECT_EQ(senders_on(in, 1).size(), beat == 0 ? 1u : 0u)
+        << "beat " << beat;
+    in.clear();
+  }
+}
+
+TEST(Inbox, ZeroChannelInboxDropsEverything) {
+  // The engine's inbox for a faulty id: no channel rows, nothing kept.
+  Wire w;
+  Inbox in(3, 0);
+  in.deliver(w.msg(0, 2, 0, {0x01}));
+  const PayloadView per = in.first_per_sender(0);
+  ASSERT_EQ(per.size(), 3u);
+  for (const ByteSpan* p : per) EXPECT_EQ(p, nullptr);
+  in.clear();
 }
 
 TEST(Inbox, FirstPerSenderDeduplicates) {
@@ -248,6 +315,68 @@ TEST(PayloadArena, StandaloneOutboxAndAdversaryContextOwnTheirArenas) {
   EXPECT_EQ(ctx.sends()[1].payload[0], 0x42);
 }
 
+TEST(PayloadArena, StoreSharesBytesTheArenaAlreadyHolds) {
+  PayloadArena a;
+  const Bytes caller{5, 6, 7};
+  const ByteSpan first = a.store(caller);
+  EXPECT_NE(first.data(), caller.data());  // a caller's buffer is copied
+  EXPECT_TRUE(a.owns(first));
+  EXPECT_FALSE(a.owns(caller));
+  EXPECT_FALSE(a.owns(ByteSpan{}));
+  // Storing the arena's own span again shares it: no second copy, no
+  // arena growth. A sub-span is shared the same way.
+  const std::size_t cap = a.capacity();
+  const ByteSpan again = a.store(first);
+  EXPECT_EQ(again.data(), first.data());
+  EXPECT_EQ(again.size(), 3u);
+  const ByteSpan tail = a.store(ByteSpan{first.data() + 1, 2});
+  EXPECT_EQ(tail.data(), first.data() + 1);
+  // The next copy lands right after the first one: nothing was allocated
+  // in between.
+  const ByteSpan second = a.store(caller);
+  EXPECT_EQ(second.data(), first.data() + 3);
+  EXPECT_EQ(a.capacity(), cap);
+  // Bytes past the allocated end are not the arena's yet.
+  EXPECT_FALSE(a.owns(ByteSpan{second.data(), 4}));
+  // After a rewind nothing is owned.
+  a.clear();
+  EXPECT_FALSE(a.owns(first));
+}
+
+TEST(PayloadArena, OwnsSpansAcrossAChunkSpill) {
+  PayloadArena a;
+  const ByteSpan early = a.store(Bytes{1, 2, 3});
+  const Bytes big(3 * PayloadArena::kFirstChunk, 0x5c);
+  const ByteSpan spilled = a.store(big);
+  ASSERT_GT(a.capacity(), PayloadArena::kFirstChunk);  // it spilled
+  EXPECT_TRUE(a.owns(early));    // in the first chunk
+  EXPECT_TRUE(a.owns(spilled));  // in the last chunk
+  const std::size_t cap = a.capacity();
+  EXPECT_EQ(a.store(early).data(), early.data());
+  EXPECT_EQ(a.store(spilled).data(), spilled.data());
+  EXPECT_EQ(a.capacity(), cap);
+}
+
+TEST(PayloadArena, AdversaryStoreOnceAddressMany) {
+  const std::vector<NodeId> faulty{2};
+  const std::vector<Message> observed;
+  Rng rng(1);
+  AdversaryContext ctx(3, 1, faulty, 0, observed, rng, 1);
+  const Bytes payload{0x42, 0x43};
+  const ByteSpan stored = ctx.store(payload);
+  EXPECT_NE(stored.data(), payload.data());
+  for (NodeId to = 0; to < 3; ++to) ctx.send(2, to, 0, stored);
+  ctx.broadcast(2, 0, stored);
+  ctx.send(2, 0, 0, payload);  // a caller buffer still gets its own copy
+  ASSERT_EQ(ctx.sends().size(), 7u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(ctx.sends()[i].payload.data(), stored.data());
+    EXPECT_EQ(ctx.sends()[i].payload.size(), 2u);
+  }
+  EXPECT_NE(ctx.sends()[6].payload.data(), stored.data());
+  EXPECT_EQ(ctx.sends()[6].payload[1], 0x43);
+}
+
 #if defined(SSBFT_ARENA_POISONING)
 TEST(PayloadArenaDeathTest, StaleSpanReadIsReported) {
   // AddressSanitizer builds poison rewound arena memory: a read through a
@@ -265,10 +394,9 @@ TEST(PayloadArenaDeathTest, StaleSpanReadIsReported) {
 #endif
 
 TEST(Inbox, ViewsStayValidUntilClear) {
-  // Payload bytes live in the sender's arena; later deliver() calls
-  // re-bucket the inbox's index tables (invalidating views) but never move
-  // payload bytes, so spans read from one view remain valid until the
-  // arena rewinds.
+  // Payload bytes live in the sender's arena and a view borrows a row of
+  // the slot table: later deliver() calls never move a filled slot or the
+  // bytes behind it, so the view and its spans stay valid until clear().
   Wire w;
   Inbox in(4, 2);
   in.deliver(w.msg(1, 0, 0, {0x11}));
@@ -276,12 +404,12 @@ TEST(Inbox, ViewsStayValidUntilClear) {
   const auto per = in.first_per_sender(0);
   ASSERT_NE(per[1], nullptr);
   ASSERT_NE(per[2], nullptr);
-  const ByteSpan p1 = *per[1];
-  const ByteSpan p2 = *per[2];
-  in.deliver(w.msg(0, 0, 1, {0x33}));  // invalidates the view
-  (void)in.on(1);                      // force a re-seal
-  EXPECT_EQ(p1[0], 0x11);              // ...but the bytes still stand
-  EXPECT_EQ(p2[0], 0x22);
+  const ByteSpan* p1 = per[1];
+  in.deliver(w.msg(0, 0, 1, {0x33}));  // another channel's row
+  in.deliver(w.msg(2, 0, 0, {0x44}));  // a duplicate: ignored
+  EXPECT_EQ(per[1], p1);
+  EXPECT_EQ((*per[1])[0], 0x11);
+  EXPECT_EQ((*per[2])[0], 0x22);
   // After clear() fresh reads see fresh state.
   in.clear();
   EXPECT_EQ(in.first_per_sender(0)[1], nullptr);
@@ -366,9 +494,9 @@ TEST(Engine, AdversaryMessagesAreDelivered) {
   EXPECT_EQ(p.last_payload_count_, 4u);  // 3 correct + 1 adversary
 }
 
-// Regression for the ordering-contract violation: adversary messages used
-// to be appended after all correct messages, so a low-id faulty sender
-// sorted after high-id correct senders in Inbox::on().
+// Adversary messages are delivered after all correct messages; a low-id
+// faulty sender must still sit in its own id's slot, ahead of the correct
+// senders.
 TEST(Engine, LowIdFaultySenderSortsFirst) {
   EngineConfig cfg;
   cfg.n = 4;
@@ -380,7 +508,7 @@ TEST(Engine, LowIdFaultySenderSortsFirst) {
   eng.run_beat();
   const auto& p = dynamic_cast<const EchoProtocol&>(eng.node(1));
   // Channel 0 carries the three correct broadcasts plus the adversary's
-  // message from node 0, canonically ordered by sender id.
+  // message from node 0, read in sender-id order.
   EXPECT_EQ(p.last_senders_, (std::vector<NodeId>{0, 1, 2, 3}));
 }
 
