@@ -29,8 +29,7 @@ void print_usage(const char* prog, std::ostream& os, bool wrapper_note) {
      << " [--trials N] [--jobs J] [--seed S]\n"
         "       [--format ascii|csv|jsonl] [--out FILE] [--progress] "
         "[--trace DIR]\n"
-        "       [--shard I/K] [--checkpoint FILE [--checkpoint-every N] "
-        "[--resume]]\n"
+        "       [--shard I/K] [--checkpoint FILE [--resume]]\n"
         "  --trials N    override every cell's trial count "
         "(0 = keep per-cell defaults)\n"
         "  --jobs J      worker threads for the sweep scheduler "
@@ -46,12 +45,11 @@ void print_usage(const char* prog, std::ostream& os, bool wrapper_note) {
         "into DIR (the `ssbft_check` tool verifies them and prints their "
         "SHA-256 commitment)\n"
         "  --shard I/K   run only units u with u % K == I of a scenario "
-        "sweep and emit an ssbft-shard-v1 JSONL report; merge the K "
+        "sweep and emit an ssbft-shard-v2 JSONL report; merge the K "
         "reports with `ssbft_bench merge` (scenario globs only)\n"
-        "  --checkpoint FILE      atomically record completed units every "
-        "--checkpoint-every N units (default 16); a killed sweep "
-        "continues with --resume, bit-identical to an uninterrupted run "
-        "(scenario globs only)\n"
+        "  --checkpoint FILE      append each completed unit to FILE; a "
+        "killed sweep continues with --resume, bit-identical to an "
+        "uninterrupted run (scenario globs only)\n"
         "results are bit-identical across --jobs values, traced or not, "
         "sharded or resumed or neither.\n";
   if (wrapper_note) {
@@ -132,12 +130,6 @@ BenchOptions parse_cli(const char* prog, int argc, char** argv, int first,
       o.shard = *parsed;
     } else if (arg == "--checkpoint") {
       o.checkpoint = take_raw();
-    } else if (arg == "--checkpoint-every") {
-      take_value(o.checkpoint_every);
-      if (o.checkpoint_every == 0) {
-        std::cerr << prog << ": --checkpoint-every needs N >= 1\n";
-        std::exit(2);
-      }
     } else if (arg == "--resume") {
       o.resume = true;
     } else {
@@ -216,8 +208,9 @@ const ScenarioSpec& spec_of(const SweepCell& cell) {
 // We measure expected convergence beats empirically across an (n, f) sweep
 // for all four families (k = 64, skew/split adversaries, genesis-random
 // state) and print the measured growth next to the theoretical class. The
-// semi-synchronous rows of Table 1 are a different model and out of scope
-// (DESIGN.md substitution 2).
+// semi-synchronous rows of Table 1 are a different model and out of scope:
+// the simulator implements only the synchronous global-beat model
+// (sim/protocol.h).
 
 void run_table1(const BenchOptions& o, Report& r) {
   r.text("=== Table 1 (PODC'08): measured convergence, synchronous "
@@ -1102,7 +1095,6 @@ SweepOptions scenario_sweep_options(const BenchOptions& o) {
   SweepOptions so = sweep_options(o);
   so.shard = o.shard;
   so.checkpoint_path = o.checkpoint;
-  so.checkpoint_every = o.checkpoint_every;
   so.resume = o.resume;
   return so;
 }
@@ -1167,7 +1159,7 @@ void run_shard_cells(const std::string& pattern,
   so.collect_commitments = !o.trace.empty();
   const SweepResult res = run_sweep_ex(cells, so);
 
-  ShardHeader header = shard_header_for(cells, o.shard, pattern);
+  ShardHeader header = shard_header_for(cells, so, pattern);
   header.cli_seed = o.seed;
   header.cli_trials = o.trials;
   out << encode_shard_header(header);

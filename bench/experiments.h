@@ -28,13 +28,12 @@ struct BenchOptions {
   bool progress = false;     // stderr units-done progress line
   std::string trace;         // --trace DIR: per-(cell, trial) JSONL traces
   // --shard i/k: run only the slice u % k == i of the sweep's global
-  // (cell, trial) unit sequence and emit an ssbft-shard-v1 report
+  // (cell, trial) unit sequence and emit an ssbft-shard-v2 report
   // (scenario globs only; merge the k reports with `ssbft_bench merge`).
   ShardSpec shard;
-  // --checkpoint FILE [--checkpoint-every N] [--resume]: crash-safe
-  // sweeps (scenario globs only; see harness/checkpoint.h).
+  // --checkpoint FILE [--resume]: crash-safe sweeps that append one line
+  // per completed unit (scenario globs only; see harness/checkpoint.h).
   std::string checkpoint;
-  std::uint64_t checkpoint_every = 16;
   bool resume = false;
 };
 
@@ -110,7 +109,7 @@ void render_scenario_table(const std::string& pattern,
                            Report& report);
 
 // Driver helper: run one shard of a scenario sweep and write the
-// ssbft-shard-v1 JSONL report (with per-unit trace commitments when
+// ssbft-shard-v2 JSONL report (with per-unit trace commitments when
 // --trace is on) to `out`.
 void run_shard_cells(const std::string& pattern,
                      const std::vector<const ScenarioSpec*>& matched,

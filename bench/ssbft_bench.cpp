@@ -30,14 +30,14 @@ int usage(std::ostream& os, int code) {
         "scenarios\n"
         "  run <name|glob> [options]  run an experiment, or every scenario "
         "cell matching a glob\n"
-        "  merge <report...>          fold ssbft-shard-v1 reports (from "
+        "  merge <report...>          fold ssbft-shard-v2 reports (from "
         "`run --shard`) into one table\n"
         "  soak <glob> [options]      chaos campaign: fuzz the matched "
         "scenarios' fault space with streaming invariant checking\n"
         "run options: [--trials N] [--jobs J] [--seed S]\n"
         "             [--format ascii|csv|jsonl] [--out FILE] [--trace DIR]\n"
         "             [--progress] [--shard I/K]\n"
-        "             [--checkpoint FILE [--checkpoint-every N] [--resume]]\n"
+        "             [--checkpoint FILE [--resume]]\n"
         "  --trials N   override every cell's trial count (0 = per-cell "
         "defaults)\n"
         "  --jobs J     sweep worker threads (default/0: one per hardware "
@@ -49,15 +49,13 @@ int usage(std::ostream& os, int code) {
         "               into DIR; verify them with `ssbft_check DIR`\n"
         "  --progress   stderr progress line (units done / total)\n"
         "  --shard I/K  run only the slice u % K == I of the sweep's unit\n"
-        "               sequence and emit an ssbft-shard-v1 JSONL report\n"
+        "               sequence and emit an ssbft-shard-v2 JSONL report\n"
         "               (scenario globs only; seeds stay per-cell, so the\n"
         "               merged result is bit-identical to an unsharded "
         "run)\n"
-        "  --checkpoint FILE  atomically record completed units (every\n"
-        "               --checkpoint-every N, default 16); --resume "
-        "continues\n"
-        "               a killed sweep bit-identically (scenario globs "
-        "only)\n"
+        "  --checkpoint FILE  append one line per completed unit to FILE;\n"
+        "               --resume continues a killed sweep bit-identically\n"
+        "               (scenario globs only)\n"
         "merge options: [--format ascii|csv|jsonl] [--out FILE] "
         "[--commitment-only]\n"
         "  --commitment-only  print just the aggregate SHA-256 trace\n"
@@ -174,7 +172,7 @@ int run_command(const std::string& name, const BenchOptions& o) {
   }
   if (o.shard.active() && o.format_set && o.format != ReportFormat::kJsonl) {
     std::cerr << "ssbft_bench: a --shard run always writes an "
-                 "ssbft-shard-v1 JSONL report; --format "
+                 "ssbft-shard-v2 JSONL report; --format "
               << report_format_name(o.format)
               << " applies to `ssbft_bench merge` instead\n";
     return 2;
@@ -232,7 +230,7 @@ int merge_command(int argc, char** argv) {
     }
   }
   if (paths.empty()) {
-    std::cerr << "ssbft_bench: merge needs at least one ssbft-shard-v1 "
+    std::cerr << "ssbft_bench: merge needs at least one ssbft-shard-v2 "
                  "report (from `ssbft_bench run --shard`)\n";
     return 2;
   }

@@ -20,7 +20,8 @@
 // with substantially heavier machinery; this baseline preserves their
 // Table-1 characteristics — deterministic, Theta(f) convergence, f < n/4
 // (phase queen) vs f < n/3 (phase king) resiliency — under the adversary
-// suite this repository fields (see DESIGN.md, substitution 3).
+// suite this repository fields. It is a deliberate substitution: a
+// stand-in with the same Table-1 row, not a reimplementation.
 //
 // Instantiate with:
 //   * turpin_coan(phase_queen): deterministic, O(f), f < n/4 — [15]'s row;

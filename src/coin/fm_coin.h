@@ -24,10 +24,10 @@
 // *every* adversary via additional oblivious-coin machinery; this simpler
 // graded-inclusion rule can diverge when an adversarial dealing lands on
 // the grade-1/grade-0 boundary at different correct nodes. That gap is a
-// documented substitution (DESIGN.md): bench_coin_quality measures the
-// realized p0/p1 per adversary, including a dedicated grade-splitting
-// attacker, and the clock layer above consumes only the measured
-// constants.
+// deliberate substitution for the full protocol: bench_coin_quality
+// measures the realized p0/p1 per adversary, including a dedicated
+// grade-splitting attacker, and the clock layer above consumes only the
+// measured constants.
 //
 // Wire format (compact, PR 4)
 // ---------------------------

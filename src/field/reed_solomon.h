@@ -4,8 +4,9 @@
 // recover phase: with n >= 3f+1 points of which at most f are Byzantine
 // lies, the unique degree-<=f dealing polynomial is recovered exactly
 // (m points correct e errors for a degree-d polynomial when
-//  m >= d + 2e + 1; here m >= n - f >= 2f + 1 + (b lying senders) and
-//  e <= b, satisfying the bound — see DESIGN.md).
+//  m >= d + 2e + 1; here d = f, the n - f >= 2f + 1 correct senders plus
+//  b lying ones give m >= 2f + 1 + b, and e <= b <= f, so
+//  m >= f + 2e + 1 holds).
 #pragma once
 
 #include <cstdint>

@@ -21,49 +21,10 @@ namespace {
 using jsonl::LineValues;
 using jsonl::find_int;
 
-// Requires the line's integer keys to be exactly `keys`, its only string
-// key to be "type", and (unless allow_arrays) no arrays at all.
-bool exact_shape(const LineValues& v, std::initializer_list<const char*> keys,
-                 bool header_shape, std::string& err) {
-  for (const auto& [k, val] : v.ints) {
-    bool known = false;
-    for (const char* want : keys) {
-      if (k == want) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      err = "unknown key '" + k + "'";
-      return false;
-    }
-  }
-  for (const char* want : keys) {
-    if (find_int(v, want) == nullptr) {
-      err = std::string("missing key '") + want + "'";
-      return false;
-    }
-  }
-  for (const auto& [k, val] : v.strs) {
-    if (k == "type") continue;
-    if (header_shape && k == "scenario") continue;
-    err = "unknown key '" + k + "'";
-    return false;
-  }
-  for (const auto& [k, val] : v.arrs) {
-    if (header_shape && k == "faulty") continue;
-    err = "unknown key '" + k + "'";
-    return false;
-  }
-  if (header_shape && !v.has("faulty")) {
-    err = "missing key 'faulty'";
-    return false;
-  }
-  if (header_shape && !v.has("scenario")) {
-    err = "missing key 'scenario'";
-    return false;
-  }
-  return true;
+// Record lines carry exactly their integer keys plus "type"; the header
+// adds "scenario" and the "faulty" array.
+bool record_shape(const LineValues& v, jsonl::KeyList keys, std::string& err) {
+  return jsonl::check_shape(v, {keys, {"type"}}, err);
 }
 
 struct MergeKey {
@@ -172,10 +133,12 @@ ParseResult parse_trace(std::istream& in) {
 
     if (type == "header") {
       if (have_header) return fail("duplicate header");
-      if (!exact_shape(v,
-                       {"version", "trial", "seed", "n", "f", "max_beats",
-                        "confirm_window"},
-                       /*header_shape=*/true, err)) {
+      if (!jsonl::check_shape(v,
+                              {{"version", "trial", "seed", "n", "f",
+                                "max_beats", "confirm_window"},
+                               {"type", "scenario"},
+                               {"faulty"}},
+                              err)) {
         return fail(err);
       }
       if (*find_int(v, "version") != 1) return fail("unsupported version");
@@ -211,7 +174,7 @@ ParseResult parse_trace(std::istream& in) {
 
     TraceRecord r;
     if (type == "beat") {
-      if (!exact_shape(v, {"beat", "cm", "cb", "am", "ab"}, false, err)) {
+      if (!record_shape(v, {"beat", "cm", "cb", "am", "ab"}, err)) {
         return fail(err);
       }
       r.event = TraceEvent::kBeat;
@@ -220,15 +183,14 @@ ParseResult parse_trace(std::istream& in) {
       r.c = *find_int(v, "am");
       r.d = *find_int(v, "ab");
     } else if (type == "net") {
-      if (!exact_shape(v, {"beat", "dropped", "phantoms"}, false, err)) {
+      if (!record_shape(v, {"beat", "dropped", "phantoms"}, err)) {
         return fail(err);
       }
       r.event = TraceEvent::kNet;
       r.a = *find_int(v, "dropped");
       r.b = *find_int(v, "phantoms");
     } else if (type == "probe") {
-      if (!exact_shape(v, {"beat", "eclipsed", "delayed", "reordered"}, false,
-                       err)) {
+      if (!record_shape(v, {"beat", "eclipsed", "delayed", "reordered"}, err)) {
         return fail(err);
       }
       r.event = TraceEvent::kProbe;
@@ -236,7 +198,7 @@ ParseResult parse_trace(std::istream& in) {
       r.b = *find_int(v, "delayed");
       r.c = *find_int(v, "reordered");
     } else if (type == "clock") {
-      if (!exact_shape(v, {"beat", "node", "clock", "k"}, false, err)) {
+      if (!record_shape(v, {"beat", "node", "clock", "k"}, err)) {
         return fail(err);
       }
       r.event = TraceEvent::kClock;
@@ -246,20 +208,20 @@ ParseResult parse_trace(std::istream& in) {
       if (modulus == 0) modulus = r.b;
       if (r.b != modulus) return fail("modulus mismatch within file");
     } else if (type == "phase") {
-      if (!exact_shape(v, {"beat", "node", "stream", "value"}, false, err)) {
+      if (!record_shape(v, {"beat", "node", "stream", "value"}, err)) {
         return fail(err);
       }
       r.event = TraceEvent::kPhase;
       r.a = *find_int(v, "value");
     } else if (type == "coin") {
-      if (!exact_shape(v, {"beat", "node", "stream", "bit"}, false, err)) {
+      if (!record_shape(v, {"beat", "node", "stream", "bit"}, err)) {
         return fail(err);
       }
       r.event = TraceEvent::kCoin;
       r.a = *find_int(v, "bit");
       if (r.a > 1) return fail("coin bit out of range");
     } else if (type == "corrupt") {
-      if (!exact_shape(v, {"beat", "node"}, false, err)) return fail(err);
+      if (!record_shape(v, {"beat", "node"}, err)) return fail(err);
       r.event = TraceEvent::kCorrupt;
     } else {
       return fail("unknown type '" + type + "'");

@@ -5,11 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <istream>
+#include <map>
 #include <set>
-#include <sstream>
 
 #include "harness/jsonl.h"
 #include "harness/report.h"
@@ -47,46 +45,24 @@ std::string hex8(std::uint32_t v) {
   return buf;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
+constexpr char kShardSchema[] = "ssbft-shard-v2";
+// First-line magic of the retired line-oriented checkpoint format, matched
+// only to refuse such files with their version named.
+constexpr char kCkptV1Magic[] = "ssbft-ckpt-v1";
 
-// "prefix=value" -> value, or nullopt when the prefix does not match.
-std::optional<std::string> strip_prefix(const std::string& s,
-                                        const char* prefix) {
-  const std::size_t n = std::string(prefix).size();
-  if (s.compare(0, n, prefix) != 0) return std::nullopt;
-  return s.substr(n);
-}
+// Every unit line ends `,"crc":"<8hex>"}`; the CRC covers the bytes
+// before that suffix.
+constexpr char kCrcKey[] = ",\"crc\":\"";
+constexpr std::size_t kCrcKeyLen = sizeof kCrcKey - 1;
+constexpr std::size_t kCrcSuffixLen = kCrcKeyLen + 8 + 2;  // key, hex, "}
 
-constexpr char kCkptMagic[] = "ssbft-ckpt-v1";
-constexpr char kShardSchema[] = "ssbft-shard-v1";
-
-// One checkpoint record's body (everything before " crc="). The trailing
-// v= field (streaming-checker violation count) is emitted only when
-// nonzero, so checkpoints from non-live-checked sweeps stay byte-for-byte
-// in the original five-field ssbft-ckpt-v1 shape.
-std::string record_body(std::uint64_t unit, const TrialOutcome& o) {
-  std::string body = "u=" + std::to_string(unit);
-  body += o.converged ? " c=1" : " c=0";
-  body += " s=" + std::to_string(o.synced_at);
-  body += " m=" + double_to_hex(o.msgs_per_beat);
-  body += " t=";
-  body += o.trace_commitment.empty() ? "-" : o.trace_commitment;
-  if (o.check_violations != 0) {
-    body += " v=" + std::to_string(o.check_violations);
-  }
-  return body;
+bool crc_seal_ok(const std::string& line) {
+  if (line.size() < kCrcSuffixLen) return false;
+  const std::size_t body = line.size() - kCrcSuffixLen;
+  return line.compare(body, kCrcKeyLen, kCrcKey) == 0 &&
+         line.compare(body + kCrcKeyLen, 8, hex8(crc32(line.data(), body))) ==
+             0 &&
+         line.compare(line.size() - 2, 2, "\"}") == 0;
 }
 
 }  // namespace
@@ -145,218 +121,7 @@ std::uint32_t crc32(const void* data, std::size_t len) {
 std::uint32_t crc32(const std::string& s) { return crc32(s.data(), s.size()); }
 
 // ---------------------------------------------------------------------------
-// Checkpoint codec.
-
-std::string encode_checkpoint(const CheckpointState& state) {
-  std::string out = std::string(kCkptMagic) + " fp=" + state.fingerprint +
-                    " shard=" + std::to_string(state.shard.index) + "/" +
-                    std::to_string(state.shard.count) +
-                    " units=" + std::to_string(state.total_units) + "\n";
-  for (const auto& [unit, outcome] : state.done) {
-    const std::string body = record_body(unit, outcome);
-    out += body + " crc=" + hex8(crc32(body)) + "\n";
-  }
-  return out;
-}
-
-CheckpointLoad decode_checkpoint(const std::string& text) {
-  CheckpointLoad res;
-  std::istringstream in(text);
-  std::string line;
-
-  // Header: "ssbft-ckpt-v1 fp=<64hex> shard=<i>/<k> units=<N>". A file
-  // whose header does not decode is not a (version of a) checkpoint at
-  // all — wrong file, wrong tool — so that is a hard error, unlike the
-  // record tail, where damage means "a crash got here" and the safe
-  // answer is to recompute.
-  auto bad_header = [&](const std::string& why) {
-    res.error = "not an ssbft-ckpt-v1 checkpoint: " + why;
-    return res;
-  };
-  if (!std::getline(in, line)) return bad_header("empty file");
-  // The header has no CRC, and a numeric tail is prefix-closed — a header
-  // cut mid-digit would otherwise parse as a smaller grid. Requiring the
-  // newline makes every header truncation detectable.
-  if (text.find('\n') == std::string::npos) {
-    return bad_header("truncated header line");
-  }
-  {
-    const std::vector<std::string> tok = split(line, ' ');
-    if (tok.size() != 4 || tok[0] != kCkptMagic) {
-      return bad_header("bad header line");
-    }
-    const auto fp = strip_prefix(tok[1], "fp=");
-    if (!fp || !is_hex_lower(*fp, 64)) return bad_header("bad fingerprint");
-    const auto shard = strip_prefix(tok[2], "shard=");
-    std::optional<ShardSpec> spec;
-    if (shard) spec = parse_shard_spec(*shard);
-    if (!spec) return bad_header("bad shard spec");
-    const auto units = strip_prefix(tok[3], "units=");
-    if (!units || !parse_u64_strict(*units, &res.state.total_units)) {
-      return bad_header("bad unit count");
-    }
-    res.state.fingerprint = *fp;
-    res.state.shard = *spec;
-  }
-
-  // Records. The first undecodable or CRC-failing line marks a torn tail:
-  // everything from it on is discarded (and later recomputed). A record
-  // whose CRC passes but whose content breaks the grid's invariants is a
-  // hard error instead — intact bytes carrying wrong facts mean this is
-  // the wrong file, and resuming from it would corrupt results silently.
-  std::size_t lineno = 1;
-  bool counting_torn = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (counting_torn) {
-      ++res.discarded_records;
-      continue;
-    }
-    const auto torn = [&] {
-      res.torn = true;
-      res.discarded_records = 1;
-      counting_torn = true;
-    };
-
-    // " crc=XXXXXXXX" suffix, CRC over the body before it.
-    constexpr std::size_t kCrcLen = 13;
-    if (line.size() < kCrcLen ||
-        line.compare(line.size() - kCrcLen, 5, " crc=") != 0) {
-      torn();
-      continue;
-    }
-    const std::string body = line.substr(0, line.size() - kCrcLen);
-    const std::string crc_text = line.substr(line.size() - 8);
-    if (!is_hex_lower(crc_text, 8) || hex8(crc32(body)) != crc_text) {
-      torn();
-      continue;
-    }
-
-    auto bad_record = [&](const std::string& why) {
-      res.error = "record at line " + std::to_string(lineno) + ": " + why;
-      res.ok = false;
-      return true;
-    };
-    const std::vector<std::string> tok = split(body, ' ');
-    std::uint64_t unit = 0;
-    TrialOutcome outcome;
-    bool hard_error = false;
-    do {
-      if (tok.size() != 5 && tok.size() != 6) {
-        hard_error = bad_record("wrong field count");
-        break;
-      }
-      const auto u = strip_prefix(tok[0], "u=");
-      const auto c = strip_prefix(tok[1], "c=");
-      const auto s = strip_prefix(tok[2], "s=");
-      const auto m = strip_prefix(tok[3], "m=");
-      const auto t = strip_prefix(tok[4], "t=");
-      if (!u || !c || !s || !m || !t) {
-        hard_error = bad_record("bad field tags");
-        break;
-      }
-      if (tok.size() == 6) {
-        // Optional live-check violation count; the writer never emits
-        // v=0, so zero is a wrong file, not a crash artifact.
-        const auto vcount = strip_prefix(tok[5], "v=");
-        if (!vcount || !parse_u64_strict(*vcount, &outcome.check_violations) ||
-            outcome.check_violations == 0) {
-          hard_error = bad_record("bad violation count");
-          break;
-        }
-      }
-      if (!parse_u64_strict(*u, &unit)) {
-        hard_error = bad_record("bad unit index");
-        break;
-      }
-      if (*c != "0" && *c != "1") {
-        hard_error = bad_record("bad converged flag");
-        break;
-      }
-      outcome.converged = *c == "1";
-      if (!parse_u64_strict(*s, &outcome.synced_at)) {
-        hard_error = bad_record("bad synced_at");
-        break;
-      }
-      if (!hex_to_double(*m, &outcome.msgs_per_beat)) {
-        hard_error = bad_record("bad msgs/beat");
-        break;
-      }
-      if (*t != "-") {
-        if (!is_hex_lower(*t, 64)) {
-          hard_error = bad_record("bad trace commitment");
-          break;
-        }
-        outcome.trace_commitment = *t;
-      }
-      if (unit >= res.state.total_units) {
-        hard_error = bad_record("unit " + std::to_string(unit) +
-                                " outside the grid's " +
-                                std::to_string(res.state.total_units) +
-                                " units");
-        break;
-      }
-      if (unit % res.state.shard.count != res.state.shard.index) {
-        hard_error = bad_record("unit " + std::to_string(unit) +
-                                " outside shard " +
-                                std::to_string(res.state.shard.index) + "/" +
-                                std::to_string(res.state.shard.count));
-        break;
-      }
-      if (!res.state.done.emplace(unit, std::move(outcome)).second) {
-        hard_error = bad_record("duplicate unit " + std::to_string(unit));
-        break;
-      }
-    } while (false);
-    if (hard_error) return res;
-  }
-
-  res.ok = true;
-  return res;
-}
-
-CheckpointLoad load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    CheckpointLoad res;
-    res.error = "cannot open checkpoint file '" + path + "'";
-    return res;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return decode_checkpoint(buf.str());
-}
-
-bool write_checkpoint(const std::string& path, const CheckpointState& state,
-                      std::string* error) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      if (error) *error = "cannot open '" + tmp + "' for writing";
-      return false;
-    }
-    out << encode_checkpoint(state);
-    out.flush();
-    if (!out) {
-      if (error) *error = "write to '" + tmp + "' failed";
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    if (error) {
-      *error = "rename '" + tmp + "' -> '" + path + "': " + ec.message();
-    }
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Shard report codec.
+// Unit-record codec.
 
 std::string encode_shard_header(const ShardHeader& h) {
   std::string out = "{\"type\":\"shard\",\"schema\":\"";
@@ -395,88 +160,23 @@ std::string encode_shard_unit(const ShardUnitRow& row) {
   if (row.outcome.check_violations != 0) {
     out += ",\"violations\":" + std::to_string(row.outcome.check_violations);
   }
-  out += "}\n";
+  const std::uint32_t crc = crc32(out);
+  out += kCrcKey + hex8(crc) + "\"}\n";
   return out;
 }
 
-namespace {
-
-// Requires the line's integer keys to be exactly `ints` plus any of
-// `opt_ints`, and its string keys to be exactly `strs` plus any of
-// `opt_strs`; arrays are never legal in shard files.
-bool exact_shard_shape(const jsonl::LineValues& v,
-                       std::initializer_list<const char*> ints,
-                       std::initializer_list<const char*> strs,
-                       std::initializer_list<const char*> opt_strs,
-                       std::initializer_list<const char*> opt_ints,
-                       std::string& err) {
-  for (const auto& [k, val] : v.ints) {
-    bool known = false;
-    for (const char* want : ints) {
-      if (k == want) {
-        known = true;
-        break;
-      }
-    }
-    for (const char* want : opt_ints) {
-      if (k == want) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      err = "unknown key '" + k + "'";
-      return false;
-    }
-  }
-  for (const char* want : ints) {
-    if (jsonl::find_int(v, want) == nullptr) {
-      err = std::string("missing key '") + want + "'";
-      return false;
-    }
-  }
-  for (const auto& [k, val] : v.strs) {
-    bool known = false;
-    for (const char* want : strs) {
-      if (k == want) {
-        known = true;
-        break;
-      }
-    }
-    for (const char* want : opt_strs) {
-      if (k == want) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      err = "unknown key '" + k + "'";
-      return false;
-    }
-  }
-  for (const char* want : strs) {
-    if (jsonl::find_str(v, want) == nullptr) {
-      err = std::string("missing key '") + want + "'";
-      return false;
-    }
-  }
-  if (!v.arrs.empty()) {
-    err = "unknown key '" + v.arrs.front().first + "'";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 ShardParse parse_shard_file(std::istream& in) {
   ShardParse res;
+  ShardFile& file = res.file;
+  ShardHeader& h = file.header;
   std::string line;
   std::size_t lineno = 0;
   bool have_header = false;
+  bool in_units = false;  // the preamble is complete and validated
   std::uint64_t want_cells = 0;
-  // Prefix sums over cell trial counts: unit u of cell c, trial t must
-  // satisfy u == prefix[c] + t — the canonical flattening the sweep uses.
+  // prefix[c] = trials of the cells before c: unit u of cell c, trial t
+  // must satisfy u == prefix[c] + t — the canonical flattening the sweep
+  // uses.
   std::vector<std::uint64_t> prefix;
   std::uint64_t running = 0;
   std::set<std::uint64_t> seen_units;
@@ -487,98 +187,44 @@ ShardParse parse_shard_file(std::istream& in) {
     res.error_line = lineno;
     return res;
   };
+  const auto total_mismatch = [&] {
+    return "header total_units " + std::to_string(h.total_units) +
+           " != sum of cell trials " + std::to_string(running);
+  };
 
   while (std::getline(in, line)) {
     ++lineno;
-    if (line.empty()) return fail("empty line");
+    if (file.torn()) {
+      ++file.discarded_lines;
+      continue;
+    }
+    if (!in_units && have_header && h.cells.size() == want_cells) {
+      if (running != h.total_units) return fail(total_mismatch());
+      in_units = true;
+    }
     jsonl::LineValues v;
     std::string err;
-    if (!jsonl::parse_line(line, v, err)) return fail(err);
 
-    const std::string* type = jsonl::find_str(v, "type");
-    if (type == nullptr) return fail("missing key 'type'");
-
-    if (*type == "shard") {
-      if (have_header) return fail("duplicate shard header");
-      if (!exact_shard_shape(
-              v, {"shard", "shards", "total_units", "cells", "seed", "trials"},
-              {"type", "schema", "pattern", "fingerprint"}, {}, {}, err)) {
-        return fail(err);
+    if (in_units) {
+      // Bytes that do not decode or do not match their CRC are what a
+      // crash leaves behind: tear the file here. Everything past this
+      // point was written intact, so a wrong fact is a wrong file.
+      if (!jsonl::parse_line(line, v, err) || !crc_seal_ok(line)) {
+        file.discarded_lines = 1;
+        continue;
       }
-      if (*jsonl::find_str(v, "schema") != kShardSchema) {
-        return fail("unsupported schema '" + *jsonl::find_str(v, "schema") +
-                    "' (want " + kShardSchema + ")");
+      const std::string* type = jsonl::find_str(v, "type");
+      if (type == nullptr || *type != "unit") {
+        return fail("expected a unit line after the preamble");
       }
-      ShardHeader& h = res.file.header;
-      h.pattern = *jsonl::find_str(v, "pattern");
-      h.fingerprint = *jsonl::find_str(v, "fingerprint");
-      if (!is_hex_lower(h.fingerprint, 64)) return fail("bad fingerprint");
-      h.shard.index = *jsonl::find_int(v, "shard");
-      h.shard.count = *jsonl::find_int(v, "shards");
-      if (h.shard.count == 0 || h.shard.index >= h.shard.count) {
-        return fail("bad shard spec " + std::to_string(h.shard.index) + "/" +
-                    std::to_string(h.shard.count));
-      }
-      h.total_units = *jsonl::find_int(v, "total_units");
-      h.cli_seed = *jsonl::find_int(v, "seed");
-      h.cli_trials = *jsonl::find_int(v, "trials");
-      want_cells = *jsonl::find_int(v, "cells");
-      have_header = true;
-      continue;
-    }
-
-    if (!have_header) return fail("record before shard header");
-
-    if (*type == "cell") {
-      if (res.file.header.cells.size() >= want_cells) {
-        return fail("more cell lines than the header's " +
-                    std::to_string(want_cells));
-      }
-      if (!seen_units.empty() || !prefix.empty()) {
-        return fail("cell line after unit lines");
-      }
-      if (!exact_shard_shape(v, {"index", "trials", "base_seed"},
-                             {"type", "name"}, {}, {}, err)) {
-        return fail(err);
-      }
-      if (*jsonl::find_int(v, "index") != res.file.header.cells.size()) {
-        return fail("cell index " +
-                    std::to_string(*jsonl::find_int(v, "index")) +
-                    " out of order");
-      }
-      ShardCellInfo c;
-      c.name = *jsonl::find_str(v, "name");
-      c.trials = *jsonl::find_int(v, "trials");
-      c.base_seed = *jsonl::find_int(v, "base_seed");
-      if (running > UINT64_MAX - c.trials) return fail("trial count overflow");
-      running += c.trials;
-      res.file.header.cells.push_back(std::move(c));
-      continue;
-    }
-
-    if (*type == "unit") {
-      const ShardHeader& h = res.file.header;
-      if (h.cells.size() != want_cells) {
-        return fail("unit line before the preamble's " +
-                    std::to_string(want_cells) + " cell lines completed");
-      }
-      if (prefix.empty() && want_cells > 0) {
-        prefix.reserve(want_cells);
-        std::uint64_t acc = 0;
-        for (const ShardCellInfo& c : h.cells) {
-          prefix.push_back(acc);
-          acc += c.trials;
-        }
-      }
-      if (running != h.total_units) {
-        return fail("header total_units " + std::to_string(h.total_units) +
-                    " != sum of cell trials " + std::to_string(running));
-      }
-      if (!exact_shard_shape(v,
-                             {"unit", "cell", "trial", "converged",
-                              "synced_at"},
-                             {"type", "msgs"}, {"commitment"}, {"violations"},
-                             err)) {
+      if (!jsonl::check_shape(v,
+                              {{"unit", "cell", "trial", "converged",
+                                "synced_at"},
+                               {"type", "msgs", "crc"},
+                               {},
+                               {"violations"},
+                               {"commitment"}},
+                              err)) {
         return fail(err);
       }
       ShardUnitRow row;
@@ -622,24 +268,91 @@ ShardParse parse_shard_file(std::istream& in) {
         if (*vio == 0) return fail("bad violation count");
         row.outcome.check_violations = *vio;
       }
-      res.file.units.push_back(std::move(row));
+      file.units.push_back(std::move(row));
       continue;
+    }
+
+    // The preamble: no CRC, every deviation is a hard error.
+    if (lineno == 1 && line.compare(0, sizeof kCkptV1Magic - 1,
+                                    kCkptV1Magic) == 0) {
+      return fail(std::string(kCkptV1Magic) +
+                  " checkpoints are no longer read (want " + kShardSchema +
+                  "); delete the file and rerun the sweep");
+    }
+    if (line.empty()) return fail("empty line");
+    if (!jsonl::parse_line(line, v, err)) return fail(err);
+
+    const std::string* type = jsonl::find_str(v, "type");
+    if (type == nullptr) return fail("missing key 'type'");
+
+    if (*type == "shard") {
+      if (have_header) return fail("duplicate shard header");
+      if (!jsonl::check_shape(
+              v,
+              {{"shard", "shards", "total_units", "cells", "seed", "trials"},
+               {"type", "schema", "pattern", "fingerprint"}},
+              err)) {
+        return fail(err);
+      }
+      if (*jsonl::find_str(v, "schema") != kShardSchema) {
+        return fail("unsupported schema '" + *jsonl::find_str(v, "schema") +
+                    "' (want " + kShardSchema + ")");
+      }
+      h.pattern = *jsonl::find_str(v, "pattern");
+      h.fingerprint = *jsonl::find_str(v, "fingerprint");
+      if (!is_hex_lower(h.fingerprint, 64)) return fail("bad fingerprint");
+      h.shard.index = *jsonl::find_int(v, "shard");
+      h.shard.count = *jsonl::find_int(v, "shards");
+      if (h.shard.count == 0 || h.shard.index >= h.shard.count) {
+        return fail("bad shard spec " + std::to_string(h.shard.index) + "/" +
+                    std::to_string(h.shard.count));
+      }
+      h.total_units = *jsonl::find_int(v, "total_units");
+      h.cli_seed = *jsonl::find_int(v, "seed");
+      h.cli_trials = *jsonl::find_int(v, "trials");
+      want_cells = *jsonl::find_int(v, "cells");
+      have_header = true;
+      continue;
+    }
+
+    if (!have_header) return fail("record before shard header");
+
+    if (*type == "cell") {
+      if (!jsonl::check_shape(v, {{"index", "trials", "base_seed"},
+                                  {"type", "name"}},
+                              err)) {
+        return fail(err);
+      }
+      if (*jsonl::find_int(v, "index") != h.cells.size()) {
+        return fail("cell index " +
+                    std::to_string(*jsonl::find_int(v, "index")) +
+                    " out of order");
+      }
+      ShardCellInfo c;
+      c.name = *jsonl::find_str(v, "name");
+      c.trials = *jsonl::find_int(v, "trials");
+      c.base_seed = *jsonl::find_int(v, "base_seed");
+      if (running > UINT64_MAX - c.trials) return fail("trial count overflow");
+      prefix.push_back(running);
+      running += c.trials;
+      h.cells.push_back(std::move(c));
+      continue;
+    }
+
+    if (*type == "unit") {
+      return fail("unit line before the preamble's " +
+                  std::to_string(want_cells) + " cell lines completed");
     }
 
     return fail("unknown type '" + *type + "'");
   }
 
   if (!have_header) return fail("missing shard header");
-  if (res.file.header.cells.size() != want_cells) {
-    return fail("truncated preamble: " +
-                std::to_string(res.file.header.cells.size()) + " of " +
-                std::to_string(want_cells) + " cell lines");
+  if (h.cells.size() != want_cells) {
+    return fail("truncated preamble: " + std::to_string(h.cells.size()) +
+                " of " + std::to_string(want_cells) + " cell lines");
   }
-  if (running != res.file.header.total_units) {
-    return fail("header total_units " +
-                std::to_string(res.file.header.total_units) +
-                " != sum of cell trials " + std::to_string(running));
-  }
+  if (running != h.total_units) return fail(total_mismatch());
   res.ok = true;
   return res;
 }
@@ -649,6 +362,15 @@ ShardMerge merge_shard_files(std::vector<ShardFile> files) {
   if (files.empty()) {
     res.error = "no shard files to merge";
     return res;
+  }
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (files[i].torn()) {
+      res.error = "shard file " + std::to_string(i + 1) +
+                  " is torn (a unit line failed its decode or CRC; " +
+                  std::to_string(files[i].discarded_lines) +
+                  " line(s) discarded) — a merge input must be complete";
+      return res;
+    }
   }
   const ShardHeader& h0 = files[0].header;
   for (std::size_t i = 1; i < files.size(); ++i) {

@@ -2,49 +2,55 @@
 // `ssbft_bench run --shard i/k`, `ssbft_bench merge` and
 // `--checkpoint/--resume` (harness/sweep.h drives it).
 //
-// Two on-disk formats, both designed to be read back from hostile bytes
-// (a kill -9 can truncate anything; a fleet merge must never silently
-// corrupt statistics):
+// One on-disk format persists every unit outcome, and it is read back
+// from hostile bytes (a kill -9 can cut anything; a fleet merge must never
+// silently corrupt statistics):
 //
-// ## Checkpoint (ssbft-ckpt-v1, line-oriented text)
+// ## Unit-record file (ssbft-shard-v2, flat JSONL)
 //
-//   ssbft-ckpt-v1 fp=<64hex> shard=<i>/<k> units=<total>
-//   u=<unit> c=<0|1> s=<synced_at> m=<hexfloat> t=<64hex|-> crc=<8hex>
-//   ...
-//
-// One record per completed (cell, trial) unit, CRC-32 over the record
-// body so a torn tail (partial last line, garbage suffix) is detected and
-// *discarded* — the sweep recomputes those units — while a record that
-// passes its CRC but violates the grid's invariants (duplicate unit, unit
-// outside the shard's slice) is a hard error: that is a wrong file, not a
-// crash artifact. `fp` is the grid fingerprint (sweep_fingerprint), so a
-// checkpoint can never be replayed against a different grid. msgs/beat
-// round-trips through C99 hexfloat ("%a"), so resumed TrialStats are
-// bit-identical to uninterrupted ones, doubles included. Writes go
-// tmp-then-rename (write_checkpoint), so the published file is always a
-// complete version — the torn-tail path is defense in depth for
-// non-atomic filesystems and hand-copied files.
-//
-// ## Shard report (ssbft-shard-v1, flat JSONL)
-//
-//   {"type":"shard","schema":"ssbft-shard-v1","pattern":…,"shard":i,
+//   {"type":"shard","schema":"ssbft-shard-v2","pattern":…,"shard":i,
 //    "shards":k,"fingerprint":…,"total_units":N,"cells":C,
 //    "seed":S,"trials":T}
 //   {"type":"cell","index":0,"name":…,"trials":…,"base_seed":…}
 //   {"type":"unit","unit":u,"cell":c,"trial":t,"converged":0|1,
-//    "synced_at":…,"msgs":"<hexfloat>"[,"commitment":"<64hex>"]}
+//    "synced_at":…,"msgs":"<hexfloat>"[,"commitment":"<64hex>"]
+//    [,"violations":V],"crc":"<8hex>"}
 //
-// The interchange a fleet's shards ship home. merge_shard_files is
-// strict: schema/fingerprint/grid mismatches, overlapping units, missing
-// units and truncated rows are structured errors — a merged TrialStats
-// either equals the unsharded run bit for bit or the merge refuses.
-// Decoding rides the same strict flat-JSON scanner as the trace checker
+// The header line and one line per cell form the preamble; one unit line
+// per completed (cell, trial) unit follows, in any order. `crc` is the
+// last key of every unit line: the CRC-32 of the line's bytes before
+// `,"crc"`. The preamble needs none — a cut header or cell line already
+// fails the JSON scan or the cell-count and total_units checks. msgs/beat
+// round-trips through C99 hexfloat, so restored TrialStats are
+// bit-identical to the originals, doubles included. `fingerprint` is the
+// sweep's identity (sweep_fingerprint), so a file can never be replayed
+// against, or merged into, a different grid.
+//
+// The one reader, parse_shard_file, serves both uses of the format:
+//
+//   * Shard report (`run --shard i/k --out FILE`): the interchange a
+//     fleet's shards ship home. merge_shard_files is strict — torn files,
+//     schema/fingerprint/grid mismatches, overlapping and missing units are
+//     structured errors, so a merged TrialStats either equals the unsharded
+//     run bit for bit or the merge refuses.
+//   * Checkpoint (`--checkpoint FILE`): the sweep publishes the preamble
+//     tmp-then-rename, then appends and flushes one unit line per
+//     completed unit. A kill can leave a cut last line, so everything from
+//     the first unit line that fails its JSON decode or its CRC is
+//     discarded (`torn`) and --resume recomputes those units. Its preamble
+//     carries no pattern or CLI seed/trials stamps.
+//
+// Either way, a CRC-valid line whose facts contradict the preamble's grid
+// (cell or trial out of range, wrong unit flattening, outside the shard,
+// duplicate unit) is a hard error: intact bytes carrying wrong facts mean a
+// wrong file, not a crash artifact. Files in the retired ssbft-ckpt-v1 and
+// ssbft-shard-v1 formats are refused with the version named. Decoding
+// rides the same strict flat-JSON scanner as the trace checker
 // (harness/jsonl.h).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,8 +58,8 @@
 namespace ssbft {
 
 // What one (cell, trial) unit contributes to its cell's TrialStats —
-// captured per unit so workers never contend, checkpoints persist exactly
-// this, and shard merges refold it in trial order.
+// captured per unit so workers never contend, unit-record files persist
+// exactly this, and shard merges refold it in trial order.
 struct TrialOutcome {
   bool converged = false;
   std::uint64_t synced_at = 0;
@@ -63,9 +69,7 @@ struct TrialOutcome {
   std::string trace_commitment;
   // Invariant violations found by the streaming checker when the sweep
   // ran with live checking (SweepOptions::live_check); 0 otherwise.
-  // Persisted in checkpoints (optional `v=` field) and shard reports
-  // (optional "violations" key) only when nonzero, so files from
-  // non-checked sweeps are byte-identical to the PR 8 formats.
+  // Persisted (optional "violations" key) only when nonzero.
   std::uint64_t check_violations = 0;
 };
 
@@ -89,46 +93,9 @@ std::optional<ShardSpec> parse_shard_spec(const std::string& s);
 std::string double_to_hex(double v);
 bool hex_to_double(const std::string& s, double* out);
 
-// CRC-32 (IEEE 802.3, reflected) — the checkpoint's per-record integrity
-// check.
+// CRC-32 (IEEE 802.3, reflected) — the per-unit-line integrity check.
 std::uint32_t crc32(const void* data, std::size_t len);
 std::uint32_t crc32(const std::string& s);
-
-// ---------------------------------------------------------------------------
-// Checkpoint file (ssbft-ckpt-v1).
-
-struct CheckpointState {
-  std::string fingerprint;        // sweep_fingerprint of the grid
-  ShardSpec shard;                // slice this checkpoint belongs to
-  std::uint64_t total_units = 0;  // whole grid, all shards
-  // Completed units by global unit index (keys within the shard's slice).
-  std::map<std::uint64_t, TrialOutcome> done;
-};
-
-std::string encode_checkpoint(const CheckpointState& state);
-
-struct CheckpointLoad {
-  bool ok = false;
-  std::string error;  // set iff !ok (unreadable/garbled header, wrong file)
-  // A torn/corrupt record tail was discarded; `state.done` holds the
-  // valid prefix and the discarded units will simply be recomputed.
-  bool torn = false;
-  std::uint64_t discarded_records = 0;
-  CheckpointState state;
-};
-
-CheckpointLoad decode_checkpoint(const std::string& text);
-// Reads and decodes `path`; !ok with a structured error when the file
-// cannot be opened.
-CheckpointLoad load_checkpoint(const std::string& path);
-
-// Atomic publish: write "<path>.tmp", flush, rename onto `path`. Returns
-// false and sets *error on I/O failure (never throws).
-bool write_checkpoint(const std::string& path, const CheckpointState& state,
-                      std::string* error);
-
-// ---------------------------------------------------------------------------
-// Shard report interchange (ssbft-shard-v1 JSONL).
 
 struct ShardCellInfo {
   std::string name;
@@ -140,12 +107,12 @@ struct ShardCellInfo {
 };
 
 struct ShardHeader {
-  std::string pattern;      // the glob the sweep ran
+  std::string pattern;      // the glob the sweep ran ("" in checkpoints)
   ShardSpec shard;
   std::string fingerprint;  // sweep_fingerprint of the grid
   std::uint64_t total_units = 0;
   // CLI-level overrides, carried so a merged report stamps the same
-  // RunMeta the originating run would have.
+  // RunMeta the originating run would have (0 in checkpoints).
   std::uint64_t cli_seed = 0;
   std::uint64_t cli_trials = 0;
   std::vector<ShardCellInfo> cells;  // grid cells, in sweep order
@@ -158,13 +125,18 @@ struct ShardUnitRow {
   TrialOutcome outcome;    // trace_commitment empty = untraced run
 };
 
-// Header + per-cell lines (the file's preamble), then one line per unit.
+// The preamble (header + per-cell lines), then one CRC-sealed line per
+// unit; each returns whole '\n'-terminated lines.
 std::string encode_shard_header(const ShardHeader& header);
 std::string encode_shard_unit(const ShardUnitRow& row);
 
 struct ShardFile {
   ShardHeader header;
-  std::vector<ShardUnitRow> units;
+  std::vector<ShardUnitRow> units;  // the valid prefix, in file order
+  // Lines discarded from the first unit line that failed its JSON decode
+  // or its CRC on; nonzero means the file is torn.
+  std::uint64_t discarded_lines = 0;
+  bool torn() const { return discarded_lines != 0; }
 };
 
 struct ShardParse {
@@ -174,10 +146,10 @@ struct ShardParse {
   ShardFile file;
 };
 
-// Strict decode of one ssbft-shard-v1 stream. Every unit row is validated
-// against the header's grid (cell/trial ranges, canonical unit index,
-// shard membership, duplicate units); truncation mid-preamble is an
-// error. Never throws on bad input.
+// Strict decode of one ssbft-shard-v2 stream. Preamble errors and
+// CRC-valid unit lines that contradict the grid are hard errors; a unit
+// line failing its decode or CRC tears the file there (ShardFile::torn).
+// Never throws on bad input.
 ShardParse parse_shard_file(std::istream& in);
 
 struct ShardMerge {
@@ -193,9 +165,8 @@ struct ShardMerge {
 };
 
 // Folds complete shard files back into one grid. Errors (never silent
-// corruption): no inputs, header/grid/fingerprint mismatches, unit
-// overlap across files, units outside their file's shard slice, missing
-// units, mixed commitment coverage.
+// corruption): no inputs, torn files, header/grid/fingerprint mismatches,
+// unit overlap across files, missing units, mixed commitment coverage.
 ShardMerge merge_shard_files(std::vector<ShardFile> files);
 
 }  // namespace ssbft

@@ -169,4 +169,43 @@ const std::string* find_str(const LineValues& v, const char* key) {
   return nullptr;
 }
 
+namespace {
+
+bool listed(const std::string& key, KeyList keys) {
+  for (const char* k : keys) {
+    if (key == k) return true;
+  }
+  return false;
+}
+
+// One value kind of check_shape: no key outside required + optional, and
+// every required key present.
+template <class Pairs>
+bool check_kind(const Pairs& have, KeyList required, KeyList optional,
+                std::string& err) {
+  for (const auto& kv : have) {
+    if (!listed(kv.first, required) && !listed(kv.first, optional)) {
+      err = "unknown key '" + kv.first + "'";
+      return false;
+    }
+  }
+  for (const char* want : required) {
+    bool present = false;
+    for (const auto& kv : have) present = present || kv.first == want;
+    if (!present) {
+      err = std::string("missing key '") + want + "'";
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool check_shape(const LineValues& v, const Shape& shape, std::string& err) {
+  return check_kind(v.ints, shape.ints, shape.opt_ints, err) &&
+         check_kind(v.strs, shape.strs, shape.opt_strs, err) &&
+         check_kind(v.arrs, shape.arrs, {}, err);
+}
+
 }  // namespace ssbft::jsonl

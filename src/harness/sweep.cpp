@@ -17,6 +17,7 @@
 
 #include "harness/checker.h"
 #include "harness/live_check.h"
+#include "harness/report.h"
 #include "sim/trace.h"
 #include "support/check.h"
 #include "support/sha256.h"
@@ -91,6 +92,21 @@ std::string commitment_from_trace_file(const std::string& path) {
     sweep_fail("trace file " + path + ": " + merged.error);
   }
   return trace_commitment(merged.traces[0]);
+}
+
+// Reads a checkpoint for --resume: a file the reader refuses is a
+// contract_error; a torn one comes back as its valid prefix, torn set.
+ShardFile load_checkpoint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    sweep_fail("resume from " + path + ": cannot open checkpoint file");
+  }
+  ShardParse parsed = parse_shard_file(in);
+  if (!parsed.ok) {
+    sweep_fail("resume from " + path + " line " +
+               std::to_string(parsed.error_line) + ": " + parsed.error);
+  }
+  return std::move(parsed.file);
 }
 
 // Fan-out sink for live-checked + traced units: every record batch goes
@@ -212,7 +228,8 @@ TrialStats merge_outcomes(const std::vector<TrialOutcome>& outcomes) {
   return stats;
 }
 
-std::string sweep_fingerprint(const std::vector<SweepCell>& cells) {
+std::string sweep_fingerprint(const std::vector<SweepCell>& cells,
+                              const SweepOptions& opts) {
   std::string acc = "ssbft-grid-v1\n";
   for (const SweepCell& c : cells) {
     acc += c.name;
@@ -226,16 +243,25 @@ std::string sweep_fingerprint(const std::vector<SweepCell>& cells) {
     acc += std::to_string(c.cfg.convergence.confirm_window);
     acc += '\n';
   }
+  if (opts.live_check) {
+    // fault_horizon is derived per unit from the engine's own plan, so it
+    // is not part of the identity.
+    const CheckOptions& co = opts.live_check_opts;
+    acc += "live-check|" + std::to_string(co.bound) + '|' +
+           (co.require_convergence ? '1' : '0') + '|' +
+           double_to_hex(co.coin_agreement) + '|' +
+           std::to_string(co.confirm_window) + '\n';
+  }
   return Sha256::hash_hex(acc);
 }
 
 ShardHeader shard_header_for(const std::vector<SweepCell>& cells,
-                             const ShardSpec& shard,
+                             const SweepOptions& opts,
                              const std::string& pattern) {
   ShardHeader h;
   h.pattern = pattern;
-  h.shard = shard;
-  h.fingerprint = sweep_fingerprint(cells);
+  h.shard = opts.shard;
+  h.fingerprint = sweep_fingerprint(cells, opts);
   for (const SweepCell& c : cells) {
     h.total_units += c.cfg.trials;
     h.cells.push_back(ShardCellInfo{c.name, c.cfg.trials, c.cfg.base_seed});
@@ -248,8 +274,6 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
   SSBFT_REQUIRE_MSG(opts.shard.count >= 1 && opts.shard.index < opts.shard.count,
                     "invalid shard spec " << opts.shard.index << "/"
                                           << opts.shard.count);
-  SSBFT_REQUIRE_MSG(opts.checkpoint_every >= 1,
-                    "checkpoint interval must be >= 1");
   SSBFT_REQUIRE_MSG(!opts.collect_commitments || !opts.trace_dir.empty(),
                     "trace commitments require a trace directory");
   SSBFT_REQUIRE_MSG(!opts.resume || !opts.checkpoint_path.empty(),
@@ -280,65 +304,87 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     std::filesystem::create_directories(opts.trace_dir);
   }
 
-  CheckpointState ckpt;
-  ckpt.fingerprint = sweep_fingerprint(cells);
-  ckpt.shard = opts.shard;
-  ckpt.total_units = total;
-
   std::vector<TrialOutcome> outcome_of(slice.size());
   std::vector<char> have(slice.size(), 0);
   std::uint64_t resumed = 0;
 
-  if (opts.resume) {
-    CheckpointLoad load = load_checkpoint(opts.checkpoint_path);
-    if (!load.ok) {
-      sweep_fail("resume from " + opts.checkpoint_path + ": " + load.error);
-    }
-    if (load.state.fingerprint != ckpt.fingerprint) {
-      sweep_fail("resume: checkpoint " + opts.checkpoint_path +
-                 " was written for a different grid (fingerprint mismatch)");
-    }
-    if (!(load.state.shard == opts.shard)) {
-      sweep_fail("resume: checkpoint covers shard " +
-                 std::to_string(load.state.shard.index) + "/" +
-                 std::to_string(load.state.shard.count) +
-                 ", this run is shard " + std::to_string(opts.shard.index) +
-                 "/" + std::to_string(opts.shard.count));
-    }
-    if (load.state.total_units != total) {
-      sweep_fail("resume: checkpoint covers " +
-                 std::to_string(load.state.total_units) +
-                 " units, this grid has " + std::to_string(total));
-    }
-    if (load.torn) {
-      std::fprintf(stderr,
-                   "sweep: warning: checkpoint %s has a torn tail; "
-                   "discarded %llu record(s), recomputing them\n",
-                   opts.checkpoint_path.c_str(),
-                   static_cast<unsigned long long>(load.discarded_records));
-      std::fflush(stderr);
-    }
-    for (auto& [u, o] : load.state.done) {
-      // decode_checkpoint already guaranteed u < total and slice
-      // membership, so this mapping cannot go out of range.
-      if (opts.collect_commitments && o.trace_commitment.empty()) {
-        // The checkpoint predates --trace: rebuild the commitment from
-        // the unit's trace file (it must exist and parse, or the
-        // "bit-identical to uninterrupted" promise is unkeepable).
-        o.trace_commitment = commitment_from_trace_file(
-            trace_path_for(opts, cells[cell_of[u]].name, trial_of[u]));
+  // The checkpoint: publish the preamble — plus, on resume, the old file's
+  // valid units — atomically as the file's starting version, then keep it
+  // open so each completed unit appends one flushed line.
+  const bool checkpointing = !opts.checkpoint_path.empty();
+  std::ofstream ckpt_out;
+  if (checkpointing) {
+    const ShardHeader want = shard_header_for(cells, opts, "");
+    std::string text = encode_shard_header(want);
+    if (opts.resume) {
+      const ShardFile prior = load_checkpoint(opts.checkpoint_path);
+      const ShardHeader& got = prior.header;
+      if (got.fingerprint != want.fingerprint) {
+        sweep_fail("resume: checkpoint " + opts.checkpoint_path +
+                   " was written for a different grid or live-check "
+                   "settings (fingerprint mismatch)");
       }
-      const std::uint64_t j = (u - opts.shard.index) / opts.shard.count;
-      outcome_of[j] = o;
-      have[j] = 1;
-      ++resumed;
+      if (!(got.shard == opts.shard)) {
+        sweep_fail("resume: checkpoint covers shard " +
+                   std::to_string(got.shard.index) + "/" +
+                   std::to_string(got.shard.count) + ", this run is shard " +
+                   std::to_string(opts.shard.index) + "/" +
+                   std::to_string(opts.shard.count));
+      }
+      if (got.total_units != total) {
+        sweep_fail("resume: checkpoint covers " +
+                   std::to_string(got.total_units) +
+                   " units, this grid has " + std::to_string(total));
+      }
+      if (!(got.cells == want.cells)) {
+        sweep_fail("resume: checkpoint " + opts.checkpoint_path +
+                   " lists different cells than this grid");
+      }
+      if (prior.torn()) {
+        std::fprintf(stderr,
+                     "sweep: warning: checkpoint %s has a torn tail; "
+                     "discarded %llu record(s), recomputing them\n",
+                     opts.checkpoint_path.c_str(),
+                     static_cast<unsigned long long>(prior.discarded_lines));
+        std::fflush(stderr);
+      }
+      for (ShardUnitRow row : prior.units) {
+        // parse_shard_file checked the (cell, trial) flattening and slice
+        // membership against a preamble equal to ours, so this mapping
+        // cannot go out of range.
+        if (opts.collect_commitments && row.outcome.trace_commitment.empty()) {
+          // The checkpoint predates --trace: rebuild the commitment from
+          // the unit's trace file (it must exist and parse, or the
+          // "bit-identical to uninterrupted" promise is unkeepable).
+          row.outcome.trace_commitment = commitment_from_trace_file(
+              trace_path_for(opts, cells[row.cell].name, row.trial));
+        }
+        const std::uint64_t j =
+            (row.unit - opts.shard.index) / opts.shard.count;
+        text += encode_shard_unit(row);
+        outcome_of[j] = std::move(row.outcome);
+        have[j] = 1;
+        ++resumed;
+      }
+      if (opts.progress) {
+        std::fprintf(stderr, "sweep: resumed %llu/%zu units from %s\n",
+                     static_cast<unsigned long long>(resumed), slice.size(),
+                     opts.checkpoint_path.c_str());
+        std::fflush(stderr);
+      }
     }
-    ckpt.done = std::move(load.state.done);
-    if (opts.progress) {
-      std::fprintf(stderr, "sweep: resumed %llu/%zu units from %s\n",
-                   static_cast<unsigned long long>(resumed), slice.size(),
-                   opts.checkpoint_path.c_str());
-      std::fflush(stderr);
+    AtomicOutFile file;
+    std::string werr;
+    if (!file.open(opts.checkpoint_path)) {
+      sweep_fail("checkpoint: cannot open '" + opts.checkpoint_path +
+                 "' for writing");
+    }
+    file.stream() << text;
+    if (!file.commit(&werr)) sweep_fail("checkpoint: " + werr);
+    ckpt_out.open(opts.checkpoint_path, std::ios::binary | std::ios::app);
+    if (!ckpt_out) {
+      sweep_fail("checkpoint: cannot append to '" + opts.checkpoint_path +
+                 "'");
     }
   }
 
@@ -347,12 +393,11 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     if (!have[j]) pending.push_back(j);
   }
 
-  // done-count, checkpoint map and the progress print all mutate under
-  // one lock, so the reported sequence is monotone and the checkpoint
-  // file is always a consistent prefix of completed units.
+  // done-count, checkpoint appends and the progress print all happen under
+  // one lock, so the reported sequence is monotone and checkpoint lines
+  // never interleave.
   std::mutex io_mu;
   std::uint64_t done_count = resumed;
-  std::uint64_t since_ckpt = 0;
   const auto progress_line = [&] {  // io_mu held
     if (!opts.progress) return;
     if (opts.shard.active()) {
@@ -375,17 +420,17 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
       out.trace_commitment =
           commitment_from_trace_file(trace_path_for(opts, cells[c].name, t));
     }
-    outcome_of[j] = out;
+    const std::string line =
+        checkpointing ? encode_shard_unit(ShardUnitRow{u, c, t, out}) : "";
+    outcome_of[j] = std::move(out);
     have[j] = 1;
     std::lock_guard<std::mutex> lock(io_mu);
-    if (!opts.checkpoint_path.empty()) {
-      ckpt.done[u] = std::move(out);
-      if (++since_ckpt >= opts.checkpoint_every) {
-        since_ckpt = 0;
-        std::string werr;
-        if (!write_checkpoint(opts.checkpoint_path, ckpt, &werr)) {
-          sweep_fail("checkpoint: " + werr);
-        }
+    if (checkpointing) {
+      ckpt_out << line;
+      ckpt_out.flush();
+      if (!ckpt_out) {
+        sweep_fail("checkpoint: append to '" + opts.checkpoint_path +
+                   "' failed");
       }
     }
     ++done_count;
@@ -421,15 +466,6 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     }
     for (auto& th : pool) th.join();
     if (first_error) std::rethrow_exception(first_error);
-  }
-
-  // Final write so the published checkpoint always covers the whole
-  // slice (and carries any commitments recomputed during resume).
-  if (!opts.checkpoint_path.empty()) {
-    std::string werr;
-    if (!write_checkpoint(opts.checkpoint_path, ckpt, &werr)) {
-      sweep_fail("checkpoint: " + werr);
-    }
   }
 
   SweepResult res;

@@ -12,7 +12,7 @@
 // `checkpoint_path`/`resume` persist completed units so a killed sweep
 // continues where it stopped, with TrialStats and trace commitments
 // bit-identical to an uninterrupted run (harness/checkpoint.h holds the
-// on-disk formats).
+// one on-disk unit-record format both use).
 #pragma once
 
 #include <string>
@@ -53,14 +53,17 @@ struct SweepOptions {
   // return it in SweepUnitResult — the replay-exactness oracle shard
   // reports and checkpoints carry.
   bool collect_commitments = false;
-  // When non-empty, atomically rewrite this checkpoint file after every
-  // `checkpoint_every` completed units (and once at the end), so a killed
-  // sweep can continue with --resume.
+  // When non-empty, record completed units in this ssbft-shard-v2 file:
+  // the preamble (shard_header_for(cells, *this, "")) is published
+  // tmp-then-rename, then each completed unit appends and flushes one
+  // CRC-sealed line, in completion order — so a killed sweep loses at
+  // most the unit it was writing and can continue with `resume`.
   std::string checkpoint_path;
-  std::uint64_t checkpoint_every = 16;
-  // Replay `checkpoint_path` before running: completed units are restored
-  // (not re-run), a torn tail is discarded with a warning, and a
-  // checkpoint from a different grid or shard is a contract_error.
+  // Replay `checkpoint_path` before running: its valid units are restored
+  // (not re-run) and re-published as the new file's prefix, a torn tail
+  // is discarded with a warning and recomputed, and a checkpoint whose
+  // preamble differs from this sweep's (grid, live-check settings, shard)
+  // is a contract_error.
   bool resume = false;
   // Streaming invariant checking (harness/live_check.h): attach a
   // StreamingChecker to every unit and run the *full* beat budget (not
@@ -103,17 +106,21 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
 std::vector<TrialStats> run_sweep(const std::vector<SweepCell>& cells,
                                   const SweepOptions& opts);
 
-// SHA-256 fingerprint of the grid's identity (cell names, trial counts,
-// seeds, convergence budgets — everything that determines unit results).
-// Checkpoints and shard reports embed it so they can never be replayed
-// against, or merged into, a different grid. Deliberately excludes the
-// shard spec: all k shards of one grid share one fingerprint.
-std::string sweep_fingerprint(const std::vector<SweepCell>& cells);
+// SHA-256 fingerprint of the sweep's identity: the grid (cell names,
+// trial counts, seeds, convergence budgets) and, when live checking is on,
+// every CheckOptions setting that can change a verdict (bound,
+// require_convergence, coin_agreement, confirm_window) — everything that
+// determines unit results. Checkpoints and shard reports embed it so they
+// can never be replayed against, or merged into, a different sweep.
+// Sweeps without live checking hash the grid alone. Deliberately excludes
+// the shard spec: all k shards of one grid share one fingerprint.
+std::string sweep_fingerprint(const std::vector<SweepCell>& cells,
+                              const SweepOptions& opts);
 
-// The ssbft-shard-v1 preamble describing this grid and slice (cli_seed /
-// cli_trials are left 0 for the caller to stamp).
+// The ssbft-shard-v2 preamble describing this sweep and its opts.shard
+// slice (cli_seed / cli_trials are left 0 for the caller to stamp).
 ShardHeader shard_header_for(const std::vector<SweepCell>& cells,
-                             const ShardSpec& shard,
+                             const SweepOptions& opts,
                              const std::string& pattern);
 
 // Folds one cell's outcomes (trial order) into TrialStats — the exact

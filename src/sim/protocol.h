@@ -1,6 +1,8 @@
 // Protocol interfaces for the lock-step global-beat-system model.
 //
-// Beat anatomy (the strongest reading of Section 2 — see DESIGN.md):
+// Beat anatomy (the strongest reading of the paper's Section 2 model: the
+// adversary rushes, seeing each beat's traffic to faulty nodes before it
+// speaks):
 //   1. beat signal: every correct node runs send_phase(), a pure function of
 //      its end-of-previous-beat state;
 //   2. the adversary observes everything addressed to faulty nodes this beat

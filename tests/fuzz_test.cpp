@@ -290,34 +290,61 @@ TEST(FuzzChecker, DecoderNeverCrashesOnMutatedTraces) {
   }
 }
 
-// Mutate a real checkpoint file through the resume loader: every outcome
-// must be a structured accept (with the parsed prefix honoring the
-// header's grid and shard invariants) or a structured reject — never a
-// crash, never UB, never a silently wrong record (the CRC tears those
-// off). Mirrors the kill -9 / bad-copy surface `--resume` reads.
-TEST(FuzzCheckpoint, ResumeLoaderNeverCrashesOnMutatedCheckpoints) {
-  CheckpointState st;
-  st.fingerprint = std::string(64, 'a');
-  st.shard = ShardSpec{1, 3};
-  st.total_units = 40;
-  for (std::uint64_t u = 1; u < 40; u += 3) {
-    TrialOutcome o;
-    o.converged = (u % 2) == 0;
-    o.synced_at = u * 7;
-    o.msgs_per_beat = 3.25 + static_cast<double>(u) * 0.1;
-    if (u % 6 == 1) o.trace_commitment = std::string(64, 'b');
-    st.done[u] = o;
-  }
-  const std::string good = encode_checkpoint(st);
+// Mutate a real ssbft-shard-v2 file through the one unit-record reader,
+// in both of its uses, with its intact sibling shard alongside:
+//   * resume mode — a parse must be a structured reject, or an accept
+//     whose surviving units all honor the preamble's grid and shard (the
+//     CRC tears damaged lines off);
+//   * merge mode — an accepted file must either be refused by the merge
+//     with a structured error (always, when torn) or fold into a result
+//     whose shape matches its header.
+// Never a crash, never UB, never a silently wrong unit.
+TEST(FuzzShard, ParserAndMergeNeverCrashOnMutatedReports) {
+  ShardHeader h;
+  h.pattern = "gallery/*";
+  h.shard = ShardSpec{0, 2};
+  h.fingerprint = std::string(64, 'c');
+  h.total_units = 8;
+  h.cli_seed = 7;
+  h.cli_trials = 3;
+  h.cells.push_back(ShardCellInfo{"cell-a", 3, 100});
+  h.cells.push_back(ShardCellInfo{"cell-b", 5, 200});
+  const auto shard_text = [&](std::uint64_t index) {
+    ShardHeader mine = h;
+    mine.shard.index = index;
+    std::string text = encode_shard_header(mine);
+    for (std::uint64_t u = index; u < h.total_units; u += 2) {
+      ShardUnitRow row;
+      row.unit = u;
+      row.cell = u < 3 ? 0u : 1u;
+      row.trial = u < 3 ? u : u - 3;
+      row.outcome.converged = (u % 3) != 0;
+      row.outcome.synced_at = 10 + u;
+      row.outcome.msgs_per_beat = 0.5 + static_cast<double>(u) * 0.3;
+      if (u % 4 == 2) row.outcome.check_violations = u;
+      text += encode_shard_unit(row);
+    }
+    return text;
+  };
+  const std::string good = shard_text(0);
+  const std::string sibling = shard_text(1);
+  ShardFile sibling_file;
   {
-    const CheckpointLoad l = decode_checkpoint(good);
-    ASSERT_TRUE(l.ok) << l.error;
-    EXPECT_FALSE(l.torn);
-    EXPECT_EQ(l.state.done.size(), st.done.size());
+    std::istringstream in(sibling);
+    ShardParse p = parse_shard_file(in);
+    ASSERT_TRUE(p.ok) << p.error;
+    sibling_file = std::move(p.file);
+  }
+  {
+    std::istringstream in(good);
+    const ShardParse p = parse_shard_file(in);
+    ASSERT_TRUE(p.ok) << p.error;
+    EXPECT_FALSE(p.file.torn());
+    EXPECT_EQ(p.file.units.size(), 4u);
   }
 
-  Rng rng(4096);
-  for (int iter = 0; iter < 400; ++iter) {
+  Rng rng(8192);
+  for (int iter = 0; iter < 800; ++iter) {
     std::string s = good;
     switch (rng.next_below(4)) {
       case 0:  // truncate anywhere, mid-line included
@@ -342,99 +369,33 @@ TEST(FuzzCheckpoint, ResumeLoaderNeverCrashesOnMutatedCheckpoints) {
         break;
       }
     }
-    const CheckpointLoad l = decode_checkpoint(s);
-    if (!l.ok) {
-      EXPECT_FALSE(l.error.empty());
-      continue;
-    }
-    if (l.torn) EXPECT_GT(l.discarded_records, 0u);
-    // Whatever survived must still satisfy the header it came with.
-    for (const auto& [u, o] : l.state.done) {
-      EXPECT_LT(u, l.state.total_units);
-      EXPECT_EQ(u % l.state.shard.count, l.state.shard.index);
-      EXPECT_TRUE(o.trace_commitment.empty() ||
-                  o.trace_commitment.size() == 64u);
-    }
-  }
-}
-
-// Same treatment for the ssbft-shard-v1 reader and the cross-file merge:
-// one shard file is mutated, its intact sibling supplied alongside. The
-// parser may reject; if it accepts, the merge must either refuse with a
-// structured error or produce a result whose shape matches its header —
-// silent corruption is the one forbidden outcome.
-TEST(FuzzShard, ParserAndMergeNeverCrashOnMutatedReports) {
-  ShardHeader h;
-  h.pattern = "gallery/*";
-  h.shard = ShardSpec{0, 2};
-  h.fingerprint = std::string(64, 'c');
-  h.total_units = 8;
-  h.cli_seed = 7;
-  h.cli_trials = 3;
-  h.cells.push_back(ShardCellInfo{"cell-a", 3, 100});
-  h.cells.push_back(ShardCellInfo{"cell-b", 5, 200});
-  const auto shard_text = [&](std::uint64_t index) {
-    ShardHeader mine = h;
-    mine.shard.index = index;
-    std::string text = encode_shard_header(mine);
-    for (std::uint64_t u = index; u < h.total_units; u += 2) {
-      ShardUnitRow row;
-      row.unit = u;
-      row.cell = u < 3 ? 0u : 1u;
-      row.trial = u < 3 ? u : u - 3;
-      row.outcome.converged = true;
-      row.outcome.synced_at = 10 + u;
-      row.outcome.msgs_per_beat = 0.5 + static_cast<double>(u) * 0.3;
-      text += encode_shard_unit(row);
-    }
-    return text;
-  };
-  const std::string good = shard_text(0);
-  const std::string sibling = shard_text(1);
-  ShardFile sibling_file;
-  {
-    std::istringstream in(sibling);
-    ShardParse p = parse_shard_file(in);
-    ASSERT_TRUE(p.ok) << p.error;
-    sibling_file = std::move(p.file);
-  }
-
-  Rng rng(8192);
-  for (int iter = 0; iter < 400; ++iter) {
-    std::string s = good;
-    switch (rng.next_below(4)) {
-      case 0:
-        s.resize(rng.next_below(s.size() + 1));
-        break;
-      case 1:
-        if (!s.empty()) {
-          s[rng.next_below(s.size())] =
-              static_cast<char>(rng.next_below(256));
-        }
-        break;
-      case 2:
-        s.insert(rng.next_below(s.size() + 1), 1,
-                 static_cast<char>(rng.next_below(256)));
-        break;
-      default: {
-        s.clear();
-        const std::size_t len = rng.next_below(2000);
-        for (std::size_t i = 0; i < len; ++i) {
-          s.push_back(static_cast<char>(rng.next_below(256)));
-        }
-        break;
-      }
-    }
     std::istringstream in(s);
     ShardParse p = parse_shard_file(in);
     if (!p.ok) {
       EXPECT_FALSE(p.error.empty());
       continue;
     }
+
+    // Resume mode: whatever survived satisfies the preamble it came with.
+    const ShardFile& f = p.file;
+    for (const ShardUnitRow& row : f.units) {
+      EXPECT_LT(row.unit, f.header.total_units);
+      EXPECT_EQ(row.unit % f.header.shard.count, f.header.shard.index);
+      ASSERT_LT(row.cell, f.header.cells.size());
+      EXPECT_LT(row.trial, f.header.cells[row.cell].trials);
+      EXPECT_TRUE(row.outcome.trace_commitment.empty() ||
+                  row.outcome.trace_commitment.size() == 64u);
+    }
+
+    // Merge mode.
+    const bool torn = f.torn();
     std::vector<ShardFile> files;
     files.push_back(std::move(p.file));
     files.push_back(sibling_file);
     const ShardMerge m = merge_shard_files(std::move(files));
+    if (torn) {
+      EXPECT_FALSE(m.ok);
+    }
     if (!m.ok) {
       EXPECT_FALSE(m.error.empty());
       continue;

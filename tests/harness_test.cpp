@@ -208,7 +208,7 @@ TEST(Sweep, EmptyAndZeroTrialCells) {
 }
 
 // Distributed-sweep property: run every shard separately, ship each
-// through the ssbft-shard-v1 text round trip, merge — and every cell's
+// through the ssbft-shard-v2 text round trip, merge — and every cell's
 // TrialStats must equal the unsharded serial run bit for bit (doubles
 // compared with EXPECT_EQ, not near).
 TEST(Sweep, ShardAndMergeBitIdenticalToUnsharded) {
@@ -226,7 +226,7 @@ TEST(Sweep, ShardAndMergeBitIdenticalToUnsharded) {
       so.shard = ShardSpec{i, k};
       const SweepResult res = run_sweep_ex(cells, so);
       std::string text =
-          encode_shard_header(shard_header_for(cells, so.shard, "grid"));
+          encode_shard_header(shard_header_for(cells, so, "grid"));
       for (const SweepUnitResult& u : res.units) {
         text += encode_shard_unit(ShardUnitRow{u.unit, u.cell, u.trial,
                                                u.outcome});
@@ -256,7 +256,7 @@ TEST(Sweep, MergeRefusesOverlapAndIncompleteness) {
     so.shard = ShardSpec{i, k};
     const SweepResult res = run_sweep_ex(cells, so);
     std::string text =
-        encode_shard_header(shard_header_for(cells, so.shard, "grid"));
+        encode_shard_header(shard_header_for(cells, so, "grid"));
     for (const SweepUnitResult& u : res.units) {
       text +=
           encode_shard_unit(ShardUnitRow{u.unit, u.cell, u.trial, u.outcome});
@@ -291,7 +291,7 @@ TEST(Sweep, MergeRefusesOverlapAndIncompleteness) {
     so.shard = ShardSpec{1, 2};
     const SweepResult res = run_sweep_ex(other_cells, so);
     std::string text = encode_shard_header(
-        shard_header_for(other_cells, so.shard, "grid"));
+        shard_header_for(other_cells, so, "grid"));
     for (const SweepUnitResult& u : res.units) {
       text +=
           encode_shard_unit(ShardUnitRow{u.unit, u.cell, u.trial, u.outcome});
