@@ -11,6 +11,7 @@
 #include "core/clock_sync.h"
 #include "field/reed_solomon.h"
 #include "sim/engine.h"
+#include "support/bytes.h"
 
 namespace ssbft {
 namespace {
@@ -108,8 +109,8 @@ void BM_FieldKernelsWide_MulVec(benchmark::State& state) {
 BENCHMARK(BM_FieldKernelsWide_MulVec)->ArgName("n")->Arg(32)->Arg(128);
 
 void BM_FieldKernelsWide_MatMul(benchmark::State& state) {
-  // The GVSS round shape: an n x (f+1) power table times an (f+1) x n block
-  // of rows, f = (n-1)/3 — one deal-receive evaluation pass per node.
+  // A square-ish wide product: n x (f+1) times (f+1) x n, f = (n-1)/3 (the
+  // GVSS recovery checks run 1-row slices of this shape).
   PrimeField F;
   Rng rng(32);
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -128,6 +129,27 @@ void BM_FieldKernelsWide_MatMul(benchmark::State& state) {
 BENCHMARK(BM_FieldKernelsWide_MatMul)->ArgName("n")->Arg(32)->Arg(64)
     ->Arg(128);
 
+void BM_FieldKernelsWide_NodePoints(benchmark::State& state) {
+  // The deal-receive evaluation pass: n received rows of f+1 coefficients,
+  // f = (n-1)/3, stored coefficient-major, evaluated at every node point
+  // 1..n. Items are Horner steps.
+  PrimeField F;
+  Rng rng(34);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t w = (n - 1) / 3 + 1;
+  std::vector<std::uint64_t> coef(w * n), out(n * n);
+  for (auto& x : coef) x = F.uniform(rng);
+  for (auto _ : state) {
+    F.eval_points(coef.data(), w, n, n, out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * w * n));
+}
+BENCHMARK(BM_FieldKernelsWide_NodePoints)->ArgName("n")->Arg(32)->Arg(64)
+    ->Arg(128);
+
 void BM_FieldKernelsWide_BatchInv(benchmark::State& state) {
   PrimeField F;
   Rng rng(33);
@@ -143,6 +165,57 @@ void BM_FieldKernelsWide_BatchInv(benchmark::State& state) {
                           static_cast<std::int64_t>(len));
 }
 BENCHMARK(BM_FieldKernelsWide_BatchInv)->ArgName("n")->Arg(32)->Arg(128);
+
+// --- Masked wire codec ------------------------------------------------------
+//
+// ByteWriter::masked_u64_vec and ByteReader::masked_u64_vec_into at the FM
+// coin's shapes on fm-n64 (n = 64, f = 21, the last f ids faulty): a cross
+// or share vector of len 64 with the 43 correct ids present, and a deal row
+// of len 22, all present. Items are vector entries.
+
+std::vector<std::uint64_t> codec_vector(std::size_t len, std::size_t present) {
+  PrimeField F;
+  Rng rng(41);
+  std::vector<std::uint64_t> v(len, F.modulus());  // the coin's sentinel
+  for (std::size_t i = 0; i < present; ++i) v[i] = F.uniform(rng);
+  return v;
+}
+
+void BM_Codec_MaskedEncode(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto v = codec_vector(len, static_cast<std::size_t>(state.range(1)));
+  const PrimeField F;
+  ByteWriter w;
+  for (auto _ : state) {
+    w.clear();
+    w.masked_u64_vec(v.data(), len, F.modulus(), F.value_bits());
+    benchmark::DoNotOptimize(w.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_Codec_MaskedEncode)->ArgNames({"len", "present"})
+    ->Args({64, 43})->Args({22, 22});
+
+void BM_Codec_MaskedDecode(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto v = codec_vector(len, static_cast<std::size_t>(state.range(1)));
+  const PrimeField F;
+  ByteWriter w;
+  w.masked_u64_vec(v.data(), len, F.modulus(), F.value_bits());
+  std::vector<std::uint64_t> out(len);
+  for (auto _ : state) {
+    ByteReader r(w.data());
+    benchmark::DoNotOptimize(r.masked_u64_vec_into(
+        out.data(), len, F.modulus(), F.value_bits()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_Codec_MaskedDecode)->ArgNames({"len", "present"})
+    ->Args({64, 43})->Args({22, 22});
 
 void BM_FieldKernels_ScalarInv(benchmark::State& state) {
   // Extended-Euclid scalar inverse (the batch path amortizes this away;

@@ -92,13 +92,13 @@ void FmCoinInstance::receive_round(int round, const Inbox& in,
 }
 
 // Round 1 — share phase: as dealer, send node j its row F(x_j, y), all n
-// rows computed as V * C. A correct dealer's row is all-present; the
+// rows in one eval_points call. A correct dealer's row is all-present; the
 // masked codec still pays off via the packed value width and the dropped
 // length prefix.
 void FmCoinInstance::send_deal(Outbox& out, ChannelId ch) {
   const std::size_t width = std::size_t{env_.f} + 1;
   std::uint64_t* rows = scratch_->rows.data();
-  dealing_.rows_into(field_, scratch_->tables->powers.data(), env_.n, rows);
+  dealing_.rows_into(field_, env_.n, rows);
   for (NodeId j = 0; j < env_.n; ++j) {
     ByteWriter& w = out.writer();
     w.masked_u64_vec(rows + j * width, width, sentinel(field_), value_bits_);
@@ -144,19 +144,20 @@ void FmCoinInstance::evaluate_rows(std::size_t m) {
       rows_t[i * m + k] = rows[k * width + i];
     }
   }
+  // Row j's m values land at the front of matrix_ row j, then spread to
+  // the valid dealers' columns, back to front: value k moves to column
+  // d >= k, so none is overwritten before it has moved. Dealers before the
+  // first invalid one keep their column (in the steady state, the correct
+  // low ids), so the spread starts there.
   std::uint64_t* evals = matrix_.data();
-  if (m > 0) {
-    field_.matmul(scratch_->tables->powers.data(), rows_t, evals, n, width,
-                  m);
-  }
-  if (m == n) return;
-  // The product is n x m; spread it in place to n x n, back to front. Entry
-  // (j, k) moves to (j, d) with k <= d and m <= n, so no entry is
-  // overwritten before it has moved.
-  for (std::size_t j = n; j-- > 0;) {
+  field_.eval_points(rows_t, width, m, n, evals, n);
+  std::size_t settled = 0;
+  while (settled < n && row_valid_[settled]) ++settled;
+  for (std::size_t j = 0; j < n; ++j) {
+    std::uint64_t* row = evals + j * n;
     std::size_t k = m;
-    for (std::size_t d = n; d-- > 0;) {
-      evals[j * n + d] = row_valid_[d] ? evals[j * m + --k] : sentinel(field_);
+    for (std::size_t d = n; d-- > settled;) {
+      row[d] = row_valid_[d] ? row[--k] : sentinel(field_);
     }
   }
 }

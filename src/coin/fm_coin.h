@@ -45,20 +45,24 @@
 //
 // Hot-path layout
 // ---------------
-// The field work of the four rounds is a handful of matrix products
-// (PrimeField::matmul): one kernel call per dealing or evaluation pass,
-// and one 1-row call per checked sender in recovery. V is the node-point
-// power table (n x (f+1), V[k][i] = node_point(k)^i); it and the recover
-// table are built once per (modulus, n, f) and shared by every pipeline of
+// The field work of the four rounds is a few batched kernel calls. Rows
+// of a dealing and their values at the node points come from
+// PrimeField::eval_points: Horner at x = 1..n, where a step multiplies by
+// a point below 2^20 without a full reduction (no power table; on the
+// vector path, two 32-bit products and one partial fold). Recovery uses
+// PrimeField::matmul, one 1-row call per checked sender, over the recover
+// table built once per (modulus, n, f) and shared by every pipeline of
 // that shape (GvssTables::shared, fetched in FmCoinScratch::ensure).
 //
-//   deal send     all n rows of my dealing at once: V * C.
+//   deal send     all n rows of my dealing in one eval_points call over my
+//                 (symmetric) coefficient matrix.
 //   deal receive  decode only the present rows; the m valid ones,
-//                 transposed, give V * R^T, the point-major table
-//                 evals[j][d] of every valid row at every node point
-//                 (the instance's n x n matrix). Invalid dealers' columns
-//                 hold the sentinel, silent dealers are never evaluated,
-//                 and zeros[d] keeps each row's constant term for round 4.
+//                 transposed to coefficient-major, are evaluated at every
+//                 node point in one eval_points call into the point-major
+//                 table evals[j][d] (the instance's n x n matrix). Invalid
+//                 dealers' columns hold the sentinel, silent dealers are
+//                 never evaluated, and zeros[d] keeps each row's constant
+//                 term for round 4.
 //   cross send    encodes evals[j] as is; cross receive compares the
 //                 decoded vector against it element by element.
 //   share send    encodes zeros.
@@ -71,13 +75,16 @@
 //                 its shares; other dealers, and any that fail a check,
 //                 take the per-dealer gvss_recover.
 //
+// Every deal, cross and share payload goes through the masked codec, whose
+// 61-bit path works a mask byte at a time (support/bytes.h).
+//
 // Vote masks are bit-packed words (support/bitwords.h). Every
 // round-transient buffer lives in an FmCoinScratch shared by the staggered
 // instances of one pipeline: each round's scratch is dead when its
 // send_round/receive_round returns. Scratch is sized from (n, f) alone.
 // Together with the pipeline's reinit-recycling, a warm FM-coin beat
 // performs zero heap allocations (tests/alloc_test.cpp pins this for the
-// full clock stack). Every product computes the same field elements as
+// full clock stack). Every kernel computes the same field elements as
 // the per-dealer rules, so wire bytes and coin bits do not depend on the
 // layout (GOLDEN_FM_TRACE_COMMITMENT.txt pins them).
 #pragma once
@@ -115,7 +122,7 @@ struct FmCoinScratch {
   std::uint32_t n = 0;
   std::uint32_t f = 0;
 
-  std::shared_ptr<const GvssTables> tables;  // V and the recover table
+  std::shared_ptr<const GvssTables> tables;  // the recover table
   // n x (f+1): my dealt rows (round 1 send), the received valid rows
   // (round 1 receive).
   std::vector<std::uint64_t> rows;

@@ -77,16 +77,7 @@ void GvssRecoverTable::init(const PrimeField& F, std::uint32_t n,
 }
 
 GvssTables::GvssTables(const PrimeField& F, std::uint32_t n, std::uint32_t f)
-    : powers(std::size_t{n} * (f + 1)), recover(F, n, f) {
-  const std::size_t w = std::size_t{f} + 1;
-  for (NodeId k = 0; k < n; ++k) {
-    std::uint64_t xp = 1;
-    for (std::size_t i = 0; i < w; ++i) {
-      powers[k * w + i] = xp;
-      xp = F.mul(xp, node_point(k));
-    }
-  }
-}
+    : recover(F, n, f) {}
 
 std::shared_ptr<const GvssTables> GvssTables::shared(const PrimeField& F,
                                                      std::uint32_t n,
@@ -285,9 +276,10 @@ std::vector<std::uint64_t> GvssDealing::row_for(const PrimeField& F,
   return coeffs;
 }
 
-void GvssDealing::rows_into(const PrimeField& F, const std::uint64_t* powers,
-                            std::uint32_t n, std::uint64_t* out) const {
-  poly_.rows_into(F, powers, n, out);
+void GvssDealing::rows_into(const PrimeField& F, std::uint32_t n,
+                            std::uint64_t* out) const {
+  // node_point(j) = j + 1: the node points are eval_points' x = 1..n.
+  poly_.rows_into(F, n, out);
 }
 
 }  // namespace ssbft

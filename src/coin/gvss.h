@@ -103,10 +103,9 @@ class GvssRecoverTable {
   std::vector<std::uint64_t> target_rows_;  // (n - f - 1) rows x (f+1)
 };
 
-// The read-only tables of one (field, n, f) shape: the node-point power
-// table V (n x (f+1), V[k][i] = node_point(k)^i), which turns row
-// polynomials into rows of a dealing (V * C) and into evaluations at every
-// node point (V * R^T) in one matmul each, plus the recover table.
+// The read-only tables of one (field, n, f) shape: today the recover
+// table. Rows of a dealing and evaluations at the node points need no
+// table: PrimeField::eval_points runs Horner at x = 1..n directly.
 struct GvssTables {
   GvssTables(const PrimeField& F, std::uint32_t n, std::uint32_t f);
 
@@ -117,7 +116,6 @@ struct GvssTables {
                                                   std::uint32_t n,
                                                   std::uint32_t f);
 
-  std::vector<std::uint64_t> powers;
   GvssRecoverTable recover;
 };
 
@@ -189,10 +187,10 @@ class GvssDealing {
   // Row polynomial for node `to` (degree <= f, f+1 coefficients).
   std::vector<std::uint64_t> row_for(const PrimeField& F, NodeId to) const;
 
-  // Every node's row at once: out (n x (f+1)) = V * C for the power table
-  // V of GvssTables.
-  void rows_into(const PrimeField& F, const std::uint64_t* powers,
-                 std::uint32_t n, std::uint64_t* out) const;
+  // Every node's row at once: row j of out (n x (f+1)) is row_for(F, j),
+  // one PrimeField::eval_points call at the node points 1..n.
+  void rows_into(const PrimeField& F, std::uint32_t n,
+                 std::uint64_t* out) const;
 
   std::uint64_t secret() const { return poly_.secret(); }
   const SymmetricBivariate& bivariate() const { return poly_; }

@@ -41,24 +41,19 @@ Poly SymmetricBivariate::row(const PrimeField& F, std::uint64_t x0) const {
 void SymmetricBivariate::row_into(const PrimeField& F, std::uint64_t x0,
                                   std::uint64_t* out) const {
   SSBFT_REQUIRE_MSG(deg_ >= 0, "row of an empty bivariate");
-  std::vector<std::uint64_t> powers(static_cast<std::size_t>(deg_) + 1);
-  std::uint64_t xp = 1;
-  for (auto& p : powers) {
-    p = xp;
-    xp = F.mul(xp, x0);
+  // f_x0(y) = sum_j (sum_i x0^i c_ij) y^j, the inner sum by Horner.
+  for (int j = 0; j <= deg_; ++j) {
+    std::uint64_t acc = at(deg_, j);
+    for (int i = deg_; i-- > 0;) acc = F.add(F.mul(acc, x0), at(i, j));
+    out[j] = acc;
   }
-  rows_into(F, powers.data(), 1, out);
 }
 
-void SymmetricBivariate::rows_into(const PrimeField& F,
-                                   const std::uint64_t* powers,
-                                   std::size_t count,
+void SymmetricBivariate::rows_into(const PrimeField& F, std::size_t count,
                                    std::uint64_t* out) const {
   SSBFT_REQUIRE_MSG(deg_ >= 0, "rows of an empty bivariate");
-  // f_x(y) = sum_j (sum_i x^i c_ij) y^j: row k of the product is point k's
-  // coefficient vector.
   const std::size_t w = static_cast<std::size_t>(deg_) + 1;
-  F.matmul(powers, c_.data(), out, count, w, w);
+  F.eval_points(c_.data(), w, w, count, out, w);
 }
 
 }  // namespace ssbft

@@ -42,15 +42,16 @@ class SymmetricBivariate {
   Poly row(const PrimeField& F, std::uint64_t x0) const;
 
   // Writes the row's deg+1 coefficients (little-endian in y) into caller
-  // storage: a one-row rows_into over the power vector of x0.
+  // storage, for any canonical x0 (Horner per coefficient, no allocation).
   void row_into(const PrimeField& F, std::uint64_t x0,
                 std::uint64_t* out) const;
 
-  // The rows of `count` points at once: out (count x (deg+1)) = powers * C,
-  // where row k of `powers` holds x_k^0 .. x_k^deg. One matmul, no
-  // allocation.
-  void rows_into(const PrimeField& F, const std::uint64_t* powers,
-                 std::size_t count, std::uint64_t* out) const;
+  // The rows of the points x = 1..count at once: row k of out
+  // (count x (deg+1)) is F(k+1, y). By symmetry, column j of the
+  // coefficient matrix is the polynomial sum_i c_ij x^i, so this is one
+  // PrimeField::eval_points call; no allocation.
+  void rows_into(const PrimeField& F, std::size_t count,
+                 std::uint64_t* out) const;
 
   // The shared secret F(0,0).
   std::uint64_t secret() const { return at(0, 0); }

@@ -154,6 +154,34 @@ void PrimeField::matmul(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
+void PrimeField::eval_points(const std::uint64_t* coef, std::size_t w,
+                             std::size_t cols, std::size_t count,
+                             std::uint64_t* out,
+                             std::size_t out_stride) const {
+  SSBFT_REQUIRE_MSG(w >= 1, "eval_points: polynomials need a coefficient");
+  SSBFT_REQUIRE_MSG(out_stride >= cols, "eval_points: out rows overlap");
+  SSBFT_REQUIRE_MSG(count < kMaxEvalPoints,
+                    "eval_points: " << count << " points, limit 2^20 - 1");
+  if (simd_) {
+    m61simd::eval_points(coef, w, cols, count, out, out_stride);
+  } else if (mersenne61_) {
+    m61simd::eval_points_scalar(coef, w, cols, count, out, out_stride);
+  } else {
+    // The generic-prime reference: one reduction per Horner step.
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint64_t x = (k + 1) % p_;
+      std::uint64_t* o = out + k * out_stride;
+      for (std::size_t c = 0; c < cols; ++c) o[c] = coef[(w - 1) * cols + c];
+      for (std::size_t i = w - 1; i-- > 0;) {
+        const std::uint64_t* crow = coef + i * cols;
+        for (std::size_t c = 0; c < cols; ++c) {
+          o[c] = add_mod(mul_mod(o[c], x, p_), crow[c], p_);
+        }
+      }
+    }
+  }
+}
+
 void PrimeField::batch_inv(std::uint64_t* vals, std::size_t len,
                            std::uint64_t* scratch) const {
   if (len == 0) return;

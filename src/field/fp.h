@@ -136,13 +136,28 @@ class PrimeField {
                     std::size_t len) const;
 
   // out = a * b over row-major matrices: a is rows x inner, b is
-  // inner x cols, out is rows x cols. out must not alias a or b. The GVSS
-  // rounds are built on it: rows of a dealing are V * C, their evaluations
-  // at every node point V * R^T, and recovery checks Lagrange rows times a
-  // block of prefix shares (V = node-point powers, see coin/gvss.h).
+  // inner x cols, out is rows x cols. out must not alias a or b. GVSS
+  // recovery runs on it: Lagrange rows times a block of prefix shares
+  // (coin/gvss.h).
   void matmul(const std::uint64_t* a, const std::uint64_t* b,
               std::uint64_t* out, std::size_t rows, std::size_t inner,
               std::size_t cols) const;
+
+  // Evaluates `cols` polynomials of `w` >= 1 coefficients at the small
+  // points x = 1..count by Horner's rule. coef is w x cols and
+  // coefficient-major (row i holds every polynomial's x^i coefficient).
+  // out has count rows, `out_stride` >= cols apart, with
+  // out[k][c] = sum_i coef[i][c] * (k+1)^i; entries past cols in a row
+  // are left untouched, and out must not alias coef. Since count < 2^20
+  // (checked), the Mersenne path skips the full reduction between Horner
+  // steps; a vector step is two 32-bit products and one partial fold
+  // (field/fp_simd.h). The GVSS rounds at the node points are built on
+  // it: the rows of a dealing (coin/gvss.h) and every received row's
+  // value at every node point.
+  static constexpr std::size_t kMaxEvalPoints = std::size_t{1} << 20;
+  void eval_points(const std::uint64_t* coef, std::size_t w, std::size_t cols,
+                   std::size_t count, std::uint64_t* out,
+                   std::size_t out_stride) const;
 
   // Montgomery batch inversion: replaces vals[i] with vals[i]^-1 using a
   // single inv() and 3(len-1) multiplications. All vals must be nonzero.

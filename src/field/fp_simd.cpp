@@ -85,6 +85,20 @@ void chunk_unwind_scalar(std::uint64_t* vals, const std::uint64_t* scratch,
   }
 }
 
+// Horner at the small points x < 2^20 (PrimeField::kMaxEvalPoints): the
+// accumulator stays below 2^63 without a full reduction, and each output
+// is canonicalized once at the end. The scalar step
+// is one 64x64 -> 128-bit product, a*x + c < 2^82 + 2^61, folded once to
+// below 2^62. The vector step has only a 32-bit multiplier: with
+// a = ah*2^32 + al (al < 2^32, ah < 2^31) and 2^61 = 1 (mod p),
+//   a*x = al*x + (ah*x)*2^32
+//       = al*x + ((ah*x) mod 2^29)*2^32 + ((ah*x) >> 29)     (mod p)
+// where al*x < 2^52 and ah*x < 2^51, so a*x + c stays below
+// 2^52 + 2^61 + 2^22 + 2^61 < 2^63 without any fold.
+constexpr unsigned kHornerFoldBits = 29;
+constexpr std::uint64_t kHornerFoldMask =
+    (std::uint64_t{1} << kHornerFoldBits) - 1;
+
 #if SSBFT_HAVE_AVX2_KERNELS
 
 // ---- AVX2 backend -------------------------------------------------------
@@ -209,6 +223,26 @@ __attribute__((target("avx2"))) std::uint64_t dot_avx2(const std::uint64_t* a,
   return r;
 }
 
+// Vector k of a strip of NV starting at row: masked (zeros in masked-off
+// lanes) for the last vector of a tail strip.
+template <int NV, bool kMasked>
+__attribute__((target("avx2"))) inline __m256i load_strip(
+    const std::uint64_t* row, int k, __m256i mask) {
+  const auto* src = reinterpret_cast<const long long*>(row + 4 * k);
+  return (kMasked && k == NV - 1)
+             ? _mm256_maskload_epi64(src, mask)
+             : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+}
+
+// Lane mask of a tail strip's last vector for `rest` = cols % 16 tail
+// columns: 1..4 lanes (a whole vector when rest % 4 is 0, which the masked
+// strips handle like any other count).
+__attribute__((target("avx2"))) inline __m256i tail_mask(std::size_t rest) {
+  const long long last_lanes = static_cast<long long>((rest + 3) % 4 + 1);
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(last_lanes),
+                            _mm256_set_epi64x(3, 2, 1, 0));
+}
+
 // The strip kernel multiplies in a split that needs no per-product
 // reduction. With a = a1*2^31 + a0 (a0 < 2^31, a1 < 2^30) and
 // b = b1*2^30 + b0 (b0 < 2^30, b1 < 2^31), and 2^61 = 1 (mod p):
@@ -245,11 +279,7 @@ __attribute__((target("avx2"))) inline void matmul_strip(
       const __m256i a1x2 = _mm256_add_epi64(a1, a1);
       const std::uint64_t* brow = b + i * cols;
       for (int k = 0; k < NV; ++k) {
-        const auto* src = reinterpret_cast<const long long*>(brow + 4 * k);
-        const __m256i bv =
-            (kMasked && k == NV - 1)
-                ? _mm256_maskload_epi64(src, mask)
-                : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+        const __m256i bv = load_strip<NV, kMasked>(brow, k, mask);
         const __m256i b0 = _mm256_and_si256(bv, m30);
         const __m256i b1 = _mm256_srli_epi64(bv, 30);
         lo[k] = _mm256_add_epi64(
@@ -294,11 +324,7 @@ __attribute__((target("avx2"))) void matmul_avx2(const std::uint64_t* a,
                                                  std::size_t cols) {
   const std::size_t full = cols / 16 * 16;
   const std::size_t rest = cols - full;  // < 16 tail columns
-  // Lanes of the tail's last vector: 1..4 (a whole vector when rest % 4
-  // is 0, which the masked strip handles like any other count).
-  const long long last_lanes = static_cast<long long>((rest + 3) % 4 + 1);
-  const __m256i mask = _mm256_cmpgt_epi64(_mm256_set1_epi64x(last_lanes),
-                                          _mm256_set_epi64x(3, 2, 1, 0));
+  const __m256i mask = tail_mask(rest);
   for (std::size_t r = 0; r < rows; ++r) {
     const std::uint64_t* arow = a + r * inner;
     std::uint64_t* orow = out + r * cols;
@@ -315,6 +341,92 @@ __attribute__((target("avx2"))) void matmul_avx2(const std::uint64_t* a,
       default: break;
     }
   }
+}
+
+// One strip of NV 4-lane output vectors for each of NP consecutive points
+// (x in xv[0..NP)), starting at column 0 of coef and out (out rows are
+// `stride` apart); masked like matmul_strip. The Horner step is the 32-bit
+// split above: _mm256_mul_epu32 reads the low 32 bits of each lane, so al
+// needs no mask. The points share every coefficient load, and their
+// NP * NV Horner chains are independent, which keeps the multipliers busy
+// where one point's chains would wait on each other.
+template <int NP, int NV, bool kMasked>
+__attribute__((target("avx2"))) inline void eval_strip(
+    const std::uint64_t* coef, std::size_t w, std::size_t cols,
+    const __m256i* xv, std::uint64_t* out, std::size_t stride, __m256i mask) {
+  const __m256i M = _mm256_set1_epi64x(static_cast<long long>(kM61));
+  const __m256i fold =
+      _mm256_set1_epi64x(static_cast<long long>(kHornerFoldMask));
+  __m256i acc[NP][NV];
+  for (int k = 0; k < NV; ++k) {
+    const __m256i c = load_strip<NV, kMasked>(coef + (w - 1) * cols, k, mask);
+    for (int p = 0; p < NP; ++p) acc[p][k] = c;
+  }
+  for (std::size_t i = w - 1; i-- > 0;) {
+    const std::uint64_t* crow = coef + i * cols;
+    for (int k = 0; k < NV; ++k) {
+      const __m256i c = load_strip<NV, kMasked>(crow, k, mask);
+      for (int p = 0; p < NP; ++p) {
+        const __m256i hx =
+            _mm256_mul_epu32(_mm256_srli_epi64(acc[p][k], 32), xv[p]);
+        acc[p][k] = _mm256_add_epi64(
+            _mm256_add_epi64(_mm256_mul_epu32(acc[p][k], xv[p]),
+                             _mm256_slli_epi64(_mm256_and_si256(hx, fold), 32)),
+            _mm256_add_epi64(_mm256_srli_epi64(hx, kHornerFoldBits), c));
+      }
+    }
+  }
+  const __m256i top = _mm256_set1_epi64x(static_cast<long long>(kM61 - 1));
+  for (int p = 0; p < NP; ++p) {
+    for (int k = 0; k < NV; ++k) {
+      const __m256i s = _mm256_add_epi64(_mm256_and_si256(acc[p][k], M),
+                                         _mm256_srli_epi64(acc[p][k], 61));
+      const __m256i v = _mm256_sub_epi64(
+          s, _mm256_and_si256(_mm256_cmpgt_epi64(s, top), M));
+      auto* dst = reinterpret_cast<long long*>(out + p * stride + 4 * k);
+      if (kMasked && k == NV - 1) {
+        _mm256_maskstore_epi64(dst, mask, v);
+      } else {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
+      }
+    }
+  }
+}
+
+// Rows k0 .. k0+NP-1 of eval_points (points k0+1 .. k0+NP).
+template <int NP>
+__attribute__((target("avx2"))) inline void eval_row_group(
+    const std::uint64_t* coef, std::size_t w, std::size_t cols,
+    std::size_t k0, std::uint64_t* out, std::size_t stride, __m256i mask) {
+  __m256i xv[NP];
+  for (int p = 0; p < NP; ++p) {
+    xv[p] = _mm256_set1_epi64x(static_cast<long long>(k0 + 1 + p));
+  }
+  std::uint64_t* orow = out + k0 * stride;
+  const std::size_t full = cols / 16 * 16;
+  for (std::size_t c = 0; c < full; c += 16) {
+    eval_strip<NP, 4, false>(coef + c, w, cols, xv, orow + c, stride, mask);
+  }
+  const std::uint64_t* ct = coef + full;
+  std::uint64_t* ot = orow + full;
+  switch ((cols - full + 3) / 4) {
+    case 4: eval_strip<NP, 4, true>(ct, w, cols, xv, ot, stride, mask); break;
+    case 3: eval_strip<NP, 3, true>(ct, w, cols, xv, ot, stride, mask); break;
+    case 2: eval_strip<NP, 2, true>(ct, w, cols, xv, ot, stride, mask); break;
+    case 1: eval_strip<NP, 1, true>(ct, w, cols, xv, ot, stride, mask); break;
+    default: break;
+  }
+}
+
+__attribute__((target("avx2"))) void eval_points_avx2(
+    const std::uint64_t* coef, std::size_t w, std::size_t cols,
+    std::size_t count, std::uint64_t* out, std::size_t stride) {
+  const __m256i mask = tail_mask(cols % 16);
+  std::size_t k = 0;
+  for (; k + 2 <= count; k += 2) {
+    eval_row_group<2>(coef, w, cols, k, out, stride, mask);
+  }
+  if (k < count) eval_row_group<1>(coef, w, cols, k, out, stride, mask);
 }
 
 __attribute__((target("avx2"))) inline __m256i gather4(
@@ -455,6 +567,47 @@ void matmul_scalar(const std::uint64_t* a, const std::uint64_t* b,
       std::uint64_t* orow = out + r * cols + c0;
       for (std::size_t c = 0; c < w; ++c) {
         orow[c] = static_cast<std::uint64_t>(acc[c]);
+      }
+    }
+  }
+}
+
+void eval_points(const std::uint64_t* coef, std::size_t w, std::size_t cols,
+                 std::size_t count, std::uint64_t* out,
+                 std::size_t out_stride) {
+#if SSBFT_HAVE_AVX2_KERNELS
+  if (available()) {
+    eval_points_avx2(coef, w, cols, count, out, out_stride);
+    return;
+  }
+#endif
+  eval_points_scalar(coef, w, cols, count, out, out_stride);
+}
+
+void eval_points_scalar(const std::uint64_t* coef, std::size_t w,
+                        std::size_t cols, std::size_t count,
+                        std::uint64_t* out, std::size_t out_stride) {
+  // Eight points per pass share each coefficient load and run eight
+  // independent Horner chains. A short last group also evaluates spare
+  // points past count (still below 2^20 + 8, within the step's bounds)
+  // and drops them.
+  constexpr std::size_t kPoints = 8;
+  for (std::size_t k0 = 0; k0 < count; k0 += kPoints) {
+    const std::size_t np = count - k0 < kPoints ? count - k0 : kPoints;
+    for (std::size_t c = 0; c < cols; ++c) {
+      std::uint64_t acc[kPoints];
+      for (auto& a : acc) a = coef[(w - 1) * cols + c];
+      for (std::size_t i = w - 1; i-- > 0;) {
+        const std::uint64_t cv = coef[i * cols + c];
+        for (std::size_t p = 0; p < kPoints; ++p) {
+          const unsigned __int128 t =
+              static_cast<unsigned __int128>(acc[p]) * (k0 + 1 + p) + cv;
+          acc[p] = (static_cast<std::uint64_t>(t) & kM61) +
+                   static_cast<std::uint64_t>(t >> 61);
+        }
+      }
+      for (std::size_t p = 0; p < np; ++p) {
+        out[(k0 + p) * out_stride + c] = PrimeField::fold61(acc[p]);
       }
     }
   }

@@ -66,6 +66,23 @@ void matmul_scalar(const std::uint64_t* a, const std::uint64_t* b,
                    std::uint64_t* out, std::size_t rows, std::size_t inner,
                    std::size_t cols);
 
+// Evaluates `cols` polynomials of w >= 1 coefficients (coef: w x cols,
+// coefficient-major) at x = 1..count, count < 2^20, into out (count rows,
+// out_stride >= cols apart); out must not alias coef. Horner's rule with
+// an unreduced accumulator: on the vector path each step multiplies by
+// the small point x with two 32-bit products and one partial fold, and
+// each output is canonicalized once. It evaluates strips of 16 columns at
+// two points at a time, with a masked last vector on the column tail.
+void eval_points(const std::uint64_t* coef, std::size_t w, std::size_t cols,
+                 std::size_t count, std::uint64_t* out, std::size_t out_stride);
+
+// The portable path of eval_points (and its fallback without a vector
+// unit): one 64x64 -> 128-bit product and one fold per step, eight points
+// per pass. PrimeField runs it for SimdMode::kOff on the Mersenne prime.
+void eval_points_scalar(const std::uint64_t* coef, std::size_t w,
+                        std::size_t cols, std::size_t count,
+                        std::uint64_t* out, std::size_t out_stride);
+
 // Lane passes of Montgomery batch inversion over four contiguous chunks of
 // length K (chunk c = [c*K, (c+1)*K)):
 //   chunk_prefix: scratch[c*K+i] = prod_{j<=i} vals[c*K+j]

@@ -81,6 +81,37 @@ __attribute__((target("avx2"))) void unpack_block_avx2(const std::uint8_t* in,
   v[7] = (w53 >> 3) & kMask61;
 }
 
+__attribute__((target("avx2"))) std::size_t presence_mask_avx2(
+    const std::uint64_t* v, std::size_t len, std::uint64_t absent,
+    std::uint8_t* mask, std::uint64_t* seen) {
+  const __m256i va = _mm256_set1_epi64x(static_cast<long long>(absent));
+  __m256i acc = _mm256_setzero_si256();
+  std::size_t present = 0;
+  const std::size_t full = len / 8;
+  for (std::size_t b = 0; b < full; ++b) {
+    const __m256i lo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + 8 * b));
+    const __m256i hi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + 8 * b + 4));
+    const __m256i eq_lo = _mm256_cmpeq_epi64(lo, va);
+    const __m256i eq_hi = _mm256_cmpeq_epi64(hi, va);
+    acc = _mm256_or_si256(acc, _mm256_or_si256(_mm256_andnot_si256(eq_lo, lo),
+                                               _mm256_andnot_si256(eq_hi, hi)));
+    const unsigned m =
+        ~static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_castsi256_pd(eq_lo)) |
+            (_mm256_movemask_pd(_mm256_castsi256_pd(eq_hi)) << 4)) &
+        0xFFu;
+    mask[b] = static_cast<std::uint8_t>(m);
+    present += static_cast<std::size_t>(_mm_popcnt_u32(m));
+  }
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  *seen |= lanes[0] | lanes[1] | lanes[2] | lanes[3];
+  return present + presence_mask_portable(v + 8 * full, len - 8 * full,
+                                          absent, mask + full, seen);
+}
+
 bool avx2_ok() {
   static const bool ok = __builtin_cpu_supports("avx2") != 0;
   return ok;
@@ -125,6 +156,27 @@ void unpack_block_portable(const std::uint8_t* in, std::uint64_t* v) {
   v[7] = (w53 >> 3) & kMask61;
 }
 
+std::size_t presence_mask_portable(const std::uint64_t* v, std::size_t len,
+                                   std::uint64_t absent, std::uint8_t* mask,
+                                   std::uint64_t* seen) {
+  std::size_t present = 0;
+  std::uint64_t or_present = 0;
+  for (std::size_t b = 0; b * 8 < len; ++b) {
+    const std::size_t count = len - 8 * b < 8 ? len - 8 * b : 8;
+    unsigned m = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint64_t x = v[8 * b + k];
+      const unsigned bit = x != absent;
+      m |= bit << k;
+      present += bit;
+      or_present |= x & (std::uint64_t{0} - bit);
+    }
+    mask[b] = static_cast<std::uint8_t>(m);
+  }
+  *seen |= or_present;
+  return present;
+}
+
 bool simd_available() {
 #if SSBFT_BITPACK_HAVE_AVX2
   return avx2_ok();
@@ -141,6 +193,15 @@ void pack_block(const std::uint64_t* v, std::uint8_t* out) {
   }
 #endif
   pack_block_portable(v, out);
+}
+
+std::size_t presence_mask(const std::uint64_t* v, std::size_t len,
+                          std::uint64_t absent, std::uint8_t* mask,
+                          std::uint64_t* seen) {
+#if SSBFT_BITPACK_HAVE_AVX2
+  if (avx2_ok()) return presence_mask_avx2(v, len, absent, mask, seen);
+#endif
+  return presence_mask_portable(v, len, absent, mask, seen);
 }
 
 void unpack_block(const std::uint8_t* in, std::uint64_t* v) {

@@ -35,10 +35,21 @@ void pack_block(const std::uint64_t* v, std::uint8_t* out);
 // Unpacks 61 bytes at in into v[0..8), masking each value to 61 bits.
 void unpack_block(const std::uint8_t* in, std::uint64_t* v);
 
+// Presence mask of the masked codec: writes ceil(len/8) bytes at mask,
+// bit i (byte i/8, bit i%8) set iff v[i] != absent and bits >= len clear,
+// built without branches. ORs every present value into *seen (for the
+// caller's one width check) and returns the number of present values.
+std::size_t presence_mask(const std::uint64_t* v, std::size_t len,
+                          std::uint64_t absent, std::uint8_t* mask,
+                          std::uint64_t* seen);
+
 // Portable reference variants (exposed so tests can cross-check the
 // dispatched kernels on AVX2 machines).
 void pack_block_portable(const std::uint64_t* v, std::uint8_t* out);
 void unpack_block_portable(const std::uint8_t* in, std::uint64_t* v);
+std::size_t presence_mask_portable(const std::uint64_t* v, std::size_t len,
+                                   std::uint64_t absent, std::uint8_t* mask,
+                                   std::uint64_t* seen);
 
 }  // namespace bitpack61
 }  // namespace ssbft

@@ -75,12 +75,17 @@ class ByteWriter {
   //
   // Entries equal to `absent` are masked out and cost 1 bit instead of
   // `value_bits` bits. Every present entry must fit in `value_bits` bits
-  // (contract error otherwise); callers encoding canonical field elements
-  // pass value_bits = bit width of (modulus - 1).
+  // (contract error otherwise, from one OR-reduced check over the present
+  // values before anything is packed); callers encoding canonical field
+  // elements pass value_bits = bit width of (modulus - 1).
   //
-  // At value_bits = 61 (the default field) full runs of 8 present values
-  // are byte-aligned 61-byte blocks and go through the bulk kernels in
-  // support/bitpack61.h; the bit layout — and therefore every wire byte —
+  // At value_bits = 61 (the default field) every 8 present values are a
+  // byte-aligned 61-byte block, and both directions work one mask byte at
+  // a time through the kernels in support/bitpack61.h: mask bytes are
+  // built without branches, a full mask byte at a block boundary packs
+  // from (or unpacks into) the caller's array directly, other bytes pass
+  // their values through an 8-value stage, and the last partial block is
+  // packed zero-padded. The bit layout — and therefore every wire byte —
   // is identical to the scalar window, which -DSSBFT_SIMD=off restores as
   // the single reference path.
   void masked_u64_vec(const std::uint64_t* data, std::size_t len,

@@ -365,23 +365,16 @@ TEST(Gvss, SharedTablesArePerShape) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_NE(a, GvssTables::shared(PrimeField(65537), 7, 2));
-  // V[k][i] = node_point(k)^i.
-  for (NodeId k = 0; k < 7; ++k) {
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(a->powers[k * 3 + i], F.pow(node_point(k), i));
-    }
-  }
 }
 
 TEST(Gvss, RowsIntoMatchesRowFor) {
-  // All n rows in one product equal the rows dealt one at a time.
+  // All n rows in one eval_points call equal the rows dealt one at a time.
   PrimeField F(2305843009213693951ULL);
   Rng rng(61);
   const std::uint32_t n = 10, f = 3;
   auto dealing = GvssDealing::sample(F, f, rng);
-  const auto tables = GvssTables::shared(F, n, f);
   std::vector<std::uint64_t> rows(std::size_t{n} * (f + 1));
-  dealing.rows_into(F, tables->powers.data(), n, rows.data());
+  dealing.rows_into(F, n, rows.data());
   for (NodeId j = 0; j < n; ++j) {
     const std::vector<std::uint64_t> want = dealing.row_for(F, j);
     EXPECT_TRUE(std::equal(want.begin(), want.end(),

@@ -404,6 +404,179 @@ TEST(Mersenne61Simd, MatMulLeavesMaskedTailColumnsUntouched) {
   for (std::size_t c = 5; c < 8; ++c) EXPECT_EQ(out[c], 42u);
 }
 
+// --- Horner at the node points (PrimeField::eval_points) -------------------
+//
+// The oracle is the product it replaced: the node-point power table
+// V[k][i] = (k+1)^i times the coefficient-major matrix, from the checked
+// scalar ops. Column counts cover every strip and lane residue, w the
+// deal/evaluation widths, and counts odd and even (the vector path pairs
+// points, the scalar path groups eight).
+
+std::vector<std::uint64_t> node_point_powers(const PrimeField& F,
+                                             std::size_t count,
+                                             std::size_t w) {
+  std::vector<std::uint64_t> v(count * w);
+  for (std::size_t k = 0; k < count; ++k) {
+    std::uint64_t xp = 1;
+    for (std::size_t i = 0; i < w; ++i) {
+      v[k * w + i] = xp;
+      xp = F.mul(xp, (k + 1) % F.modulus());
+    }
+  }
+  return v;
+}
+
+// Coefficients mixing 0, 1, p-1 and 2^61-2 (both largest for the Mersenne
+// prime) with uniform values; `saturated` makes every coefficient p-1, the
+// accumulator's worst case.
+std::vector<std::uint64_t> edge_coefficients(const PrimeField& F,
+                                             std::size_t len, Rng& rng,
+                                             bool saturated) {
+  const std::uint64_t top = F.modulus() - 1;
+  const std::uint64_t wide = (std::uint64_t{1} << 61) - 2;
+  std::vector<std::uint64_t> c(len);
+  for (auto& x : c) {
+    const std::uint64_t pick = rng.next_below(6);
+    x = saturated ? top
+        : pick == 0 ? 0
+        : pick == 1 ? 1
+        : pick == 2 ? top
+        : pick == 3 && F.valid(wide) ? wide
+                    : F.uniform(rng);
+  }
+  return c;
+}
+
+std::vector<std::size_t> eval_point_cols() {
+  std::vector<std::size_t> cols;
+  for (std::size_t c = 1; c <= 17; ++c) cols.push_back(c);
+  for (std::size_t c : {22, 43, 64, 128}) cols.push_back(c);
+  return cols;
+}
+
+TEST(Mersenne61Simd, EvalPointsMatchesPowerTableOnEveryPath) {
+  // The dispatching field, the pinned scalar path and both raw m61simd
+  // entry points against V * C, bit for bit.
+  PrimeField F(kM61);
+  PrimeField R(kM61, SimdMode::kOff);
+  Rng rng(2029);
+  for (const std::size_t cols : eval_point_cols()) {
+    for (const std::size_t w : {1, 2, 22, 43}) {
+      for (const std::size_t count : {1, 2, 7, 9, 64, 65}) {
+        const bool saturated = (cols + w + count) % 5 == 0;
+        const auto coef = edge_coefficients(R, w * cols, rng, saturated);
+        const auto want = reference_matmul(
+            R, node_point_powers(R, count, w), coef, count, w, cols);
+        std::vector<std::uint64_t> got(count * cols, 7);
+        F.eval_points(coef.data(), w, cols, count, got.data(), cols);
+        ASSERT_EQ(got, want) << "dispatch cols=" << cols << " w=" << w
+                             << " count=" << count;
+        R.eval_points(coef.data(), w, cols, count, got.data(), cols);
+        ASSERT_EQ(got, want) << "kOff cols=" << cols << " w=" << w
+                             << " count=" << count;
+        m61simd::eval_points(coef.data(), w, cols, count, got.data(), cols);
+        ASSERT_EQ(got, want) << "m61simd cols=" << cols << " w=" << w
+                             << " count=" << count;
+        m61simd::eval_points_scalar(coef.data(), w, cols, count, got.data(),
+                                    cols);
+        ASSERT_EQ(got, want) << "m61simd scalar cols=" << cols
+                             << " w=" << w << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(Mersenne61Simd, EvalPointsStridedRowsLeaveTheGapsUntouched) {
+  // out_stride > cols: each row's values land at the front of its stride
+  // and the gap after them (a masked tail store, on the vector path) keeps
+  // its contents, on every path.
+  PrimeField R(kM61, SimdMode::kOff);
+  Rng rng(2031);
+  using Kernel = void (*)(const std::uint64_t*, std::size_t, std::size_t,
+                          std::size_t, std::uint64_t*, std::size_t);
+  const Kernel kernels[] = {m61simd::eval_points,
+                            m61simd::eval_points_scalar};
+  for (const std::size_t cols : {1, 5, 16, 43}) {
+    for (const std::size_t count : {1, 7, 64}) {
+      const std::size_t w = 22, stride = cols + 5;
+      const auto coef = edge_coefficients(R, w * cols, rng, false);
+      const auto want = reference_matmul(
+          R, node_point_powers(R, count, w), coef, count, w, cols);
+      for (const Kernel kernel : kernels) {
+        std::vector<std::uint64_t> out(count * stride, 7);
+        kernel(coef.data(), w, cols, count, out.data(), stride);
+        for (std::size_t k = 0; k < count; ++k) {
+          for (std::size_t c = 0; c < stride; ++c) {
+            ASSERT_EQ(out[k * stride + c], c < cols ? want[k * cols + c] : 7)
+                << "cols=" << cols << " count=" << count << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BatchKernelsTest, EvalPointsMatchesPowerTableProduct) {
+  // Every backend the modulus selects, the generic prime included.
+  PrimeField F(GetParam());
+  Rng rng(GetParam() % 1000 + 10);
+  for (const std::size_t cols : {1, 5, 17, 43}) {
+    for (const std::size_t w : {1, 2, 22}) {
+      for (const std::size_t count : {1, 8, 33}) {
+        const auto coef = edge_coefficients(F, w * cols, rng, cols == 5);
+        std::vector<std::uint64_t> got(count * cols, 7);
+        F.eval_points(coef.data(), w, cols, count, got.data(), cols);
+        ASSERT_EQ(got, reference_matmul(F, node_point_powers(F, count, w),
+                                        coef, count, w, cols))
+            << "cols=" << cols << " w=" << w << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(Mersenne61Simd, EvalPointsAtTheLargestPoints) {
+  // count = 2^20 - 1: the last points are the largest multipliers the
+  // unreduced accumulator ever sees. Spot-check them against Horner from
+  // the checked ops, on both paths.
+  const std::size_t count = PrimeField::kMaxEvalPoints - 1;
+  const std::size_t w = 5, cols = 3;
+  for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
+    PrimeField F(kM61, mode);
+    Rng rng(2030);
+    const auto coef = edge_coefficients(F, w * cols, rng, true);
+    std::vector<std::uint64_t> out(count * cols);
+    F.eval_points(coef.data(), w, cols, count, out.data(), cols);
+    for (std::size_t k = count - 9; k < count; ++k) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        std::uint64_t acc = 0;
+        for (std::size_t i = w; i-- > 0;) {
+          acc = F.add(F.mul(acc, k + 1), coef[i * cols + c]);
+        }
+        ASSERT_EQ(out[k * cols + c], acc) << "point " << k + 1;
+      }
+    }
+  }
+}
+
+TEST(Mersenne61Simd, EvalPointsRefusesOutOfRangeShapes) {
+  // Nothing is written either way: cols = 0 or count = 0.
+  const std::uint64_t coef[1] = {1};
+  for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
+    PrimeField F(kM61, mode);
+    EXPECT_THROW(
+        F.eval_points(coef, 1, 0, PrimeField::kMaxEvalPoints, nullptr, 0),
+        contract_error);
+    EXPECT_THROW(F.eval_points(coef, 0, 0, 1, nullptr, 0), contract_error);
+    EXPECT_THROW(F.eval_points(coef, 1, 2, 0, nullptr, 1), contract_error);
+    EXPECT_NO_THROW(
+        F.eval_points(coef, 1, 0, PrimeField::kMaxEvalPoints - 1, nullptr, 0));
+  }
+  EXPECT_THROW(PrimeField(65537).eval_points(coef, 1, 0,
+                                             PrimeField::kMaxEvalPoints,
+                                             nullptr, 0),
+               contract_error);
+}
+
 TEST(Mersenne61Simd, BatchInvMatchesScalarPathAcrossLaneBoundaries) {
   PrimeField F(kM61);
   PrimeField R(kM61, SimdMode::kOff);

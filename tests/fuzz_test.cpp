@@ -84,10 +84,15 @@ class FuzzAdversary final : public Adversary {
         break;
       }
       case 6: {  // well-formed masked field vector, sentinels included
-        std::vector<std::uint64_t> v(rng.next_below(20));
+        // The absent rate is drawn per vector, so some vectors have long
+        // present runs (0xFF mask bytes, the codec's direct block path)
+        // and others mix full and partial bytes.
+        std::vector<std::uint64_t> v(rng.next_below(40));
+        const double absent_rate = rng.next_below(3) * 0.2;  // 0, 0.2, 0.4
         for (auto& x : v) {
-          x = rng.next_bernoulli(0.4) ? PrimeField::kDefaultPrime
-                                      : rng.next_below(PrimeField::kDefaultPrime);
+          x = rng.next_bernoulli(absent_rate)
+                  ? PrimeField::kDefaultPrime
+                  : rng.next_below(PrimeField::kDefaultPrime);
         }
         w.masked_u64_vec(v.data(), v.size(), PrimeField::kDefaultPrime, 61);
         break;

@@ -582,6 +582,138 @@ TEST(MaskedCodec, BlockPathStrictnessPreserved) {
   for (auto x : dst) EXPECT_EQ(x, 42u);
 }
 
+// --- Byte-at-a-time bulk path ---------------------------------------------
+//
+// The 61-bit codec works one mask byte at a time: a full byte at a block
+// boundary packs straight from (or unpacks straight into) the caller's
+// array, other bytes go through a stage. The reference below is the wire
+// contract written out bit by bit. The masks put a full byte behind every
+// staging phase 0..7 (byte 0 carries `phase` present entries, byte 1 is
+// full), then mix full, partial and empty bytes, so staged values and
+// direct blocks interleave at every offset.
+
+Bytes reference_masked_encoding(const std::vector<std::uint64_t>& v,
+                                std::uint64_t absent, unsigned value_bits) {
+  Bytes out((v.size() + 7) / 8, 0);
+  std::vector<bool> bits;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] == absent) continue;
+    out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    for (unsigned b = 0; b < value_bits; ++b) bits.push_back((v[i] >> b) & 1);
+  }
+  const std::size_t mask_bytes = out.size();
+  out.resize(mask_bytes + (bits.size() + 7) / 8, 0);
+  for (std::size_t b = 0; b < bits.size(); ++b) {
+    if (bits[b]) out[mask_bytes + b / 8] |= std::uint8_t(1u << (b % 8));
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> phase_shaped_vector(std::size_t len,
+                                               std::size_t phase,
+                                               std::uint64_t absent,
+                                               Rng& rng) {
+  std::vector<std::uint64_t> v(len, absent);
+  for (std::size_t byte = 0; byte * 8 < len; ++byte) {
+    // Byte 0 stages `phase` values and byte 1 is full behind them; later
+    // bytes are full, empty or partial, biased toward full runs.
+    const std::uint64_t kind =
+        byte == 0 ? 4 : byte == 1 ? 0 : rng.next_below(4);
+    for (std::size_t i = 8 * byte; i < len && i < 8 * byte + 8; ++i) {
+      const bool present = kind <= 1   ? true
+                           : kind == 2 ? false
+                           : kind == 4 ? i % 8 < phase
+                                       : rng.next_bool();
+      if (present) v[i] = rng.next_u64() % absent;  // never the sentinel
+    }
+  }
+  return v;
+}
+
+TEST(MaskedCodec, ByteAtATimeMatchesReferenceAtEveryStagingPhase) {
+  Rng rng(615);
+  const std::uint64_t absent = (std::uint64_t{1} << 61) - 1;
+  for (std::size_t len = 1; len <= 130; ++len) {
+    for (std::size_t phase = 0; phase < 8; ++phase) {
+      const auto v = phase_shaped_vector(len, phase, absent, rng);
+      const Bytes want = reference_masked_encoding(v, absent, 61);
+      ByteWriter w;
+      w.u8(0x5a);  // the codec appends: an earlier field must stay intact
+      w.masked_u64_vec(v.data(), len, absent, 61);
+      ASSERT_EQ(w.size(), 1 + want.size()) << "len=" << len
+                                           << " phase=" << phase;
+      ASSERT_EQ(w.data()[0], 0x5a);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), w.data().begin() + 1))
+          << "len=" << len << " phase=" << phase;
+      // Decode the reference bytes: the exact vector, every byte consumed.
+      ByteReader r(want);
+      std::vector<std::uint64_t> got(len, 42);
+      ASSERT_TRUE(r.masked_u64_vec_into(got.data(), len, absent, 61));
+      ASSERT_TRUE(r.at_end());
+      ASSERT_EQ(got, v) << "len=" << len << " phase=" << phase;
+    }
+  }
+}
+
+TEST(MaskedCodec, ByteAtATimeRejectsLikeTheWindow) {
+  // Truncating the packed tail, a trailing byte and a set padding bit are
+  // rejected on every shape, with dst untouched on the decode failures.
+  Rng rng(616);
+  const std::uint64_t absent = (std::uint64_t{1} << 61) - 1;
+  for (std::size_t len = 1; len <= 130; len += 3) {
+    for (std::size_t phase = 0; phase < 8; ++phase) {
+      const auto v = phase_shaped_vector(len, phase, absent, rng);
+      const Bytes good = reference_masked_encoding(v, absent, 61);
+      const std::size_t mask_bytes = (len + 7) / 8;
+      const std::vector<std::uint64_t> untouched(len, 42);
+      if (good.size() > mask_bytes) {
+        Bytes cut(good.begin(), good.end() - 1);
+        ByteReader r(cut);
+        std::vector<std::uint64_t> dst = untouched;
+        EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), len, absent, 61));
+        EXPECT_FALSE(r.ok());
+        EXPECT_EQ(dst, untouched) << "len=" << len << " phase=" << phase;
+      }
+      Bytes longer = good;
+      longer.push_back(0);
+      ByteReader lr(longer);
+      std::vector<std::uint64_t> dst(len);
+      EXPECT_TRUE(lr.masked_u64_vec_into(dst.data(), len, absent, 61));
+      EXPECT_FALSE(lr.at_end());
+      const std::size_t packed_bits = (good.size() - mask_bytes) * 8;
+      std::size_t present = 0;
+      for (auto x : v) present += x != absent;
+      if (present * 61 < packed_bits) {
+        Bytes padded = good;
+        padded.back() |= 0x80;
+        ByteReader pr(padded);
+        std::vector<std::uint64_t> pd = untouched;
+        EXPECT_FALSE(pr.masked_u64_vec_into(pd.data(), len, absent, 61));
+        EXPECT_EQ(pd, untouched) << "len=" << len << " phase=" << phase;
+      }
+    }
+  }
+}
+
+TEST(MaskedCodec, OneWidthCheckCoversEveryPresentValue) {
+  // A too-wide value anywhere (a direct block, the stage, the tail) is the
+  // same contract error; a too-wide *absent* value is never checked.
+  const std::uint64_t absent = (std::uint64_t{1} << 61) - 1;
+  for (const std::size_t at : {0, 7, 8, 13, 16, 20}) {
+    std::vector<std::uint64_t> v(21, 5);
+    v[3] = absent;
+    v[at] = std::uint64_t{1} << 61;
+    ByteWriter w;
+    EXPECT_THROW(w.masked_u64_vec(v.data(), v.size(), absent, 61),
+                 contract_error)
+        << "at=" << at;
+  }
+  std::vector<std::uint64_t> v(9, ~std::uint64_t{0});
+  v[2] = 1;
+  ByteWriter w;
+  EXPECT_NO_THROW(w.masked_u64_vec(v.data(), v.size(), ~std::uint64_t{0}, 61));
+}
+
 // --- Raw bitmask codec (ByteWriter::bits) ---------------------------------
 
 TEST(BitsCodec, RoundTripAcrossWordBoundary) {
