@@ -86,6 +86,11 @@ struct CoinSpec {
                                                ChannelId base, Rng rng)>
       make;
   std::uint32_t channels = 0;
+  // True iff the components' send and receive phases touch only their own
+  // node's state, plus shared state nothing writes during the phases (a
+  // host's Protocol::node_local_phases). Left false by anything that wraps
+  // components around shared counters.
+  bool node_local = false;
 };
 
 }  // namespace ssbft

@@ -301,6 +301,8 @@ void FmCoinInstance::randomize_state(Rng& rng) {
 CoinSpec fm_coin_spec(FmCoinParams params) {
   CoinSpec spec;
   spec.channels = FmCoinInstance::kRounds;
+  // Per-node pipelines and scratch; the shared GVSS tables are immutable.
+  spec.node_local = true;
   spec.make = [params](const ProtocolEnv& env, ChannelId base, Rng rng) {
     // One scratch per pipeline: its staggered instances never execute the
     // same round in the same beat, so round-transient state is shareable.

@@ -50,6 +50,8 @@ CoinSpec oracle_coin_spec(std::shared_ptr<OracleBeacon> beacon) {
   SSBFT_REQUIRE(beacon != nullptr);
   CoinSpec spec;
   spec.channels = 0;
+  // The beacon draws in on_beat, before any phase; phases only read it.
+  spec.node_local = true;
   spec.make = [beacon](const ProtocolEnv& env, ChannelId, Rng) {
     return std::make_unique<OracleCoinComponent>(beacon, env.self);
   };

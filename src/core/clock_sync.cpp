@@ -22,7 +22,8 @@ SsByzClockSync::SsByzClockSync(const ProtocolEnv& env, ClockValue k,
       ch_full_(base),
       ch_prop_(static_cast<ChannelId>(base + 1)),
       ch_bit_(static_cast<ChannelId>(base + 2)),
-      channels_end_(base + channels_needed(coin, mode)) {
+      channels_end_(base + channels_needed(coin, mode)),
+      node_local_(coin.node_local) {
   value_counts_.reserve(env.n);
   SSBFT_REQUIRE_MSG(k >= 1, "k-Clock needs k >= 1");
   const auto a_base = static_cast<ChannelId>(base + 3);

@@ -46,6 +46,7 @@ class SsByzClockSync final : public ClockProtocol {
   ClockValue clock() const override { return full_clock_ % k_; }
   ClockValue modulus() const override { return k_; }
   std::uint32_t channel_count() const override { return channels_end_; }
+  bool node_local_phases() const override { return node_local_; }
   void trace_state(TraceEmitter& em) const override;
 
   static std::uint32_t channels_needed(const CoinSpec& coin,
@@ -68,6 +69,7 @@ class SsByzClockSync final : public ClockProtocol {
   ChannelId ch_full_, ch_prop_, ch_bit_;
   ChannelId coin_base_ = 0;  // phase-3 coin's channel range (trace stream)
   std::uint32_t channels_end_;
+  bool node_local_;  // the coin's CoinSpec::node_local
   std::unique_ptr<SsByz4Clock> a_;
   std::unique_ptr<CoinComponent> coin_;
   // Per-beat value tally for phases 0 and 1. At most n distinct values

@@ -36,9 +36,12 @@ double percentile(const std::vector<std::uint64_t>& sorted, double q) {
          static_cast<double>(sorted[hi]) * frac;
 }
 
+unsigned hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 std::uint64_t effective_jobs(std::uint64_t requested, std::uint64_t units) {
-  const unsigned hw_raw = std::thread::hardware_concurrency();
-  const std::uint64_t hw = hw_raw == 0 ? 1 : hw_raw;
+  const std::uint64_t hw = hardware_threads();
   std::uint64_t jobs = requested == 0 ? hw : requested;
   // Trials are CPU-bound, so threads beyond the core count only add
   // scheduling overhead — and an absurd jobs value must not exhaust OS
@@ -132,10 +135,14 @@ class TeeTraceSink final : public TraceSink {
   TraceSink* b_;
 };
 
+// `jobs` units run at once, so each engine gets its share of the hardware
+// threads as beat workers.
 TrialOutcome run_unit(const SweepCell& cell, std::uint64_t t,
-                      const SweepOptions& opts) {
+                      const SweepOptions& opts, std::uint64_t jobs) {
   EngineBundle bundle = cell.builder(cell.cfg.base_seed + t);
   SSBFT_CHECK(bundle.engine != nullptr);
+  bundle.engine->set_beat_workers(static_cast<unsigned>(
+      std::max<std::uint64_t>(1, hardware_threads() / jobs)));
   // Destroyed before the bundle (declared later), which is safe: no beat
   // runs after the run returns and the engine's destructor never touches
   // its trace sink.
@@ -393,6 +400,8 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     if (!have[j]) pending.push_back(j);
   }
 
+  const std::uint64_t jobs = effective_jobs(opts.jobs, pending.size());
+
   // done-count, checkpoint appends and the progress print all happen under
   // one lock, so the reported sequence is monotone and checkpoint lines
   // never interleave.
@@ -415,7 +424,7 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     const std::uint64_t u = slice[j];
     const std::uint32_t c = cell_of[u];
     const std::uint64_t t = trial_of[u];
-    TrialOutcome out = run_unit(cells[c], t, opts);
+    TrialOutcome out = run_unit(cells[c], t, opts, jobs);
     if (opts.collect_commitments) {
       out.trace_commitment =
           commitment_from_trace_file(trace_path_for(opts, cells[c].name, t));
@@ -437,7 +446,6 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     progress_line();
   };
 
-  const std::uint64_t jobs = effective_jobs(opts.jobs, pending.size());
   if (jobs <= 1) {
     for (std::uint64_t p = 0; p < pending.size(); ++p) run_one(pending[p]);
   } else {

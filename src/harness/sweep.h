@@ -35,7 +35,9 @@ struct SweepCell {
 struct SweepOptions {
   // Worker threads over the global unit queue. 1 = serial; 0 = one per
   // hardware thread; clamped to 4x the hardware thread count and to the
-  // total unit count.
+  // total unit count. Each unit's engine may run a heavy beat's nodes on
+  // up to max(1, hardware threads / jobs) beat workers (sim/engine.h), so
+  // a sweep never oversubscribes the cores.
   std::uint64_t jobs = 1;
   // Opt-in stderr progress line ("sweep: u/N units done" — under an
   // active shard, the slice's units) for long sweeps.

@@ -1,11 +1,141 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "sim/delivery.h"
 #include "support/check.h"
 
 namespace ssbft {
+
+// The beat workers: the calling thread is worker 0 and sends through the
+// engine's outbox, arena and correct_msgs_; workers 1..size-1 are threads
+// that live as long as the pool, each with an outbox of its own over its
+// own arena and message vector. Worker w covers correct_ids_[begin(w),
+// begin(w + 1)) in both phases.
+class Engine::BeatPool {
+ public:
+  struct Worker {
+    Worker(std::uint32_t n, std::size_t arena_bytes, std::size_t msgs)
+        : outbox(0, n, &arena) {
+      outbox.bind_sink(&sent);
+      arena.reserve(arena_bytes);
+      sent.reserve(msgs);
+    }
+    PayloadArena arena;
+    std::vector<Message> sent;
+    Outbox outbox;
+    std::uint64_t sent_messages = 0;
+    std::uint64_t sent_bytes = 0;
+  };
+
+  // Reserves every worker's arena and message vector here, on the engine
+  // thread.
+  BeatPool(unsigned size, std::size_t ids, std::uint32_t n,
+           std::size_t arena_bytes, std::size_t msgs)
+      : size_(size), ids_(ids), errors_(size) {
+    for (unsigned w = 1; w < size_; ++w) {
+      workers_.push_back(std::make_unique<Worker>(n, arena_bytes, msgs));
+    }
+    try {
+      for (unsigned w = 1; w < size_; ++w) {
+        threads_.emplace_back([this, w] { loop(w); });
+      }
+    } catch (...) {
+      stop();
+      throw;
+    }
+  }
+  ~BeatPool() { stop(); }
+  BeatPool(const BeatPool&) = delete;  // its threads hold `this`
+  BeatPool& operator=(const BeatPool&) = delete;
+
+  unsigned size() const { return size_; }
+  std::size_t begin(unsigned w) const { return ids_ * w / size_; }
+  Worker& worker(unsigned w) { return *workers_[w - 1]; }
+
+  // Runs job(w) for every worker w, job(0) on the calling thread. Returns
+  // once all have finished; then rethrows the exception of the lowest w
+  // that threw, if any.
+  template <class Job>
+  void run(Job& job) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      fn_ = [](void* j, unsigned w) { (*static_cast<Job*>(j))(w); };
+      ctx_ = &job;
+      running_ = size_ - 1;
+      ++generation_;
+    }
+    start_cv_.notify_all();
+    call(0);
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [this] { return running_ == 0; });
+    }
+    for (std::exception_ptr& e : errors_) {
+      if (e == nullptr) continue;
+      const std::exception_ptr first = e;
+      std::fill(errors_.begin(), errors_.end(), nullptr);
+      std::rethrow_exception(first);
+    }
+  }
+
+  void clear_arenas() {
+    for (auto& wk : workers_) wk->arena.clear();
+  }
+
+ private:
+  void call(unsigned w) {
+    try {
+      fn_(ctx_, w);
+    } catch (...) {
+      errors_[w] = std::current_exception();
+    }
+  }
+
+  void loop(unsigned w) {
+    std::uint64_t seen = 0;
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+        if (stop_) return;
+        seen = generation_;
+      }
+      call(w);
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (--running_ == 0) done_cv_.notify_one();
+      }
+    }
+  }
+
+  void stop() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    start_cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  unsigned size_;
+  std::size_t ids_;
+  std::vector<std::unique_ptr<Worker>> workers_;  // workers 1..size-1
+  std::vector<std::exception_ptr> errors_;       // per worker, this run
+  std::mutex mu_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  std::uint64_t generation_ = 0;  // one per run
+  unsigned running_ = 0;          // pool threads still in this run
+  bool stop_ = false;
+  void (*fn_)(void*, unsigned) = nullptr;
+  void* ctx_ = nullptr;
+  std::vector<std::thread> threads_;
+};
 
 void AdversaryContext::require_faulty_sender(NodeId from) const {
   SSBFT_REQUIRE_MSG(from < n_ && (*is_faulty_)[from],
@@ -49,7 +179,8 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
       corrupt_rng_(Rng(cfg_.seed).split("corrupt")),
       net_rng_(Rng(cfg_.seed).split("network")),
       metrics_(cfg_.metrics_history_limit),
-      outbox_(0, cfg_.n, &arena_) {
+      outbox_(0, cfg_.n, &arena_),
+      worker_cap_(std::max(1u, std::thread::hardware_concurrency())) {
   SSBFT_REQUIRE(cfg_.n >= 1);
   SSBFT_REQUIRE_MSG(adversary_ != nullptr || cfg_.faulty.empty(),
                     "faulty nodes present but no adversary supplied");
@@ -68,6 +199,7 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
     ProtocolEnv env{id, cfg_.n, cfg_.f};
     protocols_[id] = factory(env, seed_root.split("node", id));
     SSBFT_CHECK(protocols_[id] != nullptr);
+    all_node_local_ = all_node_local_ && protocols_[id]->node_local_phases();
     channel_count_ =
         std::max(channel_count_, protocols_[id]->channel_count());
     if (cfg_.faults.randomize_genesis) {
@@ -157,6 +289,95 @@ void Engine::emit_beat_trace() {
   trace_->end_beat(beat_);
 }
 
+void Engine::set_beat_workers(unsigned cap) {
+  SSBFT_REQUIRE(cap >= 1);
+  SSBFT_REQUIRE_MSG(!workers_decided_,
+                    "set_beat_workers after the engine's first beat");
+  worker_cap_ = cap;
+}
+
+unsigned Engine::beat_workers() const {
+  return pool_ != nullptr ? pool_->size() : 1;
+}
+
+void Engine::decide_beat_workers() {
+  workers_decided_ = true;
+  const auto workers = static_cast<unsigned>(
+      std::min<std::size_t>(worker_cap_, correct_ids_.size()));
+  const BeatTraffic& first = metrics_.retained(metrics_.retained_count() - 1);
+  if (workers < 2 || !all_node_local_ ||
+      first.correct_bytes < kPoolMinBeatBytes) {
+    return;
+  }
+  // Every worker gets its share of what the serial beat used, plus 25%.
+  // The serial arena goes first, so its pages do not linger beside the
+  // workers'; worker 0 keeps the engine's arena at its share.
+  const std::size_t arena_share = arena_.capacity() / workers * 5 / 4;
+  const std::size_t msgs_share = correct_msgs_.capacity() / workers * 5 / 4;
+  arena_.release();
+  arena_.reserve(arena_share);
+  pool_ = std::make_unique<BeatPool>(workers, correct_ids_.size(), cfg_.n,
+                                     arena_share, msgs_share);
+}
+
+void Engine::send_phases() {
+  const auto send_range = [this](Outbox& out, std::size_t begin,
+                                 std::size_t end, std::uint64_t& messages,
+                                 std::uint64_t& bytes) {
+    for (std::size_t i = begin; i < end; ++i) {
+      out.reset(correct_ids_[i]);
+      protocols_[correct_ids_[i]]->send_phase(out);
+      messages += out.sent_messages();
+      bytes += out.sent_bytes();
+    }
+  };
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  if (pool_ == nullptr) {
+    send_range(outbox_, 0, correct_ids_.size(), messages, bytes);
+  } else {
+    auto job = [&](unsigned w) {
+      if (w == 0) {
+        send_range(outbox_, 0, pool_->begin(1), messages, bytes);
+        return;
+      }
+      BeatPool::Worker& wk = pool_->worker(w);
+      wk.sent.clear();
+      wk.sent_messages = 0;
+      wk.sent_bytes = 0;
+      send_range(wk.outbox, pool_->begin(w), pool_->begin(w + 1),
+                 wk.sent_messages, wk.sent_bytes);
+    };
+    pool_->run(job);
+    // Workers cover ascending id ranges, so appending in worker order
+    // rebuilds the serial loop's vector message for message.
+    for (unsigned w = 1; w < pool_->size(); ++w) {
+      const BeatPool::Worker& wk = pool_->worker(w);
+      correct_msgs_.insert(correct_msgs_.end(), wk.sent.begin(),
+                           wk.sent.end());
+      messages += wk.sent_messages;
+      bytes += wk.sent_bytes;
+    }
+  }
+  metrics_.count_correct_bulk(messages, bytes);
+}
+
+void Engine::receive_phases() {
+  const auto receive_range = [this](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      protocols_[correct_ids_[i]]->receive_phase(inboxes_[correct_ids_[i]]);
+    }
+  };
+  if (pool_ == nullptr) {
+    receive_range(0, correct_ids_.size());
+    return;
+  }
+  auto job = [&](unsigned w) {
+    receive_range(pool_->begin(w), pool_->begin(w + 1));
+  };
+  pool_->run(job);
+}
+
 void Engine::reset_channel_bytes() {
   std::fill(channel_bytes_.begin(), channel_bytes_.end(), 0);
   channel_bytes_beats_ = 0;
@@ -180,14 +401,10 @@ void Engine::run_beat() {
     }
   }
 
-  // 1. Send phases: pure functions of pre-beat state, in id order. The
-  //    outbox writes straight into the persistent beat scratch; payload
-  //    bytes land in the beat arena.
-  for (NodeId id : correct_ids_) {
-    outbox_.reset(id);
-    protocols_[id]->send_phase(outbox_);
-    metrics_.count_correct_bulk(outbox_.sent_messages(), outbox_.sent_bytes());
-  }
+  // 1. Send phases: pure functions of pre-beat state, in id order (or in
+  //    id ranges on the beat workers). Outboxes write straight into the
+  //    persistent beat scratch; payload bytes land in the beat arenas.
+  send_phases();
   if (cfg_.track_channel_bytes) {
     for (const Message& m : correct_msgs_) {
       if (m.channel < channel_bytes_.size()) {
@@ -238,10 +455,8 @@ void Engine::run_beat() {
   db.arena = &arena_;
   delivery_->deliver_beat(db);
 
-  // 4. Receive phases.
-  for (NodeId id : correct_ids_) {
-    protocols_[id]->receive_phase(inboxes_[id]);
-  }
+  // 4. Receive phases, each reading only its own node's inbox.
+  receive_phases();
 
   // 5. Trace emission (sim/trace.h), observing post-receive state.
   if (trace_ != nullptr) emit_beat_trace();
@@ -254,6 +469,8 @@ void Engine::run_beat() {
   observed_.clear();
   for (Inbox& ib : inboxes_) ib.clear();
   arena_.clear();
+  if (pool_ != nullptr) pool_->clear_arenas();
+  if (!workers_decided_) decide_beat_workers();
 
   ++beat_;
 }

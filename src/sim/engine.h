@@ -63,6 +63,9 @@ class Engine {
 
   // Executes one full beat (listener hooks, scheduled corruption, send
   // phases, adversary, delivery with network faults, receive phases).
+  // If a send or receive phase throws on a beat worker, run_beat rethrows
+  // it here once every worker has finished the phase (the lowest worker
+  // index wins); the engine can then still be destroyed, nothing more.
   void run_beat();
   void run_beats(std::uint64_t count);
 
@@ -114,7 +117,31 @@ class Engine {
   // dynamic_cast; with no sink the beat loop pays one pointer test.
   void set_trace(TraceSink* sink);
 
+  // Beat workers. Within a beat's send phase, and again within its receive
+  // phase, correct nodes do not depend on each other, so a heavy beat can
+  // run them on a pool of threads, each taking a contiguous range of
+  // correct_ids(). The engine decides once, at the end of its first beat,
+  // and keeps the decision: it starts min(cap, correct nodes) workers iff
+  // every correct node's Protocol::node_local_phases() is true, that beat
+  // moved at least kPoolMinBeatBytes of correct-node traffic and the cap
+  // is above 1. Messages, metrics and everything serial — listeners,
+  // corruption, the adversary, delivery, channel bytes, the trace — come
+  // out exactly as on one thread. The cap defaults to the hardware thread
+  // count; a sweep lowers it so its engines share the cores. It may only
+  // be set before the first beat.
+  static constexpr std::uint64_t kPoolMinBeatBytes = std::uint64_t{1} << 20;
+  void set_beat_workers(unsigned cap);
+  unsigned beat_worker_cap() const { return worker_cap_; }
+  // Workers the beats run on: 1 until (and unless) the pool starts.
+  unsigned beat_workers() const;
+
  private:
+  class BeatPool;  // sim/engine.cpp
+
+  // Starts the pool if the first beat qualifies (see set_beat_workers).
+  void decide_beat_workers();
+  void send_phases();
+  void receive_phases();
   // End-of-beat trace pass: per-node clock + protocol records, then the
   // engine-level traffic summary. Only called when trace_ is attached.
   void emit_beat_trace();
@@ -151,6 +178,11 @@ class Engine {
   std::vector<Message> correct_msgs_;
   std::vector<Message> adv_msgs_;
   std::vector<Message> observed_;  // the rushing view
+  unsigned worker_cap_;
+  bool all_node_local_ = true;
+  bool workers_decided_ = false;
+  // Declared last: its threads are joined before anything they touch dies.
+  std::unique_ptr<BeatPool> pool_;
 };
 
 }  // namespace ssbft

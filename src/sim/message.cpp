@@ -39,6 +39,12 @@ void PayloadArena::clear() {
   cur_ = begin;
 }
 
+void PayloadArena::release() {
+  chunks_.clear();
+  cur_ = nullptr;
+  end_ = nullptr;
+}
+
 bool PayloadArena::in_spilled_chunk(std::uintptr_t p, std::size_t len) const {
   for (std::size_t i = 0; i + 1 < chunks_.size(); ++i) {
     const auto begin = reinterpret_cast<std::uintptr_t>(chunks_[i].data.get());

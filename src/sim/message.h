@@ -89,7 +89,9 @@ void append_broadcast(std::vector<Message>& sink, NodeId from,
 // ones grow geometrically; `clear()` after a beat that spilled into several
 // chunks replaces them with one chunk of their total size, so demand
 // settles after a few beats and a steady-state beat never allocates.
-// Not thread-safe; one arena per engine (plus a deferring policy's own).
+// Not thread-safe: one thread fills an arena during a phase. An engine owns
+// one, plus one per extra beat worker (sim/engine.h), each filled only by
+// its worker's send phases; a deferring policy keeps arenas of its own.
 //
 // Under AddressSanitizer the free part of every chunk is poisoned: reading
 // through a span after the arena rewound is reported as use-after-poison.
@@ -141,6 +143,8 @@ class PayloadArena {
   // Rewinds: every span handed out since the last clear() is dead. Keeps
   // the capacity (merged into one chunk if the beat spilled).
   void clear();
+  // Frees every chunk; like clear(), it kills every span handed out.
+  void release();
 
   // Total bytes across the retained chunks.
   std::size_t capacity() const;

@@ -10,6 +10,12 @@
 //   3. delivery: all beat-r messages arrive before beat r+1;
 //   4. every correct node runs receive_phase() over its beat-r inbox.
 //
+// Within steps 1 and 4 the nodes do not depend on each other: a send reads
+// only its own node's state, a receive only that state and its own inbox.
+// An engine may therefore run one phase of different nodes concurrently,
+// on its beat workers (sim/engine.h), for protocols that declare it safe
+// through node_local_phases(). Everything else in a beat stays serial.
+//
 // Self-stabilization contract: randomize_state() must be able to set every
 // bit of protocol state to arbitrary values; a protocol is correct only if
 // it converges from anything randomize_state() can produce. Constants of
@@ -50,6 +56,13 @@ class Protocol {
   // Number of channels this protocol stack uses (channel ids are
   // [0, channel_count)). The engine sizes inboxes from this.
   virtual std::uint32_t channel_count() const = 0;
+
+  // True iff send_phase and receive_phase touch only this node's own
+  // state, plus shared state that nothing writes during those phases, so
+  // the engine may run different nodes' phases on different threads. The
+  // default is the safe answer: a protocol that writes anything shared
+  // (a counter, a timing span) keeps its engine on one thread.
+  virtual bool node_local_phases() const { return false; }
 
   // Observation hook (sim/trace.h): emit this beat's phase transitions and
   // coin outcomes. Called by the engine after the receive phase, only when

@@ -11,6 +11,7 @@
 // is outside the engine-plumbing contract this test pins down.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -18,24 +19,26 @@
 #include "coin/fm_coin.h"
 #include "core/clock_sync.h"
 #include "harness/live_check.h"
+#include "harness/scenario.h"
 #include "sim/engine.h"
 #include "support/bytes.h"
 
 namespace {
 
-// Single-threaded test: plain counters are fine.
-std::size_t g_allocations = 0;
+// Beat workers allocate on their own threads (while warming up), so the
+// counter is atomic; relaxed is enough, it is read between beats.
+std::atomic<std::size_t> g_allocations{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  ++g_allocations;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  ++g_allocations;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -372,6 +375,35 @@ TEST(AllocationFreeBeat, FmCoinClockSyncStack) {
   eng.run_beats(32);
   EXPECT_EQ(g_allocations - before, 0u)
       << "steady-state FM-coin stack beat touched the heap";
+}
+
+// The same stack on the scaling-large/sync-fm/n64 world (n = 64, f = 21,
+// skew attack), whose beats are heavy enough to run on the beat workers:
+// after the switch, the workers' arenas and message vectors settle like
+// the serial ones, and a steady beat allocates on no thread.
+TEST(AllocationFreeBeat, FmCoinClockSyncStackOnFourWorkers) {
+  const ScenarioSpec* scenario = find_scenario("scaling-large/sync-fm/n64");
+  ASSERT_NE(scenario, nullptr);
+  const World& w = scenario->world;
+  ASSERT_EQ(w.coin, CoinKind::kFm);
+  ASSERT_EQ(w.shared_pipeline, 0u);
+  EngineConfig cfg = world_config(w, scenario->base_seed);
+  cfg.metrics_history_limit = 8;
+  CoinSpec spec = fm_coin_spec();
+  const auto coin_base = static_cast<ChannelId>(
+      3 + SsByz4Clock::channels_needed(spec, CoinPipelineMode::kPerSubClock));
+  auto factory = [&spec, k = w.k](const ProtocolEnv& env, Rng rng) {
+    return std::make_unique<SsByzClockSync>(env, k, spec, rng);
+  };
+  Engine eng(cfg, factory,
+             make_attack(w.attack, w.k, coin_base, w.noise_msgs_per_beat));
+  eng.set_beat_workers(4);
+  eng.run_beats(64);  // converged, and every arena has settled
+  ASSERT_EQ(eng.beat_workers(), 4u);
+  const std::size_t before = g_allocations;
+  eng.run_beats(32);
+  EXPECT_EQ(g_allocations - before, 0u)
+      << "steady-state FM-coin beat on four workers touched the heap";
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <initializer_list>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "adversary/adversaries.h"
 #include "harness/convergence.h"
@@ -722,6 +725,195 @@ TEST(Engine, CorrectClocksExposed) {
   const auto clocks = eng.correct_clocks();
   ASSERT_EQ(clocks.size(), 3u);
   for (auto c : clocks) EXPECT_EQ(c, 3u % 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Beat workers.
+
+// Broadcasts `len` bytes drawn from its state and sends one short message
+// to its successor; folds everything it reads into its state. Throws from
+// the receive phase of beat `throw_beat` when it is set.
+class HeavyProtocol final : public ClockProtocol {
+ public:
+  HeavyProtocol(const ProtocolEnv& env, std::size_t len, bool node_local)
+      : env_(env), len_(len), node_local_(node_local) {}
+
+  void send_phase(Outbox& out) override {
+    ByteWriter& w = out.writer();
+    w.u64(state_);
+    for (std::size_t i = 0; i < len_; ++i) {
+      w.u8(static_cast<std::uint8_t>(state_ >> (i % 8) * 8));
+    }
+    out.broadcast(0, w.data());
+    ByteWriter& w2 = out.writer();
+    w2.u32(env_.self);
+    out.send((env_.self + 1) % env_.n, 1, w2.data());
+  }
+
+  void receive_phase(const Inbox& in) override {
+    if (beat_ == throw_beat) {
+      throw std::runtime_error("node " + std::to_string(env_.self));
+    }
+    for (ChannelId ch = 0; ch < 2; ++ch) {
+      for (const ByteSpan* p : in.first_per_sender(ch)) {
+        if (p == nullptr) continue;
+        std::uint64_t head = p->size();
+        for (std::size_t i = 0; i < std::min<std::size_t>(8, p->size()); ++i) {
+          head = head * 257 + p->data()[i];
+        }
+        state_ = state_ * 1000003 + head;
+      }
+    }
+    ++beat_;
+  }
+
+  void randomize_state(Rng& rng) override { state_ = rng.next_u64(); }
+  ClockValue clock() const override { return state_ % 4; }
+  ClockValue modulus() const override { return 4; }
+  std::uint32_t channel_count() const override { return 2; }
+  bool node_local_phases() const override { return node_local_; }
+
+  ProtocolEnv env_;
+  std::size_t len_;
+  bool node_local_;
+  std::uint64_t state_ = 0;
+  Beat beat_ = 0;
+  Beat throw_beat = ~Beat{0};
+};
+
+// n = 10 nodes, the last two faulty: 8 correct broadcasters. With 20 000
+// byte payloads the first beat moves 1.6 MB of correct traffic.
+constexpr std::size_t kHeavyLen = 20000;
+
+Engine heavy_engine(std::size_t len, bool node_local,
+                    std::unique_ptr<Adversary> adv, EngineConfig cfg) {
+  return Engine(cfg,
+                [len, node_local](const ProtocolEnv& env, Rng) {
+                  return std::make_unique<HeavyProtocol>(env, len,
+                                                         node_local);
+                },
+                std::move(adv));
+}
+
+HeavyProtocol& heavy(Engine& eng, NodeId id) {
+  return dynamic_cast<HeavyProtocol&>(eng.node(id));
+}
+
+TEST(BeatWorkers, PoolStartsOnlyWhenTheFirstBeatQualifies) {
+  struct Case {
+    std::size_t len;
+    bool node_local;
+    unsigned cap;
+    unsigned workers;
+  };
+  for (const Case& c : {Case{kHeavyLen, true, 4, 4}, Case{kHeavyLen, true, 3, 3},
+                        Case{kHeavyLen, true, 16, 8}, Case{kHeavyLen, true, 1, 1},
+                        Case{kHeavyLen, false, 4, 1}, Case{1000, true, 4, 1}}) {
+    SCOPED_TRACE(testing::Message() << "len " << c.len << " node_local "
+                                    << c.node_local << " cap " << c.cap);
+    Engine eng = heavy_engine(c.len, c.node_local, make_silent_adversary(),
+                              basic_config(10, 2));
+    eng.set_beat_workers(c.cap);
+    EXPECT_EQ(eng.beat_worker_cap(), c.cap);
+    EXPECT_EQ(eng.beat_workers(), 1u);
+    eng.run_beat();
+    EXPECT_EQ(eng.beat_workers(), c.workers);
+    EXPECT_THROW(eng.set_beat_workers(2), contract_error);
+    eng.run_beats(2);
+    EXPECT_EQ(eng.beat_workers(), c.workers);
+  }
+}
+
+// Records every message of the rushing view, in order, and answers from
+// each faulty node.
+class RecordingAdversary final : public Adversary {
+ public:
+  void act(AdversaryContext& ctx) override {
+    for (const Message& m : ctx.observed()) {
+      seen.push_back({m.from, m.to, m.channel,
+                      static_cast<std::uint32_t>(m.payload.size())});
+    }
+    for (NodeId from : ctx.faulty()) ctx.broadcast(from, 0, Bytes{0x01});
+  }
+  std::vector<std::array<std::uint32_t, 4>> seen;
+};
+
+// The pool rebuilds the serial message vector: the adversary sees the
+// same messages in the same order, and under a lossy network, where every
+// message draws its own drop lottery, every node ends in the same state.
+TEST(BeatWorkers, KeepTheSerialMessageOrderAndState) {
+  EngineConfig cfg = basic_config(10, 2);
+  cfg.faults.randomize_genesis = true;
+  cfg.faults.network_faulty_until = 6;
+  cfg.faults.faulty_drop_prob = 0.3;
+  cfg.faults.phantoms_per_beat = 2;
+  cfg.track_channel_bytes = true;
+  struct Run {
+    std::vector<std::array<std::uint32_t, 4>> seen;
+    std::vector<std::uint64_t> states;
+    std::uint64_t messages, bytes, dropped;
+    std::vector<std::uint64_t> channel_bytes;
+  };
+  const auto run = [&](unsigned cap) {
+    auto adv = std::make_unique<RecordingAdversary>();
+    RecordingAdversary* rec = adv.get();
+    Engine eng = heavy_engine(kHeavyLen, true, std::move(adv), cfg);
+    eng.set_beat_workers(cap);
+    eng.run_beats(8);
+    EXPECT_EQ(eng.beat_workers(), cap);
+    Run r{rec->seen, {}, eng.metrics().total().correct_messages,
+          eng.metrics().total().correct_bytes,
+          eng.metrics().total().dropped_messages, eng.channel_bytes()};
+    for (NodeId id : eng.correct_ids()) r.states.push_back(heavy(eng, id).state_);
+    return r;
+  };
+  const Run serial = run(1);
+  EXPECT_GT(serial.dropped, 0u);
+  for (unsigned cap : {2u, 4u}) {
+    SCOPED_TRACE(cap);
+    const Run pooled = run(cap);
+    EXPECT_EQ(pooled.seen, serial.seen);
+    EXPECT_EQ(pooled.states, serial.states);
+    EXPECT_EQ(pooled.messages, serial.messages);
+    EXPECT_EQ(pooled.bytes, serial.bytes);
+    EXPECT_EQ(pooled.dropped, serial.dropped);
+    EXPECT_EQ(pooled.channel_bytes, serial.channel_bytes);
+  }
+}
+
+// Cap 4 over 8 correct ids: worker w covers ids 2w and 2w + 1.
+TEST(BeatWorkers, ReceiveExceptionIsRethrownAfterEveryWorkerFinished) {
+  Engine eng = heavy_engine(kHeavyLen, true, make_silent_adversary(),
+                            basic_config(10, 2));
+  eng.set_beat_workers(4);
+  eng.run_beats(2);
+  ASSERT_EQ(eng.beat_workers(), 4u);
+  heavy(eng, 5).throw_beat = 2;  // worker 2
+  try {
+    eng.run_beat();
+    ADD_FAILURE() << "the worker's exception was lost";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "node 5");
+  }
+  // The rethrow waited for the phase: every other node received beat 2.
+  for (NodeId id : eng.correct_ids()) {
+    EXPECT_EQ(heavy(eng, id).beat_, id == 5 ? 2u : 3u) << "node " << id;
+  }
+}  // destroying the engine joins its workers
+
+TEST(BeatWorkers, LowestWorkerExceptionWins) {
+  Engine eng = heavy_engine(kHeavyLen, true, make_silent_adversary(),
+                            basic_config(10, 2));
+  eng.set_beat_workers(4);
+  eng.run_beat();
+  ASSERT_EQ(eng.beat_workers(), 4u);
+  for (NodeId id : {7u, 3u, 6u}) heavy(eng, id).throw_beat = 1;
+  try {
+    eng.run_beat();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "node 3");  // worker 1 beats worker 3
+  }
 }
 
 TEST(EngineConfig, LastIdsFaultyShape) {

@@ -7,8 +7,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/checker.h"
@@ -23,27 +27,34 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Runs one freshly built world for `beats` beats with a JSONL sink
-// attached and returns the serialized trace.
-std::string run_traced(Family fam, const World& w, std::uint64_t seed,
-                       std::uint64_t beats) {
-  EngineBundle b = build_world(fam, w)(seed);
+// Runs `engine` for `beats` beats with a JSONL sink attached and returns
+// the serialized trace.
+std::string trace_engine(Engine& engine, const std::string& scenario,
+                         std::uint64_t seed, std::uint64_t beats) {
   std::ostringstream out;
   JsonlTraceSink sink(out);
   TraceMeta meta;
-  meta.scenario = family_name(fam);
+  meta.scenario = scenario;
   meta.seed = seed;
-  meta.n = b.engine->n();
-  meta.f = b.engine->f();
-  for (NodeId id = 0; id < b.engine->n(); ++id) {
-    if (b.engine->is_faulty(id)) meta.faulty.push_back(id);
+  meta.n = engine.n();
+  meta.f = engine.f();
+  for (NodeId id = 0; id < engine.n(); ++id) {
+    if (engine.is_faulty(id)) meta.faulty.push_back(id);
   }
   meta.max_beats = beats;
   meta.confirm_window = 12;
   sink.begin_trace(meta);
-  b.engine->set_trace(&sink);
-  b.engine->run_beats(beats);
+  engine.set_trace(&sink);
+  engine.run_beats(beats);
+  engine.set_trace(nullptr);
   return out.str();
+}
+
+// Runs one freshly built world for `beats` beats, traced.
+std::string run_traced(Family fam, const World& w, std::uint64_t seed,
+                       std::uint64_t beats) {
+  EngineBundle b = build_world(fam, w)(seed);
+  return trace_engine(*b.engine, family_name(fam), seed, beats);
 }
 
 ParseResult parse_str(const std::string& s) {
@@ -206,6 +217,92 @@ TEST(TraceCheck, CommitmentBitIdenticalAcrossJobs) {
     }
     fs::remove_all(dir);
   }
+}
+
+// The beat workers change how a heavy beat is scheduled, never what it
+// does: the n=64 FM cell, whose beats run on the pool, commits to the same
+// trace at every worker cap.
+TEST(TraceCheck, CommitmentBitIdenticalAcrossBeatWorkers) {
+  const ScenarioSpec* spec = find_scenario("scaling-large/sync-fm/n64");
+  ASSERT_NE(spec, nullptr);
+  std::string serial;
+  for (unsigned cap : {1u, 2u, 4u}) {
+    SCOPED_TRACE(cap);
+    EngineBundle b = build_scenario(*spec)(spec->base_seed);
+    b.engine->set_beat_workers(cap);
+    const std::string trace =
+        trace_engine(*b.engine, spec->name, spec->base_seed, 40);
+    EXPECT_EQ(b.engine->beat_workers(), cap);
+    ParseResult p = parse_str(trace);
+    ASSERT_TRUE(p.ok) << p.error << " at line " << p.error_line;
+    const std::string commitment = trace_commitment(p.trace);
+    if (cap == 1) {
+      serial = commitment;
+    } else {
+      EXPECT_EQ(commitment, serial);
+    }
+  }
+}
+
+// Below the 1 MiB first-beat gate an engine stays on one thread whatever
+// its cap: the oracle cell moves 64.5 KiB a beat, the n=32 FM cell 0.73 MiB.
+TEST(TraceCheck, LightCellsStaySerial) {
+  for (const char* name :
+       {"scaling-large/sync/n128", "scaling-large/sync-fm/n32"}) {
+    SCOPED_TRACE(name);
+    const ScenarioSpec* spec = find_scenario(name);
+    ASSERT_NE(spec, nullptr);
+    EngineBundle b = build_scenario(*spec)(spec->base_seed);
+    b.engine->set_beat_workers(4);
+    b.engine->run_beats(2);
+    EXPECT_LT(b.engine->metrics().history()[0].correct_bytes,
+              Engine::kPoolMinBeatBytes);
+    EXPECT_EQ(b.engine->beat_workers(), 1u);
+  }
+}
+
+// Sweep workers and beat workers share the cores: at jobs = 2 every unit's
+// engine is capped at half the hardware threads.
+TEST(TraceCheck, SweepSharesTheCoresWithBeatWorkers) {
+  struct Caps {
+    std::mutex mu;
+    std::vector<unsigned> seen;
+  };
+  // Reads its engine's cap when the first beat starts, after the sweep
+  // has set it.
+  class CapProbe final : public BeatListener {
+   public:
+    CapProbe(const Engine* engine, Caps* caps) : engine_(engine), caps_(caps) {}
+    void on_beat(Beat beat) override {
+      if (beat != 0) return;
+      const std::lock_guard<std::mutex> lock(caps_->mu);
+      caps_->seen.push_back(engine_->beat_worker_cap());
+    }
+
+   private:
+    const Engine* engine_;
+    Caps* caps_;
+  };
+  Caps caps;
+  std::vector<SweepCell> cells = three_cell_grid();
+  std::uint64_t units = 0;
+  for (SweepCell& cell : cells) {
+    units += cell.cfg.trials;
+    cell.builder = [inner = cell.builder, &caps](std::uint64_t seed) {
+      EngineBundle b = inner(seed);
+      auto probe = std::make_shared<CapProbe>(b.engine.get(), &caps);
+      b.engine->add_listener(probe.get());
+      b.keepalive = std::make_shared<
+          std::pair<std::shared_ptr<void>, std::shared_ptr<CapProbe>>>(
+          b.keepalive, probe);
+      return b;
+    };
+  }
+  SweepOptions opts;
+  opts.jobs = 2;
+  run_sweep(cells, opts);
+  const unsigned want = std::max(1u, std::thread::hardware_concurrency() / 2);
+  EXPECT_EQ(caps.seen, std::vector<unsigned>(units, want));
 }
 
 TEST(TraceCheck, TracingNeverPerturbsTrialStats) {
