@@ -1,14 +1,12 @@
 #include "experiments.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
-#include "coin/coin_interface.h"
+#include "coin/coin_host.h"
 #include "coin/fm_coin.h"
 #include "coin/oracle_coin.h"
 #include "harness/chaos.h"
@@ -18,132 +16,6 @@
 #include "support/check.h"
 
 namespace ssbft::bench {
-
-// ---------------------------------------------------------------------------
-// CLI plumbing.
-
-namespace {
-
-void print_usage(const char* prog, std::ostream& os, bool wrapper_note) {
-  os << "usage: " << prog
-     << " [--trials N] [--jobs J] [--seed S]\n"
-        "       [--format ascii|csv|jsonl] [--out FILE] [--progress] "
-        "[--trace DIR]\n"
-        "       [--shard I/K] [--checkpoint FILE [--resume]]\n"
-        "  --trials N    override every cell's trial count "
-        "(0 = keep per-cell defaults)\n"
-        "  --jobs J      worker threads for the sweep scheduler "
-        "(default/0: one per hardware thread; 1 = serial; "
-        "clamped to 4x hardware threads)\n"
-        "  --seed S      offset added to every cell's base seed "
-        "(fresh independent replication; 0 = defaults)\n"
-        "  --format F    ascii (default, the classic tables), csv "
-        "(RFC-4180 rows), or jsonl (one object per row)\n"
-        "  --out FILE    write the report to FILE instead of stdout\n"
-        "  --progress    stderr progress line (units done / total)\n"
-        "  --trace DIR   write one JSONL execution trace per (cell, trial) "
-        "into DIR (the `ssbft_check` tool verifies them and prints their "
-        "SHA-256 commitment)\n"
-        "  --shard I/K   run only units u with u % K == I of a scenario "
-        "sweep and emit an ssbft-shard-v2 JSONL report; merge the K "
-        "reports with `ssbft_bench merge` (scenario globs only)\n"
-        "  --checkpoint FILE      append each completed unit to FILE; a "
-        "killed sweep continues with --resume, bit-identical to an "
-        "uninterrupted run (scenario globs only)\n"
-        "results are bit-identical across --jobs values, traced or not, "
-        "sharded or resumed or neither.\n";
-  if (wrapper_note) {
-    os << "this binary is a thin wrapper over the `ssbft_bench` driver: "
-          "`ssbft_bench list` names every experiment and scenario, "
-          "`ssbft_bench run <name|glob>` runs any of them.\n";
-  }
-}
-
-}  // namespace
-
-BenchOptions parse_cli(const char* prog, int argc, char** argv, int first,
-                       bool wrapper_note) {
-  BenchOptions o;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(prog, std::cout, wrapper_note);
-      std::exit(0);
-    }
-    const auto take_raw = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << prog << ": " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto take_value = [&](std::uint64_t& slot) {
-      const char* text = take_raw();
-      // Strict digits-only: strtoull alone would skip leading whitespace
-      // and wrap negatives like " -3" to ~2^64.
-      bool digits_only = *text != '\0';
-      for (const char* p = text; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9') {
-          digits_only = false;
-          break;
-        }
-      }
-      errno = 0;
-      const unsigned long long v = std::strtoull(text, nullptr, 10);
-      if (!digits_only || errno == ERANGE) {
-        std::cerr << prog << ": " << arg
-                  << " needs a non-negative integer, got '" << text << "'\n";
-        std::exit(2);
-      }
-      slot = v;
-    };
-    if (arg == "--trials") {
-      take_value(o.trials);
-    } else if (arg == "--jobs") {
-      take_value(o.jobs);
-    } else if (arg == "--seed") {
-      take_value(o.seed);
-    } else if (arg == "--format") {
-      const std::string name = take_raw();
-      const auto fmt = parse_report_format(name);
-      if (!fmt) {
-        std::cerr << prog << ": unknown --format '" << name
-                  << "' (ascii, csv or jsonl)\n";
-        std::exit(2);
-      }
-      o.format = *fmt;
-      o.format_set = true;
-    } else if (arg == "--out") {
-      o.out = take_raw();
-    } else if (arg == "--progress") {
-      o.progress = true;
-    } else if (arg == "--trace") {
-      o.trace = take_raw();
-    } else if (arg == "--shard") {
-      const std::string spec = take_raw();
-      const auto parsed = parse_shard_spec(spec);
-      if (!parsed) {
-        std::cerr << prog << ": --shard needs I/K with I < K, got '" << spec
-                  << "'\n";
-        std::exit(2);
-      }
-      o.shard = *parsed;
-    } else if (arg == "--checkpoint") {
-      o.checkpoint = take_raw();
-    } else if (arg == "--resume") {
-      o.resume = true;
-    } else {
-      std::cerr << prog << ": unknown option '" << arg
-                << "' (try --help)\n";
-      std::exit(2);
-    }
-  }
-  if (o.resume && o.checkpoint.empty()) {
-    std::cerr << prog << ": --resume needs --checkpoint FILE\n";
-    std::exit(2);
-  }
-  return o;
-}
 
 std::uint64_t trials_or(const BenchOptions& o, std::uint64_t def) {
   return o.trials == 0 ? def : o.trials;
@@ -157,7 +29,6 @@ RunnerConfig cell_config(const BenchOptions& o, const ScenarioSpec& spec) {
   RunnerConfig rc = scenario_runner_config(spec);
   rc.trials = trials_or(o, spec.trials);
   rc.base_seed = shifted_seed(o, spec.base_seed);
-  rc.jobs = o.jobs;
   return rc;
 }
 
@@ -560,27 +431,6 @@ void run_convergence_tail(const BenchOptions& o, Report& r) {
 // commonality, the p0/p1 split, and cold-start stabilization of the
 // ss-Byz-Coin-Flip pipeline over the FM-style GVSS coin, per adversary.
 // Fixed single-engine bit streams — not a trial sweep.
-
-// Host protocol recording the per-beat bit stream (bench-local copy of the
-// test helper, kept here so the experiment layer is self-contained).
-class CoinHost final : public Protocol {
- public:
-  CoinHost(const ProtocolEnv& env, const CoinSpec& spec, Rng rng)
-      : channels_(spec.channels == 0 ? 1 : spec.channels),
-        coin_(spec.make(env, 0, rng)) {}
-  void send_phase(Outbox& out) override { coin_->send_phase(out); }
-  void receive_phase(const Inbox& in) override {
-    bits_.push_back(coin_->receive_phase(in));
-  }
-  void randomize_state(Rng& rng) override { coin_->randomize_state(rng); }
-  std::uint32_t channel_count() const override { return channels_; }
-  const std::vector<bool>& bits() const { return bits_; }
-
- private:
-  std::uint32_t channels_;
-  std::unique_ptr<CoinComponent> coin_;
-  std::vector<bool> bits_;
-};
 
 struct CoinStats {
   double common = 0, p0 = 0, p1 = 0;
@@ -1065,24 +915,6 @@ bool commit_report_out(AtomicOutFile& file, const char* prog) {
     return false;
   }
   return true;
-}
-
-int bench_main(const std::string& experiment, int argc, char** argv) {
-  const Experiment* e = find_experiment(experiment);
-  SSBFT_CHECK_MSG(e != nullptr, "unregistered experiment " << experiment);
-  const BenchOptions o = parse_cli(argv[0], argc, argv);
-  if (o.shard.active() || !o.checkpoint.empty() || o.resume) {
-    std::cerr << argv[0]
-              << ": --shard/--checkpoint/--resume apply to scenario sweeps "
-                 "(`ssbft_bench run <glob>`), not experiment tables\n";
-    return 2;
-  }
-  AtomicOutFile file;
-  std::ostream* os = open_report_out(o, file, argv[0]);
-  if (os == nullptr) return 2;
-  Report report(RunMeta{experiment, o.trials, o.seed, o.jobs}, o.format, *os);
-  e->run(o, report);
-  return commit_report_out(file, argv[0]) ? 0 : 2;
 }
 
 // SweepOptions for a scenario sweep, including the crash-safety knobs

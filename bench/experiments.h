@@ -1,7 +1,7 @@
-// The experiment registry behind every bench binary. Each of the eight
-// historical bench mains is one registered experiment; the `ssbft_bench`
-// driver runs any of them (or any registry scenario cell, by glob) and the
-// per-experiment binaries are thin wrappers over bench_main().
+// The experiment registry behind the `ssbft_bench` driver: each
+// experiment (table1, resiliency, kclock_scaling, ...) is one registered
+// table writer over the scenario registry, and the driver runs any of them
+// (or any registry scenario cell, by glob).
 #pragma once
 
 #include <iosfwd>
@@ -9,15 +9,13 @@
 #include <vector>
 
 #include "harness/report.h"
-#include "harness/runner.h"
 #include "harness/scenario.h"
 #include "harness/sweep.h"
 
 namespace ssbft::bench {
 
-// Shared CLI for the bench binaries and the driver's `run` subcommand.
-// A value of 0 means "keep the experiment's per-cell default" (for
-// --jobs, 0 means one worker per hardware thread, the default).
+// The driver's `run` / `soak` options, parsed in ssbft_bench.cpp. A value of 0 means "keep the experiment's per-cell default" (for
+// --jobs, 0 means one worker per available CPU, the default).
 struct BenchOptions {
   std::uint64_t trials = 0;  // override every cell's trial count
   std::uint64_t seed = 0;    // offset added to every cell's base seed
@@ -36,14 +34,6 @@ struct BenchOptions {
   std::string checkpoint;
   bool resume = false;
 };
-
-// Parses argv[first..) into a BenchOptions value; prints usage and exits
-// on --help or malformed input. No global state: the returned value flows
-// into the experiment/scenario calls explicitly. wrapper_note appends the
-// "this binary is a thin wrapper over ssbft_bench" pointer to --help —
-// the driver passes false when parsing its own `run` options.
-BenchOptions parse_cli(const char* prog, int argc, char** argv,
-                       int first = 1, bool wrapper_note = true);
 
 // --trials / --seed overrides layered on an experiment's defaults.
 std::uint64_t trials_or(const BenchOptions& o, std::uint64_t def);
@@ -72,10 +62,6 @@ struct Experiment {
 // All experiments, in registration (display) order.
 const std::vector<Experiment>& experiments();
 const Experiment* find_experiment(const std::string& name);
-
-// Entry point for the thin per-experiment wrappers: parse CLI, open
-// --out if given, run the experiment. Returns the process exit code.
-int bench_main(const std::string& experiment, int argc, char** argv);
 
 // Resolves --out into the stream the report writes to: stdout when empty,
 // else `file` opened at o.out (staged to o.out + ".tmp" and published by

@@ -6,9 +6,9 @@
 // checkpoints (--checkpoint/--resume); `merge` folds shard reports back
 // into the unsharded table, bit for bit; `soak` drives seed-driven chaos
 // campaigns (harness/chaos.h) over the matched scenarios with streaming
-// invariant checking and optional repro minimization. The historical
-// bench_* binaries are thin wrappers over the same registry
-// (`bench_table1` == `ssbft_bench run table1`).
+// invariant checking and optional repro minimization. It is the only
+// front end of the experiment registry (experiments.h): the paper's tables
+// are `ssbft_bench run table1`, `run resiliency`, `run kclock_scaling`, ...
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
@@ -40,8 +40,8 @@ int usage(std::ostream& os, int code) {
         "             [--checkpoint FILE [--resume]]\n"
         "  --trials N   override every cell's trial count (0 = per-cell "
         "defaults)\n"
-        "  --jobs J     sweep worker threads (default/0: one per hardware "
-        "thread; 1 = serial; results bit-identical either way)\n"
+        "  --jobs J     sweep worker threads (default/0: one per available "
+        "CPU; 1 = serial; results bit-identical either way)\n"
         "  --seed S     offset added to every cell's base seed\n"
         "  --format F   ascii (default), csv (RFC-4180) or jsonl\n"
         "  --out FILE   write the report to FILE instead of stdout\n"
@@ -98,6 +98,97 @@ int usage(std::ostream& os, int code) {
         "  supports it; a -DSSBFT_SIMD=off build pins the scalar reference.\n"
         "  Results are bit-identical on every path — only timings differ.\n";
   return code;
+}
+
+// The value after the flag at argv[i], advancing i to it; exits 2 when the
+// flag is last.
+const char* flag_value(const std::string& prog, int argc, char** argv,
+                       int& i) {
+  if (i + 1 >= argc) {
+    std::cerr << prog << ": " << argv[i] << " needs a value\n";
+    std::exit(2);
+  }
+  return argv[++i];
+}
+
+// flag_value as a non-negative integer. Strict digits-only: strtoull alone
+// would skip leading whitespace and wrap negatives like " -3" to ~2^64.
+// Exits 2 on anything else.
+std::uint64_t u64_flag_value(const std::string& prog, int argc, char** argv,
+                             int& i) {
+  const std::string flag = argv[i];
+  const char* text = flag_value(prog, argc, argv, i);
+  bool digits_only = *text != '\0';
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') {
+      digits_only = false;
+      break;
+    }
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, nullptr, 10);
+  if (!digits_only || errno == ERANGE) {
+    std::cerr << prog << ": " << flag << " needs a non-negative integer, got '"
+              << text << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
+// Parses the shared run/soak options in argv[first..) into a BenchOptions
+// value; prints usage and exits on --help or malformed input.
+BenchOptions parse_cli(const std::string& prog, int argc, char** argv,
+                       int first) {
+  BenchOptions o;
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") std::exit(usage(std::cout, 0));
+    const auto take_raw = [&] { return flag_value(prog, argc, argv, i); };
+    if (arg == "--trials") {
+      o.trials = u64_flag_value(prog, argc, argv, i);
+    } else if (arg == "--jobs") {
+      o.jobs = u64_flag_value(prog, argc, argv, i);
+    } else if (arg == "--seed") {
+      o.seed = u64_flag_value(prog, argc, argv, i);
+    } else if (arg == "--format") {
+      const std::string name = take_raw();
+      const auto fmt = parse_report_format(name);
+      if (!fmt) {
+        std::cerr << prog << ": unknown --format '" << name
+                  << "' (ascii, csv or jsonl)\n";
+        std::exit(2);
+      }
+      o.format = *fmt;
+      o.format_set = true;
+    } else if (arg == "--out") {
+      o.out = take_raw();
+    } else if (arg == "--progress") {
+      o.progress = true;
+    } else if (arg == "--trace") {
+      o.trace = take_raw();
+    } else if (arg == "--shard") {
+      const std::string spec = take_raw();
+      const auto parsed = parse_shard_spec(spec);
+      if (!parsed) {
+        std::cerr << prog << ": --shard needs I/K with I < K, got '" << spec
+                  << "'\n";
+        std::exit(2);
+      }
+      o.shard = *parsed;
+    } else if (arg == "--checkpoint") {
+      o.checkpoint = take_raw();
+    } else if (arg == "--resume") {
+      o.resume = true;
+    } else {
+      std::cerr << prog << ": unknown option '" << arg << "' (try --help)\n";
+      std::exit(2);
+    }
+  }
+  if (o.resume && o.checkpoint.empty()) {
+    std::cerr << prog << ": --resume needs --checkpoint FILE\n";
+    std::exit(2);
+  }
+  return o;
 }
 
 int list_command(const std::string& pattern) {
@@ -199,12 +290,8 @@ int merge_command(int argc, char** argv) {
   std::vector<std::string> paths;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto take_raw = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "ssbft_bench merge: " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
+    const auto take_raw = [&] {
+      return flag_value("ssbft_bench merge", argc, argv, i);
     };
     if (arg == "--help" || arg == "-h") {
       return usage(std::cout, 0);
@@ -250,22 +337,8 @@ int soak_command(int argc, char** argv) {
   std::vector<char*> rest;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto take_u64 = [&]() -> std::uint64_t {
-      if (i + 1 >= argc) {
-        std::cerr << "ssbft_bench soak: " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      const std::string v = argv[++i];
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
-          errno != 0 || end != v.c_str() + v.size()) {
-        std::cerr << "ssbft_bench soak: " << arg
-                  << " needs a non-negative integer, got '" << v << "'\n";
-        std::exit(2);
-      }
-      return parsed;
+    const auto take_u64 = [&] {
+      return u64_flag_value("ssbft_bench soak", argc, argv, i);
     };
     if (arg == "--help" || arg == "-h") {
       return usage(std::cout, 0);
@@ -281,9 +354,8 @@ int soak_command(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  const BenchOptions o =
-      parse_cli("ssbft_bench soak", static_cast<int>(rest.size()),
-                rest.data(), /*first=*/0, /*wrapper_note=*/false);
+  const BenchOptions o = parse_cli(
+      "ssbft_bench soak", static_cast<int>(rest.size()), rest.data(), 0);
   if (o.trials != 0 || o.seed != 0) {
     std::cerr << "ssbft_bench soak: --trials/--seed don't apply here — every "
                  "unit is one trial whose seed derives from "
@@ -334,8 +406,7 @@ int main(int argc, char** argv) {
                      "glob (try `ssbft_bench list`)\n";
         return 2;
       }
-      const BenchOptions o = parse_cli("ssbft_bench run", argc, argv, 3,
-                                       /*wrapper_note=*/false);
+      const BenchOptions o = parse_cli("ssbft_bench run", argc, argv, 3);
       return run_command(argv[2], o);
     }
     if (command == "merge") {

@@ -11,32 +11,11 @@
 #include <string>
 
 #include "adversary/adversaries.h"
+#include "coin/coin_host.h"
 #include "coin/fm_coin.h"
 #include "sim/engine.h"
 
 using namespace ssbft;
-
-namespace {
-
-class CoinHost final : public Protocol {
- public:
-  CoinHost(const ProtocolEnv& env, const CoinSpec& spec, Rng rng)
-      : channels_(spec.channels), coin_(spec.make(env, 0, rng)) {}
-  void send_phase(Outbox& out) override { coin_->send_phase(out); }
-  void receive_phase(const Inbox& in) override {
-    bits_.push_back(coin_->receive_phase(in));
-  }
-  void randomize_state(Rng& rng) override { coin_->randomize_state(rng); }
-  std::uint32_t channel_count() const override { return channels_; }
-  const std::vector<bool>& bits() const { return bits_; }
-
- private:
-  std::uint32_t channels_;
-  std::unique_ptr<CoinComponent> coin_;
-  std::vector<bool> bits_;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint32_t n = argc > 1 ? static_cast<std::uint32_t>(std::stoul(argv[1])) : 4;

@@ -32,7 +32,7 @@
 #include "core/clock2.h"
 #include "core/clock4.h"
 #include "core/clock_sync.h"
-#include "harness/runner.h"
+#include "harness/sweep.h"
 #include "harness/table.h"
 
 using namespace ssbft;
@@ -196,8 +196,11 @@ int main(int argc, char** argv) {
   rc.trials = o.trials;
   rc.base_seed = o.seed;
   rc.convergence.max_beats = o.max_beats;
-  const auto stats = run_trials(
-      [&](std::uint64_t seed) { return build(o, seed); }, rc);
+  const EngineBuilder builder = [&](std::uint64_t seed) {
+    return build(o, seed);
+  };
+  const TrialStats stats =
+      run_sweep({SweepCell{"", builder, rc}}, SweepOptions{})[0];
 
   AsciiTable t({"algo", "coin", "adversary", "n", "f", "k", "trials",
                 "converged", "mean", "median", "p90", "max", "msgs/beat"});

@@ -11,7 +11,7 @@
 // every correct node's majority is d (the other values total < n-2f) — in
 // particular a correct queen's, which unifies everyone; strength persists
 // unanimity. With f >= n/4 the majority argument collapses, which is
-// exactly what bench_resiliency demonstrates.
+// exactly what `ssbft_bench run resiliency` demonstrates.
 #pragma once
 
 #include "agreement/ba_interface.h"

@@ -1,0 +1,36 @@
+// Hosts a CoinComponent as a top-level protocol and records its per-beat
+// bit stream: the smallest protocol that runs a self-stabilizing coin on
+// the engine by itself (coin-quality measurements, the coin_stream
+// example, the coin tests).
+#pragma once
+
+#include <memory>
+#include <vector>
+
+#include "coin/coin_interface.h"
+
+namespace ssbft {
+
+class CoinHost final : public Protocol {
+ public:
+  CoinHost(const ProtocolEnv& env, const CoinSpec& spec, Rng rng)
+      : channels_(spec.channels == 0 ? 1 : spec.channels),
+        coin_(spec.make(env, 0, rng)) {}
+
+  void send_phase(Outbox& out) override { coin_->send_phase(out); }
+  void receive_phase(const Inbox& in) override {
+    bits_.push_back(coin_->receive_phase(in));
+  }
+  void randomize_state(Rng& rng) override { coin_->randomize_state(rng); }
+  std::uint32_t channel_count() const override { return channels_; }
+
+  // One bit per beat run so far, in beat order.
+  const std::vector<bool>& bits() const { return bits_; }
+
+ private:
+  std::uint32_t channels_;
+  std::unique_ptr<CoinComponent> coin_;
+  std::vector<bool> bits_;
+};
+
+}  // namespace ssbft

@@ -24,8 +24,8 @@
 // *every* adversary via additional oblivious-coin machinery; this simpler
 // graded-inclusion rule can diverge when an adversarial dealing lands on
 // the grade-1/grade-0 boundary at different correct nodes. That gap is a
-// deliberate substitution for the full protocol: bench_coin_quality
-// measures the realized p0/p1 per adversary, including a dedicated
+// deliberate substitution for the full protocol: `ssbft_bench run
+// coin_quality` measures the realized p0/p1 per adversary, including a dedicated
 // grade-splitting attacker, and the clock layer above consumes only the
 // measured constants.
 //

@@ -9,7 +9,7 @@
 // needs log k concurrent 2-clocks (log k message overhead) and level i only
 // advances once per 2^i beats, so upper levels converge slowly; the k-Clock
 // of Figure 4 replaces it with a constant-overhead agreement cascade.
-// bench_kclock_scaling measures exactly this comparison.
+// `ssbft_bench run kclock_scaling` measures exactly this comparison.
 #pragma once
 
 #include <memory>

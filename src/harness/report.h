@@ -22,7 +22,7 @@ std::optional<ReportFormat> parse_report_format(const std::string& s);
 const char* report_format_name(ReportFormat f);
 
 // Run metadata stamped onto every structured row. trials/seed/jobs carry
-// the CLI-level values (0 = per-scenario defaults / hardware threads), so
+// the CLI-level values (0 = per-scenario defaults / one job per CPU), so
 // a row is traceable back to the exact invocation that produced it.
 struct RunMeta {
   std::string experiment;
@@ -76,7 +76,7 @@ class Report {
   // keyed by header under "columns".
   void table(const std::string& id, const AsciiTable& t);
 
-  // The historical trailing "CSV follows:" block of the bench mains.
+  // The historical trailing "CSV follows:" block of the experiment tables.
   // ASCII mode only — the structured formats already carried the rows.
   void csv_trailer(const AsciiTable& t);
 

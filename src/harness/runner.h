@@ -1,5 +1,6 @@
-// Multi-trial experiment runner: builds a fresh seeded engine per trial,
-// measures convergence, and aggregates distribution statistics.
+// The vocabulary of a multi-trial experiment: how one trial's engine is
+// built from its seed, how many trials a cell runs, and the distribution
+// statistics they aggregate into. harness/sweep.h runs the trials.
 #pragma once
 
 #include <functional>
@@ -47,17 +48,9 @@ struct TrialStats {
 
 struct RunnerConfig {
   std::uint64_t trials = 50;
+  // Trial t is seeded base_seed + t.
   std::uint64_t base_seed = 1;
-  // Worker threads running trials. 1 = serial; 0 = one per hardware
-  // thread; clamped to 4x the hardware thread count. Trial t is always
-  // seeded base_seed + t and results are merged in trial order, so
-  // TrialStats is bit-identical for every jobs value.
-  std::uint64_t jobs = 1;
   ConvergenceConfig convergence;
 };
-
-// Runs one cell's trials (implemented in sweep.cpp as a single-cell sweep,
-// so the serial, parallel and cross-cell paths share one merge).
-TrialStats run_trials(const EngineBuilder& builder, const RunnerConfig& cfg);
 
 }  // namespace ssbft

@@ -325,9 +325,9 @@ RunnerConfig scenario_runner_config(const ScenarioSpec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry. Covers every convergence cell of the bench tables (the
-// steady-state single-engine measurements of bench_coin_quality /
-// bench_message_complexity are experiment-internal — they are bit-stream
+// Registry. Covers every convergence cell of the experiment tables (the
+// steady-state single-engine measurements of coin_quality /
+// message_complexity are experiment-internal — they are bit-stream
 // and traffic probes, not trial cells) plus the network/transient-fault
 // variants that have no bench of their own.
 
@@ -396,7 +396,7 @@ std::vector<ScenarioSpec> make_registry() {
     specs.push_back(std::move(s));
   };
 
-  // --- Table 1 (bench_table1): four families x (n, f), k = 64. ---------
+  // --- Table 1 (table1): four families x (n, f), k = 64. --------------
   struct NF {
     std::uint32_t n, f;
   };
@@ -444,7 +444,7 @@ std::vector<ScenarioSpec> make_registry() {
         5000 + n, 8000);
   }
 
-  // --- Large-n scaling grid (bench_table1's table1-large experiment):
+  // --- Large-n scaling grid (the table1-large experiment):
   // first cells past n=13, sized to exercise the SIMD field and codec
   // kernels at wide n. f = floor((n-1)/3) is the paper's maximal
   // resilience; trials stay small because a single n=128 FM-coin beat
@@ -468,7 +468,7 @@ std::vector<ScenarioSpec> make_registry() {
         3, 9100 + n, 8000);
 
     // Gallery adversary at scale: the adaptive quorum splitter, the
-    // strongest attacker in examples/byzantine_gallery, on the full
+    // strongest attacker in the gallery/* cells, on the full
     // FM-coin stack.
     World wa = wf;
     wa.attack = Attack::kAdaptive;
@@ -476,7 +476,7 @@ std::vector<ScenarioSpec> make_registry() {
         Family::kClockSync, wa, 3, 9200 + n, 8000);
   }
 
-  // --- Resiliency boundaries (bench_resiliency): n = 13, sweep actual. --
+  // --- Resiliency boundaries (resiliency): n = 13, sweep actual. -------
   for (std::uint32_t actual : {0u, 2u, 3u, 4u, 5u}) {
     World wq;
     wq.n = 13;
@@ -495,7 +495,7 @@ std::vector<ScenarioSpec> make_registry() {
         10, 77, 8000, 24);
   }
 
-  // --- k-scaling (bench_kclock_scaling): n = 4, f = 1, noise. ----------
+  // --- k-scaling (kclock_scaling): n = 4, f = 1, noise. ----------------
   for (std::uint32_t levels = 2; levels <= 8; levels += 2) {
     const ClockValue k = ClockValue{1} << levels;
     World w;
@@ -511,7 +511,7 @@ std::vector<ScenarioSpec> make_registry() {
         60 + levels, 30000, 2 * k + 8);
   }
 
-  // --- Coin leverage (bench_coin_leverage): k = 8. ---------------------
+  // --- Coin leverage (coin_leverage): k = 8. ---------------------------
   for (const auto [n, f] : {NF{4, 1}, NF{7, 2}, NF{10, 3}}) {
     World w;
     w.n = n;
@@ -546,7 +546,7 @@ std::vector<ScenarioSpec> make_registry() {
         20, 95 + n, 20000);
   }
 
-  // --- Remark 4.1 ablation (bench_ablation_pipeline): FM coin, noise. --
+  // --- Remark 4.1 ablation (ablation_pipeline): FM coin, noise. --------
   {
     World w;
     w.n = 4;
@@ -566,7 +566,7 @@ std::vector<ScenarioSpec> make_registry() {
     }
   }
 
-  // --- Convergence tail (bench_convergence_tail). ----------------------
+  // --- Convergence tail (convergence_tail). ----------------------------
   {
     World w;
     w.n = 4;
@@ -589,7 +589,7 @@ std::vector<ScenarioSpec> make_registry() {
     add("tail/sync/n7", Family::kClockSync, ws, 200, 10, 8000);
   }
 
-  // --- Adversary gallery (examples/byzantine_gallery): 2-clock, n = 7. -
+  // --- Adversary gallery (gallery/*): 2-clock, n = 7. -----------------
   {
     World w;
     w.n = 7;

@@ -65,7 +65,7 @@ struct World {
   // ablation). Numeric to avoid dragging coin_pipeline.h into every
   // bench: 0 = per-sub-clock (the default), 1 = shared.
   std::uint32_t shared_pipeline = 0;
-  // Per-channel byte accounting (bench_message_complexity's breakdown).
+  // Per-channel byte accounting (message_complexity's breakdown).
   bool track_channel_bytes = false;
   // Network/transient fault axes (drop probability, phantom injection,
   // mid-run corruption schedule), passed through to the engine.
@@ -117,8 +117,8 @@ struct ScenarioSpec {
 // EngineBuilder for one cell of the spec.
 EngineBuilder build_scenario(const ScenarioSpec& spec);
 
-// RunnerConfig carrying the spec's defaults (jobs left at 1; sweeps
-// schedule globally).
+// RunnerConfig carrying the spec's defaults (trials, base seed,
+// convergence budget).
 RunnerConfig scenario_runner_config(const ScenarioSpec& spec);
 
 // One-line audit detail for `ssbft_bench list`: the cell's DeliverySpec

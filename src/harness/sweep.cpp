@@ -1,6 +1,5 @@
-// Implements both the cross-cell sweep scheduler and the single-cell
-// run_trials entry point on one shared (claim, run, merge) core, so the
-// two paths cannot drift apart numerically. Sharding, checkpointing and
+// The cross-cell sweep scheduler: one (claim, run, merge) core for every
+// grid, from a single cell at jobs = 1 up. Sharding, checkpointing and
 // resume all ride the same core: a shard is just a slice of the global
 // unit sequence, and a resumed unit is one whose outcome arrives from the
 // checkpoint instead of the engine.
@@ -36,12 +35,8 @@ double percentile(const std::vector<std::uint64_t>& sorted, double q) {
          static_cast<double>(sorted[hi]) * frac;
 }
 
-unsigned hardware_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 std::uint64_t effective_jobs(std::uint64_t requested, std::uint64_t units) {
-  const std::uint64_t hw = hardware_threads();
+  const std::uint64_t hw = available_cpus();
   std::uint64_t jobs = requested == 0 ? hw : requested;
   // Trials are CPU-bound, so threads beyond the core count only add
   // scheduling overhead — and an absurd jobs value must not exhaust OS
@@ -135,14 +130,14 @@ class TeeTraceSink final : public TraceSink {
   TraceSink* b_;
 };
 
-// `jobs` units run at once, so each engine gets its share of the hardware
-// threads as beat workers.
+// `jobs` units run at once, so each engine gets its share of the available
+// CPUs as beat workers.
 TrialOutcome run_unit(const SweepCell& cell, std::uint64_t t,
                       const SweepOptions& opts, std::uint64_t jobs) {
   EngineBundle bundle = cell.builder(cell.cfg.base_seed + t);
   SSBFT_CHECK(bundle.engine != nullptr);
   bundle.engine->set_beat_workers(static_cast<unsigned>(
-      std::max<std::uint64_t>(1, hardware_threads() / jobs)));
+      std::max<std::uint64_t>(1, available_cpus() / jobs)));
   // Destroyed before the bundle (declared later), which is safe: no beat
   // runs after the run returns and the engine's destructor never touches
   // its trace sink.
@@ -288,7 +283,7 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
 
   // Flatten the grid into one unit list: unit u = (cell_of[u],
   // trial_of[u]), cells in order, trials in order within each cell — so a
-  // serial walk is exactly "run_trials per cell". Sharding and
+  // serial walk runs each cell's trials back to back. Sharding and
   // checkpointing both speak this global index.
   std::vector<std::uint32_t> cell_of;
   std::vector<std::uint64_t> trial_of;
@@ -504,14 +499,6 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
 std::vector<TrialStats> run_sweep(const std::vector<SweepCell>& cells,
                                   const SweepOptions& opts) {
   return run_sweep_ex(cells, opts).stats;
-}
-
-TrialStats run_trials(const EngineBuilder& builder, const RunnerConfig& cfg) {
-  SweepOptions opts;
-  opts.jobs = cfg.jobs;
-  std::vector<SweepCell> cells;
-  cells.push_back(SweepCell{"", builder, cfg});
-  return run_sweep(cells, opts)[0];
 }
 
 }  // namespace ssbft

@@ -4,7 +4,8 @@
 // row. Determinism contract: trial t of cell c is always seeded
 // cell.cfg.base_seed + t and outcomes are merged per cell in trial order,
 // so every cell's TrialStats is bit-identical to running that cell alone
-// with run_trials at jobs = 1 — for every jobs value and any interleaving.
+// in a single-cell sweep at jobs = 1 — for every jobs value and any
+// interleaving.
 //
 // The same contract extends across processes: `shard` restricts a run to
 // the units u with u % count == index, so k shard runs (on k machines)
@@ -25,7 +26,6 @@
 namespace ssbft {
 
 // One cell of a sweep grid: a named engine-builder plus its trial config.
-// cfg.jobs is ignored here — scheduling is sweep-global.
 struct SweepCell {
   std::string name;
   EngineBuilder builder;
@@ -34,10 +34,10 @@ struct SweepCell {
 
 struct SweepOptions {
   // Worker threads over the global unit queue. 1 = serial; 0 = one per
-  // hardware thread; clamped to 4x the hardware thread count and to the
-  // total unit count. Each unit's engine may run a heavy beat's nodes on
-  // up to max(1, hardware threads / jobs) beat workers (sim/engine.h), so
-  // a sweep never oversubscribes the cores.
+  // available CPU (available_cpus(), sim/engine.h); clamped to 4x that
+  // count and to the total unit count. Each unit's engine may run a heavy
+  // beat's nodes on up to max(1, available CPUs / jobs) beat workers, so a
+  // sweep never oversubscribes the cores.
   std::uint64_t jobs = 1;
   // Opt-in stderr progress line ("sweep: u/N units done" — under an
   // active shard, the slice's units) for long sweeps.

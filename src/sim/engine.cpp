@@ -6,10 +6,26 @@
 #include <mutex>
 #include <thread>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "sim/delivery.h"
 #include "support/check.h"
 
 namespace ssbft {
+
+unsigned available_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 // The beat workers: the calling thread is worker 0 and sends through the
 // engine's outbox, arena and correct_msgs_; workers 1..size-1 are threads
@@ -180,7 +196,7 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
       net_rng_(Rng(cfg_.seed).split("network")),
       metrics_(cfg_.metrics_history_limit),
       outbox_(0, cfg_.n, &arena_),
-      worker_cap_(std::max(1u, std::thread::hardware_concurrency())) {
+      worker_cap_(available_cpus()) {
   SSBFT_REQUIRE(cfg_.n >= 1);
   SSBFT_REQUIRE_MSG(adversary_ != nullptr || cfg_.faulty.empty(),
                     "faulty nodes present but no adversary supplied");
@@ -391,13 +407,7 @@ void Engine::run_beat() {
   if (auto it = cfg_.faults.corruptions.find(beat_);
       it != cfg_.faults.corruptions.end()) {
     for (NodeId id : it->second) {
-      if (!is_faulty_[id]) {
-        protocols_[id]->randomize_state(corrupt_rng_);
-        if (trace_ != nullptr) {
-          trace_buf_.push({beat_, static_cast<std::int32_t>(id),
-                           TraceEvent::kCorrupt, 0, 0, 0, 0, 0});
-        }
-      }
+      if (!is_faulty_[id]) corrupt_node(id);
     }
   }
 

@@ -18,6 +18,11 @@ namespace ssbft {
 
 class DeliveryPolicy;  // sim/delivery.h
 
+// CPUs this process may run on: the count in its sched_getaffinity mask
+// (so `taskset -c 0` gives 1), else hardware_concurrency(), at least 1.
+// The default beat-worker cap and the sweep's job count both read it.
+unsigned available_cpus();
+
 // Hook invoked at the start of every beat, before any send phase. Used by
 // environment-level components such as the oracle coin beacon.
 class BeatListener {
@@ -40,7 +45,7 @@ struct EngineConfig {
   // Accumulate correct-node sent bytes per channel (one extra pass over
   // the beat's messages; off by default). Read via channel_bytes(); reset
   // via reset_channel_bytes() after warmup. Used by the per-round traffic
-  // breakdown in bench_message_complexity.
+  // breakdown in `ssbft_bench run message_complexity`.
   bool track_channel_bytes = false;
 
   // The highest-id nodes are faulty by default.
@@ -126,9 +131,9 @@ class Engine {
   // moved at least kPoolMinBeatBytes of correct-node traffic and the cap
   // is above 1. Messages, metrics and everything serial — listeners,
   // corruption, the adversary, delivery, channel bytes, the trace — come
-  // out exactly as on one thread. The cap defaults to the hardware thread
-  // count; a sweep lowers it so its engines share the cores. It may only
-  // be set before the first beat.
+  // out exactly as on one thread. The cap defaults to available_cpus(); a
+  // sweep lowers it so its engines share the cores. It may only be set
+  // before the first beat.
   static constexpr std::uint64_t kPoolMinBeatBytes = std::uint64_t{1} << 20;
   void set_beat_workers(unsigned cap);
   unsigned beat_worker_cap() const { return worker_cap_; }

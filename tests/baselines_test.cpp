@@ -13,7 +13,7 @@
 #include "baselines/dolev_welch.h"
 #include "baselines/pipelined_ba_clock.h"
 #include "harness/convergence.h"
-#include "harness/runner.h"
+#include "harness/sweep.h"
 
 namespace ssbft {
 namespace {
@@ -88,8 +88,10 @@ TEST(DolevWelch, ConvergenceDegradesWithScale) {
     rc.trials = 12;
     rc.base_seed = 100;
     rc.convergence.max_beats = 300000;
-    auto stats = run_trials(
-        [&](std::uint64_t seed) { return build_dw(n, f, 4, seed); }, rc);
+    const EngineBuilder builder = [&](std::uint64_t seed) {
+      return build_dw(n, f, 4, seed);
+    };
+    auto stats = run_sweep({SweepCell{"", builder, rc}}, SweepOptions{})[0];
     EXPECT_GT(stats.converged, 0u);
     return stats.mean;
   };
@@ -243,14 +245,17 @@ TEST(DwSharedCoin, ExponentialGapVersusLocalCoins) {
   rc.trials = 8;
   rc.base_seed = 300;
   rc.convergence.max_beats = 50000;
-  auto local = run_trials(
-      [](std::uint64_t seed) { return build_dw(10, 3, 8, seed); }, rc);
+  const EngineBuilder local_builder = [](std::uint64_t seed) {
+    return build_dw(10, 3, 8, seed);
+  };
+  auto local =
+      run_sweep({SweepCell{"", local_builder, rc}}, SweepOptions{})[0];
   rc.convergence.max_beats = 2000;
-  auto shared = run_trials(
-      [](std::uint64_t seed) {
-        return build_dw_shared(10, 3, 8, seed, /*fm=*/false);
-      },
-      rc);
+  const EngineBuilder shared_builder = [](std::uint64_t seed) {
+    return build_dw_shared(10, 3, 8, seed, /*fm=*/false);
+  };
+  auto shared =
+      run_sweep({SweepCell{"", shared_builder, rc}}, SweepOptions{})[0];
   ASSERT_EQ(shared.converged, shared.trials);
   // Compare against converged local trials only (censoring favors local).
   if (local.converged > 0) {

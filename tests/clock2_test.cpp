@@ -8,7 +8,7 @@
 #include "coin/oracle_coin.h"
 #include "core/clock2.h"
 #include "harness/convergence.h"
-#include "harness/runner.h"
+#include "harness/sweep.h"
 
 namespace ssbft {
 namespace {
@@ -154,11 +154,10 @@ TEST(Clock2, ExpectedConvergenceIsConstantAcrossN) {
     rc.trials = 40;
     rc.base_seed = 500;
     rc.convergence.max_beats = 4000;
-    auto stats = run_trials(
-        [&](std::uint64_t seed) {
-          return build_clock2({n, f, Attack::kSplit}, seed);
-        },
-        rc);
+    const EngineBuilder builder = [&](std::uint64_t seed) {
+      return build_clock2({n, f, Attack::kSplit}, seed);
+    };
+    auto stats = run_sweep({SweepCell{"", builder, rc}}, SweepOptions{})[0];
     EXPECT_EQ(stats.converged, stats.trials);
     return stats.mean;
   };
@@ -177,11 +176,10 @@ TEST(Clock2, LowCommonCoinSlowsConvergence) {
     rc.trials = 30;
     rc.base_seed = 900;
     rc.convergence.max_beats = 20000;
-    auto stats = run_trials(
-        [&](std::uint64_t seed) {
-          return build_clock2({7, 2, Attack::kSplit}, seed, cp);
-        },
-        rc);
+    const EngineBuilder builder = [&](std::uint64_t seed) {
+      return build_clock2({7, 2, Attack::kSplit}, seed, cp);
+    };
+    auto stats = run_sweep({SweepCell{"", builder, rc}}, SweepOptions{})[0];
     EXPECT_EQ(stats.converged, stats.trials);
     return stats.mean;
   };

@@ -16,7 +16,6 @@
 namespace ssbft {
 namespace {
 
-using testing::CoinHostProtocol;
 using testing::common_bit_fraction;
 
 EngineBundle coin_engine(std::uint32_t n, std::uint32_t f, const CoinSpec& spec,
@@ -30,7 +29,7 @@ EngineBundle coin_engine(std::uint32_t n, std::uint32_t f, const CoinSpec& spec,
   cfg.seed = seed;
   cfg.faults.randomize_genesis = true;
   auto factory = [&spec](const ProtocolEnv& env, Rng rng) {
-    return std::make_unique<CoinHostProtocol>(env, spec, rng);
+    return std::make_unique<CoinHost>(env, spec, rng);
   };
   EngineBundle bundle;
   bundle.engine = std::make_unique<Engine>(cfg, factory, std::move(adversary));
@@ -187,7 +186,7 @@ TEST_P(FmCoinEngineTest, CommonAndFairUnderSilentByzantine) {
   bundle.engine->run_beats(400);
   EXPECT_EQ(common_bit_fraction(*bundle.engine, FmCoinInstance::kRounds), 1.0);
   // Fairness: the common stream should be roughly balanced.
-  const auto& bits = dynamic_cast<const CoinHostProtocol&>(
+  const auto& bits = dynamic_cast<const CoinHost&>(
                          bundle.engine->node(0))
                          .bits();
   int ones = 0;
@@ -218,7 +217,7 @@ TEST(FmCoin, RecoversCommonalityAfterTransientCorruption) {
   // Within pipeline depth the corrupted slots are flushed (Lemma 1).
   bundle.engine->run_beats(FmCoinInstance::kRounds + 1);
   const std::size_t resume =
-      dynamic_cast<const CoinHostProtocol&>(bundle.engine->node(0))
+      dynamic_cast<const CoinHost&>(bundle.engine->node(0))
           .bits()
           .size();
   bundle.engine->run_beats(50);
@@ -264,12 +263,12 @@ TEST(FmCoin, RoundTripWhenTwoRowBlocksOutgrowTheShareMatrix) {
   cfg.seed = 41;
   CoinSpec spec = fm_coin_spec();
   auto factory = [&spec](const ProtocolEnv& env, Rng rng) {
-    return std::make_unique<CoinHostProtocol>(env, spec, rng);
+    return std::make_unique<CoinHost>(env, spec, rng);
   };
   Engine eng(cfg, factory, nullptr);
   eng.run_beats(200);
   EXPECT_EQ(common_bit_fraction(eng, FmCoinInstance::kRounds), 1.0);
-  const auto& bits = dynamic_cast<const CoinHostProtocol&>(eng.node(0)).bits();
+  const auto& bits = dynamic_cast<const CoinHost&>(eng.node(0)).bits();
   int ones = 0;
   for (std::size_t i = FmCoinInstance::kRounds; i < bits.size(); ++i) {
     ones += bits[i] ? 1 : 0;
@@ -290,9 +289,9 @@ TEST(FmCoin, CorrectDealersGetHighGrades) {
   auto bundle2 = coin_engine(4, 0, fm_coin_spec(), 37, nullptr);
   bundle2.engine->run_beats(20);
   const auto& b1 =
-      dynamic_cast<const CoinHostProtocol&>(bundle.engine->node(0)).bits();
+      dynamic_cast<const CoinHost&>(bundle.engine->node(0)).bits();
   const auto& b2 =
-      dynamic_cast<const CoinHostProtocol&>(bundle2.engine->node(0)).bits();
+      dynamic_cast<const CoinHost&>(bundle2.engine->node(0)).bits();
   EXPECT_EQ(b1, b2);
 }
 

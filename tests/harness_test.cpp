@@ -134,7 +134,7 @@ std::vector<SweepCell> three_cell_grid(std::uint64_t trials) {
   return cells;
 }
 
-TEST(Sweep, BitIdenticalAcrossJobsAndToRunTrials) {
+TEST(Sweep, BitIdenticalAcrossJobsAndToSingleCellSweeps) {
   const auto cells = three_cell_grid(6);
   SweepOptions serial;
   serial.jobs = 1;
@@ -153,11 +153,11 @@ TEST(Sweep, BitIdenticalAcrossJobsAndToRunTrials) {
     }
   }
 
-  // And each cell must equal a standalone run_trials of that cell alone —
-  // the sweep is a scheduler, never a statistic.
+  // And each cell must equal a serial sweep of that cell alone — the
+  // sweep is a scheduler, never a statistic.
   for (std::size_t c = 0; c < cells.size(); ++c) {
     SCOPED_TRACE(cells[c].name);
-    expect_identical(base[c], run_trials(cells[c].builder, cells[c].cfg));
+    expect_identical(base[c], run_sweep({cells[c]}, serial)[0]);
   }
 }
 

@@ -1,38 +1,16 @@
-// Shared test scaffolding: small top-level Protocol wrappers that host
-// sub-components (coins, one-shot BA instances) on the engine, plus
-// engine-building conveniences.
+// Shared test scaffolding: a top-level Protocol wrapper that hosts a
+// one-shot BA instance on the engine, plus a bit-stream statistic over
+// coin/coin_host.h's CoinHost.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "agreement/ba_interface.h"
-#include "coin/coin_interface.h"
+#include "coin/coin_host.h"
 #include "sim/engine.h"
 
 namespace ssbft::testing {
-
-// Hosts a CoinComponent as a top-level protocol and records its bit stream.
-class CoinHostProtocol final : public Protocol {
- public:
-  CoinHostProtocol(const ProtocolEnv& env, const CoinSpec& spec, Rng rng)
-      : channels_(spec.channels == 0 ? 1 : spec.channels),
-        coin_(spec.make(env, 0, rng)) {}
-
-  void send_phase(Outbox& out) override { coin_->send_phase(out); }
-  void receive_phase(const Inbox& in) override {
-    bits_.push_back(coin_->receive_phase(in));
-  }
-  void randomize_state(Rng& rng) override { coin_->randomize_state(rng); }
-  std::uint32_t channel_count() const override { return channels_; }
-
-  const std::vector<bool>& bits() const { return bits_; }
-
- private:
-  std::uint32_t channels_;
-  std::unique_ptr<CoinComponent> coin_;
-  std::vector<bool> bits_;
-};
 
 // Hosts one BA instance: runs its rounds once, then idles holding the
 // output.
@@ -69,9 +47,9 @@ class OneShotBaProtocol final : public Protocol {
 // Fraction of positions where all correct hosts reported the same bit.
 inline double common_bit_fraction(const Engine& engine,
                                   std::size_t skip_warmup) {
-  std::vector<const CoinHostProtocol*> hosts;
+  std::vector<const CoinHost*> hosts;
   for (NodeId id : engine.correct_ids()) {
-    hosts.push_back(dynamic_cast<const CoinHostProtocol*>(&engine.node(id)));
+    hosts.push_back(dynamic_cast<const CoinHost*>(&engine.node(id)));
   }
   if (hosts.empty() || hosts[0]->bits().size() <= skip_warmup) return 0.0;
   std::size_t common = 0, total = 0;

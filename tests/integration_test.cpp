@@ -8,7 +8,7 @@
 #include "coin/fm_coin.h"
 #include "core/clock_sync.h"
 #include "harness/convergence.h"
-#include "harness/runner.h"
+#include "harness/sweep.h"
 #include "harness/table.h"
 #include "support/check.h"
 
@@ -98,11 +98,10 @@ TEST(Integration, RunnerAggregatesHonestly) {
   rc.trials = 6;
   rc.base_seed = 42;
   rc.convergence.max_beats = 3000;
-  auto stats = run_trials(
-      [](std::uint64_t seed) {
-        return full_stack(4, 1, 8, seed, make_silent_adversary());
-      },
-      rc);
+  const EngineBuilder builder = [](std::uint64_t seed) {
+    return full_stack(4, 1, 8, seed, make_silent_adversary());
+  };
+  auto stats = run_sweep({SweepCell{"", builder, rc}}, SweepOptions{})[0];
   EXPECT_EQ(stats.trials, 6u);
   EXPECT_EQ(stats.converged, 6u);
   EXPECT_EQ(stats.samples.size(), 6u);

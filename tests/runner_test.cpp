@@ -1,12 +1,11 @@
-// Tests for the multi-trial experiment runner: the parallel executor must
-// be bit-identical to the serial path for every jobs value, censored
-// trials must be accounted for, and degenerate configs must not divide by
-// zero.
+// Tests for one cell's trials through the sweep scheduler: more jobs than
+// units, censored trials, degenerate configs and builder failures.
+// Cross-cell and cross-jobs bit-identity is pinned in harness_test.
 #include <gtest/gtest.h>
 
 #include "adversary/adversaries.h"
 #include "baselines/dolev_welch.h"
-#include "harness/runner.h"
+#include "harness/sweep.h"
 
 namespace ssbft {
 namespace {
@@ -31,13 +30,20 @@ EngineBuilder dw_builder(std::uint32_t n, std::uint32_t f, ClockValue k) {
   };
 }
 
-RunnerConfig base_config(std::uint64_t trials, std::uint64_t jobs) {
+RunnerConfig base_config(std::uint64_t trials) {
   RunnerConfig rc;
   rc.trials = trials;
   rc.base_seed = 7;
-  rc.jobs = jobs;
   rc.convergence.max_beats = 400;
   return rc;
+}
+
+// A single-cell sweep at the given scheduler width.
+TrialStats run_cell(const EngineBuilder& builder, const RunnerConfig& rc,
+                    std::uint64_t jobs) {
+  SweepOptions opts;
+  opts.jobs = jobs;
+  return run_sweep({SweepCell{"cell", builder, rc}}, opts)[0];
 }
 
 void expect_identical(const TrialStats& a, const TrialStats& b) {
@@ -51,20 +57,10 @@ void expect_identical(const TrialStats& a, const TrialStats& b) {
   EXPECT_EQ(a.mean_msgs_per_beat, b.mean_msgs_per_beat);
 }
 
-TEST(Runner, ParallelBitIdenticalToSerial) {
-  const auto builder = dw_builder(4, 1, 8);
-  const TrialStats serial = run_trials(builder, base_config(24, 1));
-  ASSERT_GT(serial.converged, 0u);
-  for (std::uint64_t jobs : {2ULL, 3ULL, 8ULL, 0ULL}) {
-    const TrialStats parallel = run_trials(builder, base_config(24, jobs));
-    expect_identical(serial, parallel);
-  }
-}
-
 TEST(Runner, JobsExceedingTrials) {
   const auto builder = dw_builder(4, 1, 8);
-  const TrialStats serial = run_trials(builder, base_config(3, 1));
-  const TrialStats wide = run_trials(builder, base_config(3, 64));
+  const TrialStats serial = run_cell(builder, base_config(3), 1);
+  const TrialStats wide = run_cell(builder, base_config(3), 64);
   expect_identical(serial, wide);
 }
 
@@ -72,10 +68,10 @@ TEST(Runner, CensoredTrialsAreAccounted) {
   const auto builder = dw_builder(4, 1, 8);
   // A budget below the confirmation window censors every trial: the
   // detector can never confirm convergence in fewer beats than the window.
-  RunnerConfig rc = base_config(6, 4);
+  RunnerConfig rc = base_config(6);
   rc.convergence.max_beats = 4;
   rc.convergence.confirm_window = 12;
-  const TrialStats s = run_trials(builder, rc);
+  const TrialStats s = run_cell(builder, rc, 4);
   EXPECT_EQ(s.trials, 6u);
   EXPECT_EQ(s.converged, 0u);
   EXPECT_TRUE(s.samples.empty());
@@ -90,8 +86,7 @@ TEST(Runner, CensoredTrialsAreAccounted) {
 
 TEST(Runner, PartialConvergenceSumsToTrials) {
   const auto builder = dw_builder(4, 1, 8);
-  RunnerConfig rc = base_config(24, 3);
-  const TrialStats s = run_trials(builder, rc);
+  const TrialStats s = run_cell(builder, base_config(24), 3);
   EXPECT_EQ(s.trials, 24u);
   EXPECT_EQ(s.samples.size(), s.converged);
   EXPECT_LE(s.converged, s.trials);
@@ -103,8 +98,7 @@ TEST(Runner, PartialConvergenceSumsToTrials) {
 
 TEST(Runner, ZeroTrialsYieldsZeroedStats) {
   const auto builder = dw_builder(4, 1, 8);
-  RunnerConfig rc = base_config(0, 1);
-  const TrialStats s = run_trials(builder, rc);
+  const TrialStats s = run_cell(builder, base_config(0), 1);
   EXPECT_EQ(s.trials, 0u);
   EXPECT_EQ(s.converged, 0u);
   EXPECT_TRUE(s.samples.empty());
@@ -112,8 +106,7 @@ TEST(Runner, ZeroTrialsYieldsZeroedStats) {
   EXPECT_EQ(s.mean, 0.0);
   EXPECT_EQ(s.convergence_rate(), 0.0);
   // Same for the parallel path.
-  rc.jobs = 8;
-  const TrialStats p = run_trials(builder, rc);
+  const TrialStats p = run_cell(builder, base_config(0), 8);
   EXPECT_EQ(p.mean_msgs_per_beat, 0.0);
 }
 
@@ -122,8 +115,7 @@ TEST(Runner, SamplesReservedToTrialCount) {
   // the loop never reallocates — observable as capacity >= trials even
   // when only a subset converges.
   const auto builder = dw_builder(4, 1, 8);
-  RunnerConfig rc = base_config(24, 2);
-  const TrialStats s = run_trials(builder, rc);
+  const TrialStats s = run_cell(builder, base_config(24), 2);
   EXPECT_GE(s.samples.capacity(), s.trials);
 }
 
@@ -132,9 +124,9 @@ TEST(Runner, BuilderExceptionPropagatesFromWorkers) {
     if (seed >= 10) throw std::runtime_error("builder blew up");
     return dw_builder(4, 1, 8)(seed);
   };
-  RunnerConfig rc = base_config(32, 4);
+  RunnerConfig rc = base_config(32);
   rc.base_seed = 0;
-  EXPECT_THROW(run_trials(throwing, rc), std::runtime_error);
+  EXPECT_THROW(run_cell(throwing, rc, 4), std::runtime_error);
 }
 
 }  // namespace

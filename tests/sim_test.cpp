@@ -10,6 +10,10 @@
 #include <stdexcept>
 #include <string>
 
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "adversary/adversaries.h"
 #include "harness/convergence.h"
 #include "sim/engine.h"
@@ -822,6 +826,39 @@ TEST(BeatWorkers, PoolStartsOnlyWhenTheFirstBeatQualifies) {
     eng.run_beats(2);
     EXPECT_EQ(eng.beat_workers(), c.workers);
   }
+}
+
+// The default cap counts the CPUs this process may run on, not the
+// machine's: a child narrowed to one CPU (as under `taskset -c 0`) gets a
+// serial engine even for a heavy beat. Forked, so the narrowed mask never
+// reaches the rest of the suite.
+TEST(BeatWorkers, DefaultCapFollowsTheAffinityMask) {
+  cpu_set_t mine;
+  CPU_ZERO(&mine);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mine), &mine), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &mine)) ++cpu;
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1) << "fork failed";
+  if (pid == 0) {
+    // Child: _exit keeps gtest/atexit machinery out; the code says what
+    // failed.
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) _exit(3);
+    Engine eng = heavy_engine(kHeavyLen, true, make_silent_adversary(),
+                              basic_config(10, 2));
+    if (eng.beat_worker_cap() != 1) _exit(1);
+    eng.run_beat();
+    _exit(eng.beat_workers() == 1 ? 0 : 2);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: cap above 1 on one CPU, 2: the pool started, 3: "
+         "sched_setaffinity failed";
 }
 
 // Records every message of the rushing view, in order, and answers from

@@ -11,7 +11,6 @@
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -262,7 +261,7 @@ TEST(TraceCheck, LightCellsStaySerial) {
 }
 
 // Sweep workers and beat workers share the cores: at jobs = 2 every unit's
-// engine is capped at half the hardware threads.
+// engine is capped at half the available CPUs.
 TEST(TraceCheck, SweepSharesTheCoresWithBeatWorkers) {
   struct Caps {
     std::mutex mu;
@@ -301,7 +300,7 @@ TEST(TraceCheck, SweepSharesTheCoresWithBeatWorkers) {
   SweepOptions opts;
   opts.jobs = 2;
   run_sweep(cells, opts);
-  const unsigned want = std::max(1u, std::thread::hardware_concurrency() / 2);
+  const unsigned want = std::max(1u, available_cpus() / 2);
   EXPECT_EQ(caps.seen, std::vector<unsigned>(units, want));
 }
 
