@@ -45,25 +45,6 @@ BENCHMARK(BM_FieldInv);
 // together with BM_FullStackBeat (filter BM_FieldKernels|BM_FullStackBeat)
 // so the perf path cannot rot silently.
 
-void BM_FieldKernels_MulVec(benchmark::State& state) {
-  PrimeField F;
-  Rng rng(21);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> a(len), b(len), out(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    a[i] = F.uniform(rng);
-    b[i] = F.uniform(rng);
-  }
-  for (auto _ : state) {
-    F.mul_vec(a.data(), b.data(), out.data(), len);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len));
-}
-BENCHMARK(BM_FieldKernels_MulVec)->Arg(64)->Arg(1024);
-
 void BM_FieldKernels_BatchInv(benchmark::State& state) {
   PrimeField F;
   Rng rng(22);
@@ -84,29 +65,11 @@ BENCHMARK(BM_FieldKernels_BatchInv)->Arg(16)->Arg(256);
 
 // --- Wide-shape kernel benchmarks ------------------------------------------
 //
-// The large-n scaling grid's shapes: length-n vectors and the
-// n x (f+1) by (f+1) x n products of the GVSS rounds for n up to 128, the
-// loops the runtime-dispatched SIMD backends target. Rerun against a -DSSBFT_SIMD=off build
-// for the scalar reference on identical inputs.
-
-void BM_FieldKernelsWide_MulVec(benchmark::State& state) {
-  PrimeField F;
-  Rng rng(31);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> a(len), b(len), out(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    a[i] = F.uniform(rng);
-    b[i] = F.uniform(rng);
-  }
-  for (auto _ : state) {
-    F.mul_vec(a.data(), b.data(), out.data(), len);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len));
-}
-BENCHMARK(BM_FieldKernelsWide_MulVec)->ArgName("n")->Arg(32)->Arg(128);
+// The large-n scaling grid's shapes: the n x (f+1) by (f+1) x n products
+// and node-point evaluations of the GVSS rounds for n up to 128 (the two
+// kernels with a runtime-dispatched SIMD backend), and the length-n batch
+// inversion. Rerun against a -DSSBFT_SIMD=off build for the scalar
+// reference on identical inputs.
 
 void BM_FieldKernelsWide_MatMul(benchmark::State& state) {
   // A square-ish wide product: n x (f+1) times (f+1) x n, f = (n-1)/3 (the

@@ -461,28 +461,23 @@ CoinStats measure_coin(std::uint32_t n, std::uint32_t f, bool oracle,
   if (beacon) eng.add_listener(beacon.get());
   eng.run_beats(beats);
 
-  std::vector<const CoinHost*> hosts;
-  for (NodeId id : eng.correct_ids()) {
-    hosts.push_back(dynamic_cast<const CoinHost*>(&eng.node(id)));
-  }
+  const std::vector<bool> agree = coin_agreement(eng);
+  const std::vector<bool>& bits =
+      dynamic_cast<const CoinHost&>(eng.node(eng.correct_ids()[0])).bits();
   CoinStats out;
   bool found_first = false;
   std::uint64_t common = 0, zeros = 0, ones = 0, counted = 0;
   const std::size_t warmup = FmCoinInstance::kRounds;
   for (std::size_t i = 0; i < beats; ++i) {
-    bool all_same = true;
-    for (const auto* h : hosts) {
-      if (h->bits()[i] != hosts[0]->bits()[i]) all_same = false;
-    }
-    if (all_same && !found_first) {
+    if (agree[i] && !found_first) {
       found_first = true;
       out.first_common = i;
     }
     if (i < warmup) continue;
     ++counted;
-    if (all_same) {
+    if (agree[i]) {
       ++common;
-      (hosts[0]->bits()[i] ? ones : zeros)++;
+      (bits[i] ? ones : zeros)++;
     }
   }
   out.common = static_cast<double>(common) / static_cast<double>(counted);

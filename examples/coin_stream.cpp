@@ -41,24 +41,17 @@ int main(int argc, char** argv) {
             << " (GVSS attacker active), field p = 2^61-1\n"
             << "pipeline warmup Delta_A = " << FmCoinInstance::kRounds
             << " beats (Lemma 1)\n\nbeat | bits per correct node | common?\n";
+  const std::vector<bool> agree = coin_agreement(engine);
   std::uint64_t common_after_warmup = 0;
   for (std::uint64_t i = 0; i < beats; ++i) {
     std::cout << (i < 10 ? "   " : "  ") << i << " | ";
-    bool all_same = true;
-    bool first = false;
-    bool first_set = false;
     for (NodeId id : engine.correct_ids()) {
       const bool bit =
           dynamic_cast<const CoinHost&>(engine.node(id)).bits()[i];
-      if (!first_set) {
-        first = bit;
-        first_set = true;
-      }
-      all_same &= (bit == first);
       std::cout << (bit ? '1' : '0') << ' ';
     }
-    std::cout << "| " << (all_same ? "yes" : "NO") << "\n";
-    if (all_same && i >= FmCoinInstance::kRounds) ++common_after_warmup;
+    std::cout << "| " << (agree[i] ? "yes" : "NO") << "\n";
+    if (agree[i] && i >= FmCoinInstance::kRounds) ++common_after_warmup;
   }
   std::cout << "\ncommon beats after warmup: " << common_after_warmup << "/"
             << (beats - FmCoinInstance::kRounds)

@@ -22,7 +22,7 @@ void FmCoinScratch::ensure(const PrimeField& F, std::uint32_t n_nodes,
   modulus = F.modulus();
   n = n_nodes;
   f = faults;
-  tables = GvssTables::shared(F, n, f);
+  table = GvssRecoverTable::shared(F, n, f);
   rows.assign(std::size_t{n} * (f + 1), 0);
   vals.assign(n, 0);
   shares_ok.assign(n, 0);
@@ -257,7 +257,7 @@ void FmCoinInstance::recv_shares(const Inbox& in, ChannelId ch) {
   // among these points come only from Byzantine senders (<= f), within
   // the Berlekamp-Welch budget.
   std::uint64_t* secrets = scratch_->vals.data();
-  gvss_recover_batch(field_, scratch_->tables->recover,
+  gvss_recover_batch(field_, *scratch_->table,
                      matrix_.data(), scratch_->shares_ok.data(),
                      voted_words_.data(), words_, grades_.data(), secrets,
                      scratch_->recover);
@@ -301,7 +301,7 @@ void FmCoinInstance::randomize_state(Rng& rng) {
 CoinSpec fm_coin_spec(FmCoinParams params) {
   CoinSpec spec;
   spec.channels = FmCoinInstance::kRounds;
-  // Per-node pipelines and scratch; the shared GVSS tables are immutable.
+  // Per-node pipelines and scratch; the shared recover table is immutable.
   spec.node_local = true;
   spec.make = [params](const ProtocolEnv& env, ChannelId base, Rng rng) {
     // One scratch per pipeline: its staggered instances never execute the

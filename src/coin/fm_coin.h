@@ -52,7 +52,7 @@
 // vector path, two 32-bit products and one partial fold). Recovery uses
 // PrimeField::matmul, one 1-row call per checked sender, over the recover
 // table built once per (modulus, n, f) and shared by every pipeline of
-// that shape (GvssTables::shared, fetched in FmCoinScratch::ensure).
+// that shape (GvssRecoverTable::shared, fetched in FmCoinScratch::ensure).
 //
 //   deal send     all n rows of my dealing in one eval_points call over my
 //                 (symmetric) coefficient matrix.
@@ -110,7 +110,7 @@ struct FmCoinParams {
   }
 };
 
-// Round-transient buffers plus the shared (modulus, n, f) tables, shared
+// Round-transient buffers plus the shared (modulus, n, f) table, shared
 // by all instances of one coin pipeline (and across beats). Instances
 // built without one allocate a private copy, so standalone use needs no
 // plumbing.
@@ -122,7 +122,7 @@ struct FmCoinScratch {
   std::uint32_t n = 0;
   std::uint32_t f = 0;
 
-  std::shared_ptr<const GvssTables> tables;  // the recover table
+  std::shared_ptr<const GvssRecoverTable> table;
   // n x (f+1): my dealt rows (round 1 send), the received valid rows
   // (round 1 receive).
   std::vector<std::uint64_t> rows;

@@ -76,26 +76,22 @@ void GvssRecoverTable::init(const PrimeField& F, std::uint32_t n,
   }
 }
 
-GvssTables::GvssTables(const PrimeField& F, std::uint32_t n, std::uint32_t f)
-    : recover(F, n, f) {}
-
-std::shared_ptr<const GvssTables> GvssTables::shared(const PrimeField& F,
-                                                     std::uint32_t n,
-                                                     std::uint32_t f) {
-  // Weak entries: a shape's tables live exactly as long as some pipeline
-  // holds them, and concurrent sweep workers of one shape share one copy.
+std::shared_ptr<const GvssRecoverTable> GvssRecoverTable::shared(
+    const PrimeField& F, std::uint32_t n, std::uint32_t f) {
+  // Weak entries: a shape's table lives exactly as long as some pipeline
+  // holds it, and concurrent sweep workers of one shape share one copy.
   static std::mutex mu;
   static std::map<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>,
-                  std::weak_ptr<const GvssTables>>
+                  std::weak_ptr<const GvssRecoverTable>>
       cache;
   const std::lock_guard<std::mutex> lock(mu);
   auto& slot = cache[{F.modulus(), n, f}];
-  std::shared_ptr<const GvssTables> tables = slot.lock();
-  if (tables == nullptr) {
-    tables = std::make_shared<const GvssTables>(F, n, f);
-    slot = tables;
+  std::shared_ptr<const GvssRecoverTable> table = slot.lock();
+  if (table == nullptr) {
+    table = std::make_shared<const GvssRecoverTable>(F, n, f);
+    slot = table;
   }
-  return tables;
+  return table;
 }
 
 namespace {
@@ -129,8 +125,8 @@ std::optional<std::uint64_t> gvss_recover(const PrimeField& F, std::uint32_t f,
   // agrees it is the unique degree-f codeword (zero errors).
   if (table_applies(table, F, f, shares)) {
     // Candidate values at the remaining share points come straight from
-    // the precomputed Lagrange rows as table-row / share dot products, with
-    // the prefix values staged flat once for the kernel.
+    // the precomputed Lagrange rows, each a 1 x m x 1 matmul of a table row
+    // and the prefix values, staged flat once for the kernel.
     const std::size_t m = std::size_t{f} + 1;
     std::vector<std::uint64_t> local;
     if (ys == nullptr) {
@@ -138,14 +134,19 @@ std::optional<std::uint64_t> gvss_recover(const PrimeField& F, std::uint32_t f,
       ys = local.data();
     }
     for (std::size_t i = 0; i < m; ++i) ys[i] = shares[i].y;
+    std::uint64_t v = 0;
     bool clean = true;
     for (std::size_t k = m; k < shares.size(); ++k) {
-      if (F.dot(table->target_row(shares[k].x), ys, m) != shares[k].y) {
+      F.matmul(table->target_row(shares[k].x), ys, &v, 1, m, 1);
+      if (v != shares[k].y) {
         clean = false;
         break;
       }
     }
-    if (clean) return F.dot(table->zero_row(), ys, m);
+    if (clean) {
+      F.matmul(table->zero_row(), ys, &v, 1, m, 1);
+      return v;
+    }
   } else {
     std::vector<std::uint64_t> xs, ys;
     xs.reserve(f + 1);

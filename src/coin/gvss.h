@@ -64,15 +64,17 @@ GvssGrade gvss_grade(std::uint32_t n, std::uint32_t f, std::uint32_t votes);
 
 // Precomputed Lagrange tables for the recovery fast path over the fixed
 // node points 1..n, built once per (field, n, f) and immutable afterwards
-// (GvssTables::shared hands one copy to every coin pipeline of a shape).
+// (GvssRecoverTable::shared hands one copy to every coin pipeline of a
+// shape). Rows of a dealing and evaluations at the node points need no
+// table: PrimeField::eval_points runs Horner at x = 1..n directly.
 //
 // The tables carry, for the canonical prefix subset {node_point(0..f)} =
 // {1..f+1}, the basis coefficients L_i(x) of the degree-f interpolant at
 // every other node point and at 0. When the first f+1 shares handed to
 // gvss_recover are exactly that prefix (the steady state: correct low-id
-// senders are present every beat), candidate evaluation is a table/share
-// dot product — no inversion. Other subsets fall back to a generic
-// batch-inverted path.
+// senders are present every beat), candidate evaluation is a 1 x (f+1) x 1
+// PrimeField::matmul of a table row and the prefix shares — no inversion.
+// Other subsets fall back to a generic batch-inverted path.
 class GvssRecoverTable {
  public:
   GvssRecoverTable() = default;
@@ -82,6 +84,12 @@ class GvssRecoverTable {
 
   // Builds (or rebuilds) the tables. One batch inversion, O(n * f) space.
   void init(const PrimeField& F, std::uint32_t n, std::uint32_t f);
+
+  // One table per (modulus, n, f), shared process-wide while anyone holds
+  // it (thread-safe; a cache lookup, so call it at set-up, not per beat).
+  static std::shared_ptr<const GvssRecoverTable> shared(const PrimeField& F,
+                                                        std::uint32_t n,
+                                                        std::uint32_t f);
 
   bool ready() const { return n_ != 0; }
   std::uint32_t n() const { return n_; }
@@ -101,22 +109,6 @@ class GvssRecoverTable {
   std::uint64_t modulus_ = 0;
   std::vector<std::uint64_t> zero_row_;
   std::vector<std::uint64_t> target_rows_;  // (n - f - 1) rows x (f+1)
-};
-
-// The read-only tables of one (field, n, f) shape: today the recover
-// table. Rows of a dealing and evaluations at the node points need no
-// table: PrimeField::eval_points runs Horner at x = 1..n directly.
-struct GvssTables {
-  GvssTables(const PrimeField& F, std::uint32_t n, std::uint32_t f);
-
-  // One instance per (modulus, n, f), shared process-wide while anyone
-  // holds it (thread-safe; a cache lookup, so call it at set-up, not per
-  // beat).
-  static std::shared_ptr<const GvssTables> shared(const PrimeField& F,
-                                                  std::uint32_t n,
-                                                  std::uint32_t f);
-
-  GvssRecoverTable recover;
 };
 
 // Recovers the dealt secret g(0) from shares g(node_point(j)) where

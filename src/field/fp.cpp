@@ -75,23 +75,10 @@ std::uint64_t PrimeField::inv(std::uint64_t a) const {
   return static_cast<std::uint64_t>(t0);
 }
 
-void PrimeField::mul_vec(const std::uint64_t* a, const std::uint64_t* b,
-                         std::uint64_t* out, std::size_t len) const {
-  if (simd_) {
-    m61simd::mul_vec(a, b, out, len);
-  } else if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], b[i]);
-  } else {
-    for (std::size_t i = 0; i < len; ++i) out[i] = mul_mod(a[i], b[i], p_);
-  }
-}
-
 void PrimeField::scale_vec(const std::uint64_t* a, std::uint64_t c,
                            std::uint64_t* out, std::size_t len) const {
   SSBFT_CHECK(c < p_);
-  if (simd_) {
-    m61simd::scale_vec(a, c, out, len);
-  } else if (mersenne61_) {
+  if (mersenne61_) {
     for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], c);
   } else {
     for (std::size_t i = 0; i < len; ++i) out[i] = mul_mod(a[i], c, p_);
@@ -101,9 +88,7 @@ void PrimeField::scale_vec(const std::uint64_t* a, std::uint64_t c,
 void PrimeField::submul_vec(std::uint64_t* dst, const std::uint64_t* src,
                             std::uint64_t c, std::size_t len) const {
   SSBFT_CHECK(c < p_);
-  if (simd_) {
-    m61simd::submul_vec(dst, src, c, len);
-  } else if (mersenne61_) {
+  if (mersenne61_) {
     for (std::size_t i = 0; i < len; ++i) {
       dst[i] = sub_mod(dst[i], mul_m61(src[i], c), kDefaultPrime);
     }
@@ -112,22 +97,6 @@ void PrimeField::submul_vec(std::uint64_t* dst, const std::uint64_t* src,
       dst[i] = sub_mod(dst[i], mul_mod(src[i], c, p_), p_);
     }
   }
-}
-
-std::uint64_t PrimeField::dot(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t len) const {
-  if (simd_) return m61simd::dot(a, b, len);
-  std::uint64_t acc = 0;
-  if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) {
-      acc = add_mod(acc, mul_m61(a[i], b[i]), kDefaultPrime);
-    }
-  } else {
-    for (std::size_t i = 0; i < len; ++i) {
-      acc = add_mod(acc, mul_mod(a[i], b[i], p_), p_);
-    }
-  }
-  return acc;
 }
 
 void PrimeField::matmul(const std::uint64_t* a, const std::uint64_t* b,
@@ -185,14 +154,6 @@ void PrimeField::eval_points(const std::uint64_t* coef, std::size_t w,
 void PrimeField::batch_inv(std::uint64_t* vals, std::size_t len,
                            std::uint64_t* scratch) const {
   if (len == 0) return;
-  // The serial prefix-product chain is latency-bound; at vector-worthy
-  // lengths the Mersenne path runs it as four independent lanes. Outputs
-  // are the exact inverses either way (inverses are unique), so the two
-  // shapes are bit-identical.
-  if (simd_ && len >= 32) {
-    batch_inv_m61_lanes(vals, len, scratch);
-    return;
-  }
   // Prefix products, one inversion of the total, then unwind: each step
   // peels one factor off the running inverse.
   scratch[0] = vals[0];
@@ -206,40 +167,6 @@ void PrimeField::batch_inv(std::uint64_t* vals, std::size_t len,
     run = mul(run, v);
   }
   vals[0] = run;
-}
-
-void PrimeField::batch_inv_m61_lanes(std::uint64_t* vals, std::size_t len,
-                                     std::uint64_t* scratch) const {
-  // Four contiguous chunks of K elements run their prefix products in
-  // lanes; the tail (len % 4 elements) chains on scalar, seeded with the
-  // product of all chunk totals so one inv() still covers everything.
-  const std::size_t K = len / 4;
-  const std::size_t body = 4 * K;
-  m61simd::chunk_prefix(vals, scratch, K);
-  const std::uint64_t T[4] = {scratch[K - 1], scratch[2 * K - 1],
-                              scratch[3 * K - 1], scratch[4 * K - 1]};
-  const std::uint64_t G = mul(mul(T[0], T[1]), mul(T[2], T[3]));
-  std::uint64_t p = G;
-  for (std::size_t i = body; i < len; ++i) scratch[i] = p = mul(p, vals[i]);
-  std::uint64_t run = inv(p);
-  for (std::size_t i = len; i-- > body;) {
-    const std::uint64_t v = vals[i];
-    // The global prefix before index body is G, not scratch[body - 1]
-    // (which holds chunk 3's total).
-    vals[i] = mul(run, i == body ? G : scratch[i - 1]);
-    run = mul(run, v);
-  }
-  // run == G^-1 now; per-chunk inverse totals via prefix/suffix products
-  // of the four chunk totals.
-  const std::uint64_t U2 = mul(T[0], T[1]);
-  const std::uint64_t V1 = mul(T[3], T[2]);
-  const std::uint64_t inv_totals[4] = {
-      mul(run, mul(V1, T[1])),  // G^-1 * T1*T2*T3
-      mul(run, mul(T[0], V1)),  // G^-1 * T0*T2*T3
-      mul(run, mul(U2, T[3])),  // G^-1 * T0*T1*T3
-      mul(run, mul(U2, T[2])),  // G^-1 * T0*T1*T2
-  };
-  m61simd::chunk_unwind(vals, scratch, inv_totals, K);
 }
 
 std::uint64_t PrimeField::uniform(Rng& rng) const { return rng.next_below(p_); }

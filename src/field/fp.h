@@ -20,22 +20,26 @@
 // so switching between them is bit-exact.
 //
 // The scalar ops keep the contract checks from support/check.h; the batch
-// kernels (mul_vec, matmul, batch_inv, ...) hoist validation and the
+// kernels (matmul, eval_points, batch_inv, ...) hoist validation and the
 // backend dispatch out of the element loop — callers must pass canonical
 // elements (the kernels' inputs always come from already-validated flat
 // storage in this codebase).
 //
 // SIMD dispatch design (field/fp_simd.h): on the Mersenne-61 fast path the
-// batch kernels can additionally route to a runtime-selected vector
-// backend (AVX2 today; the m61simd seam admits a NEON backend the same
-// way). The decision is made ONCE, at PrimeField construction — the ctor
-// probes m61simd::available() (a cached CPUID check) and latches `simd_`;
-// the kernels branch on that bool per call, never per element. The scalar
-// loops remain the bit-exact reference: every backend produces the unique
-// canonical representative of the same field result, so replays, wire
-// bytes and trace commitments are identical on every path. Building with
-// -DSSBFT_SIMD=off compiles the vector backend out entirely, and tests can
-// force the reference path per instance via SimdMode::kOff.
+// two kernels the coin's hot path runs, matmul (GVSS recovery) and
+// eval_points (the node points), additionally route to a runtime-selected
+// vector backend (AVX2 today; the m61simd seam admits a NEON backend the
+// same way). The remaining batch kernels (scale_vec, submul_vec,
+// batch_inv) run on vectors of about n entries off the hot path and keep
+// one scalar loop per backend. The decision is made ONCE, at PrimeField
+// construction — the ctor probes m61simd::available() (a cached CPUID
+// check) and latches `simd_`; the kernels branch on that bool per call,
+// never per element. The scalar loops remain the bit-exact reference:
+// every backend produces the unique canonical representative of the same
+// field result, so replays, wire bytes and trace commitments are
+// identical on every path. Building with -DSSBFT_SIMD=off compiles the
+// vector backend out entirely, and tests can force the reference path per
+// instance via SimdMode::kOff.
 #pragma once
 
 #include <cstdint>
@@ -116,10 +120,6 @@ class PrimeField {
   // All array arguments must hold canonical elements; `out` may alias an
   // input only where noted. The backend dispatch happens once per call.
 
-  // out[i] = a[i] * b[i]. out may alias a or b.
-  void mul_vec(const std::uint64_t* a, const std::uint64_t* b,
-               std::uint64_t* out, std::size_t len) const;
-
   // out[i] = a[i] * c. out may alias a.
   void scale_vec(const std::uint64_t* a, std::uint64_t c, std::uint64_t* out,
                  std::size_t len) const;
@@ -129,16 +129,11 @@ class PrimeField {
   void submul_vec(std::uint64_t* dst, const std::uint64_t* src,
                   std::uint64_t c, std::size_t len) const;
 
-  // sum_i a[i] * b[i] — the Lagrange-row dot products of the GVSS recover
-  // fast path. Modular addition is associative, so any internal
-  // accumulation order yields the same canonical result.
-  std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t len) const;
-
   // out = a * b over row-major matrices: a is rows x inner, b is
   // inner x cols, out is rows x cols. out must not alias a or b. GVSS
   // recovery runs on it: Lagrange rows times a block of prefix shares
-  // (coin/gvss.h).
+  // (coin/gvss.h), and 1 x (f+1) x 1 products on the per-dealer table
+  // fast path.
   void matmul(const std::uint64_t* a, const std::uint64_t* b,
               std::uint64_t* out, std::size_t rows, std::size_t inner,
               std::size_t cols) const;
@@ -170,8 +165,8 @@ class PrimeField {
   // Uniformly random nonzero element.
   std::uint64_t uniform_nonzero(Rng& rng) const;
 
-  // True iff the batch kernels route to a vector backend (decided once at
-  // construction; identical results either way).
+  // True iff matmul and eval_points route to a vector backend (decided
+  // once at construction; identical results either way).
   bool simd_active() const { return simd_; }
 
   bool operator==(const PrimeField& o) const { return p_ == o.p_; }
@@ -188,11 +183,6 @@ class PrimeField {
   }
 
  private:
-  // Four-lane Montgomery batch inversion: the prefix/unwind passes run on
-  // the vector backend over four chunks, joined by one scalar inv().
-  void batch_inv_m61_lanes(std::uint64_t* vals, std::size_t len,
-                           std::uint64_t* scratch) const;
-
   std::uint64_t p_;
   bool mersenne61_;
   bool simd_;

@@ -2,11 +2,10 @@
 
 #include <cstring>
 
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(SSBFT_SIMD_DISABLED)
-#define SSBFT_BITPACK_HAVE_AVX2 1
+#include "support/avx2.h"
+
+#if SSBFT_HAVE_AVX2
 #include <immintrin.h>
-#else
-#define SSBFT_BITPACK_HAVE_AVX2 0
 #endif
 
 namespace ssbft {
@@ -21,7 +20,7 @@ constexpr std::uint64_t kMask61 = (std::uint64_t{1} << 61) - 1;
 //   w_j = (v[j] >> 3j) | (v[j+1] << (61 - 3j))
 // and the final 40 bits of v[7] land in a 5-byte tail.
 
-#if SSBFT_BITPACK_HAVE_AVX2
+#if SSBFT_HAVE_AVX2
 
 __attribute__((target("avx2"))) void pack_block_avx2(const std::uint64_t* v,
                                                      std::uint8_t* out) {
@@ -112,12 +111,7 @@ __attribute__((target("avx2"))) std::size_t presence_mask_avx2(
                                           absent, mask + full, seen);
 }
 
-bool avx2_ok() {
-  static const bool ok = __builtin_cpu_supports("avx2") != 0;
-  return ok;
-}
-
-#endif  // SSBFT_BITPACK_HAVE_AVX2
+#endif  // SSBFT_HAVE_AVX2
 
 }  // namespace
 
@@ -177,17 +171,9 @@ std::size_t presence_mask_portable(const std::uint64_t* v, std::size_t len,
   return present;
 }
 
-bool simd_available() {
-#if SSBFT_BITPACK_HAVE_AVX2
-  return avx2_ok();
-#else
-  return false;
-#endif
-}
-
 void pack_block(const std::uint64_t* v, std::uint8_t* out) {
-#if SSBFT_BITPACK_HAVE_AVX2
-  if (avx2_ok()) {
+#if SSBFT_HAVE_AVX2
+  if (avx2_available()) {
     pack_block_avx2(v, out);
     return;
   }
@@ -198,15 +184,15 @@ void pack_block(const std::uint64_t* v, std::uint8_t* out) {
 std::size_t presence_mask(const std::uint64_t* v, std::size_t len,
                           std::uint64_t absent, std::uint8_t* mask,
                           std::uint64_t* seen) {
-#if SSBFT_BITPACK_HAVE_AVX2
-  if (avx2_ok()) return presence_mask_avx2(v, len, absent, mask, seen);
+#if SSBFT_HAVE_AVX2
+  if (avx2_available()) return presence_mask_avx2(v, len, absent, mask, seen);
 #endif
   return presence_mask_portable(v, len, absent, mask, seen);
 }
 
 void unpack_block(const std::uint8_t* in, std::uint64_t* v) {
-#if SSBFT_BITPACK_HAVE_AVX2
-  if (avx2_ok()) {
+#if SSBFT_HAVE_AVX2
+  if (avx2_available()) {
     unpack_block_avx2(in, v);
     return;
   }

@@ -10,9 +10,10 @@
 // byte for byte; support_test pins this.
 //
 // Dispatch mirrors the field kernels (see field/fp.h): an AVX2 variant is
-// selected once via a cached CPUID probe, the portable variant is the
-// always-available fallback, and -DSSBFT_SIMD=off removes the block path
-// from the codec entirely (bytes.cpp then runs the reference window).
+// selected by the cached CPUID probe of support/avx2.h, the portable
+// variant is the always-available fallback, and -DSSBFT_SIMD=off removes
+// the block path from the codec entirely (bytes.cpp then runs the
+// reference window).
 #pragma once
 
 #include <cstddef>
@@ -24,10 +25,6 @@ namespace bitpack61 {
 constexpr unsigned kValueBits = 61;
 constexpr std::size_t kBlockValues = 8;
 constexpr std::size_t kBlockBytes = 61;  // 8 * 61 bits, byte-aligned
-
-// True iff the AVX2 variant is compiled in and this CPU supports it
-// (cached; the portable variant is used otherwise).
-bool simd_available();
 
 // Packs v[0..8) (each < 2^61) into exactly 61 bytes at out, LSB-first.
 void pack_block(const std::uint64_t* v, std::uint8_t* out);

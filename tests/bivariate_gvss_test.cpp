@@ -298,7 +298,7 @@ TEST_P(GvssRecoverTest, BatchMatchesPerDealerRecover) {
   for (const std::uint64_t p :
        {PrimeField::kDefaultPrime, std::uint64_t{65537}}) {
     PrimeField F(p);
-    const auto tables = GvssTables::shared(F, n, f);
+    const auto table = GvssRecoverTable::shared(F, n, f);
     GvssBatchScratch scratch;
     scratch.resize(n, f);
     Rng rng(n * 47 + f + p % 1000);
@@ -338,7 +338,7 @@ TEST_P(GvssRecoverTest, BatchMatchesPerDealerRecover) {
                     static_cast<NodeId>(rng.next_below(n))) = p;
       }
       std::vector<std::uint64_t> secrets(n, 99);
-      gvss_recover_batch(F, tables->recover, round.shares.data(),
+      gvss_recover_batch(F, *table, round.shares.data(),
                          round.sender_ok.data(), round.votes.data(),
                          round.words, round.grades.data(), secrets.data(),
                          scratch);
@@ -350,7 +350,7 @@ TEST_P(GvssRecoverTest, BatchMatchesPerDealerRecover) {
         EXPECT_TRUE(scratch.dealers.empty());
       }
       for (NodeId d = 0; d < n; ++d) {
-        ASSERT_EQ(secrets[d], round.per_dealer(F, f, tables->recover, d))
+        ASSERT_EQ(secrets[d], round.per_dealer(F, f, *table, d))
             << "p=" << p << " trial " << trial << " dealer " << d;
       }
     }
@@ -359,12 +359,12 @@ TEST_P(GvssRecoverTest, BatchMatchesPerDealerRecover) {
 
 TEST(Gvss, SharedTablesArePerShape) {
   PrimeField F(2305843009213693951ULL);
-  const auto a = GvssTables::shared(F, 7, 2);
-  const auto b = GvssTables::shared(F, 7, 2);
-  const auto c = GvssTables::shared(F, 7, 1);
+  const auto a = GvssRecoverTable::shared(F, 7, 2);
+  const auto b = GvssRecoverTable::shared(F, 7, 2);
+  const auto c = GvssRecoverTable::shared(F, 7, 1);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_NE(a, GvssTables::shared(PrimeField(65537), 7, 2));
+  EXPECT_NE(a, GvssRecoverTable::shared(PrimeField(65537), 7, 2));
 }
 
 TEST(Gvss, RowsIntoMatchesRowFor) {

@@ -6,6 +6,7 @@
 #include "field/fp_simd.h"
 #include "field/poly.h"
 #include "field/primes.h"
+#include "support/avx2.h"
 #include "support/check.h"
 
 namespace ssbft {
@@ -196,8 +197,6 @@ TEST_P(BatchKernelsTest, MulScaleSubmulMatchScalarOps) {
     b[i] = F.uniform(rng);
   }
   const std::uint64_t c = F.uniform(rng);
-  F.mul_vec(a.data(), b.data(), out.data(), len);
-  for (std::size_t i = 0; i < len; ++i) ASSERT_EQ(out[i], F.mul(a[i], b[i]));
   F.scale_vec(a.data(), c, out.data(), len);
   for (std::size_t i = 0; i < len; ++i) ASSERT_EQ(out[i], F.mul(a[i], c));
   std::vector<std::uint64_t> dst = a;
@@ -267,12 +266,13 @@ struct MatShape {
 
 // rows = 1 (the recovery checks), column counts off every lane and strip
 // width, inner sizes straddling the scalar path's 64-term fold and the
-// vector path's 6-term fold, and the GVSS shapes at n = 32, 64.
+// vector path's 6-term fold, the GVSS shapes at n = 32, 64, and the
+// 1 x (f+1) x 1 products of gvss_recover's table fast path at f = 21, 42.
 const MatShape kMatShapes[] = {
     {1, 1, 1},   {1, 22, 43}, {1, 3, 2},   {2, 6, 3},    {3, 7, 5},
     {4, 13, 13}, {5, 5, 16},  {2, 9, 17},  {3, 12, 19},  {1, 64, 31},
     {2, 65, 33}, {3, 130, 7}, {1, 129, 1}, {32, 11, 32}, {64, 22, 43},
-    {0, 4, 4},   {4, 0, 4},   {4, 4, 0}};
+    {1, 22, 1},  {1, 43, 1},  {0, 4, 4},   {4, 0, 4},    {4, 4, 0}};
 
 TEST_P(BatchKernelsTest, MatMulMatchesScalarOps) {
   PrimeField F(GetParam());
@@ -292,76 +292,23 @@ TEST_P(BatchKernelsTest, MatMulMatchesScalarOps) {
 
 // --- SIMD vs scalar bit-exactness -----------------------------------------
 //
-// PrimeField(kM61) routes batch kernels to the runtime-selected vector
-// backend (when one exists on this machine); SimdMode::kOff pins the scalar
-// reference. The two must agree bit for bit on every input, including the
-// adversarial edges: 0, 1, p-1 (products up to (p-1)^2 >= 2^122), lengths
-// that are not multiples of any lane width, and empty/short inputs. On
-// machines without a vector unit both fields run scalar and the tests are
-// vacuous but green.
+// PrimeField(kM61) routes matmul and eval_points to the runtime-selected
+// vector backend (when one exists on this machine); SimdMode::kOff pins the
+// scalar reference. The two must agree bit for bit on every input,
+// including the adversarial edges: 0, 1, p-1 (products up to
+// (p-1)^2 >= 2^122), shapes that are not multiples of any lane width, and
+// empty/short inputs. On machines without a vector unit both fields run
+// scalar and the tests are vacuous but green.
 
 TEST(Mersenne61Simd, DispatchModeIsHonored) {
   EXPECT_FALSE(PrimeField(kM61, SimdMode::kOff).simd_active());
   // Non-Mersenne moduli never have a vector backend.
   EXPECT_FALSE(PrimeField(65537ULL).simd_active());
-#if defined(__x86_64__) && !defined(SSBFT_SIMD_DISABLED)
+#if SSBFT_HAVE_AVX2
   EXPECT_EQ(PrimeField(kM61).simd_active(), m61simd::available());
 #else
   EXPECT_FALSE(PrimeField(kM61).simd_active());
 #endif
-}
-
-TEST(Mersenne61Simd, MulScaleSubmulMatchScalarPathOnEdges) {
-  PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
-  Rng rng(2024);
-  const std::uint64_t edges[] = {0, 1, 2, kM61 - 2, kM61 - 1};
-  for (std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-        std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{31}, std::size_t{257}}) {
-    std::vector<std::uint64_t> a(len), b(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      // Saturate with edge values so every lane position sees 0, 1 and
-      // p-1 (the (p-1)*(p-1) product is the 2^122-magnitude fold case).
-      a[i] = (i % 3 == 0) ? edges[i % 5] : F.uniform(rng);
-      b[i] = (i % 3 == 1) ? edges[(i + 2) % 5] : F.uniform(rng);
-    }
-    std::vector<std::uint64_t> got(len), want(len);
-    F.mul_vec(a.data(), b.data(), got.data(), len);
-    R.mul_vec(a.data(), b.data(), want.data(), len);
-    ASSERT_EQ(got, want) << "mul_vec len=" << len;
-    for (const std::uint64_t c : edges) {
-      F.scale_vec(a.data(), c, got.data(), len);
-      R.scale_vec(a.data(), c, want.data(), len);
-      ASSERT_EQ(got, want) << "scale_vec len=" << len << " c=" << c;
-      std::vector<std::uint64_t> dg = a, dw = a;
-      F.submul_vec(dg.data(), b.data(), c, len);
-      R.submul_vec(dw.data(), b.data(), c, len);
-      ASSERT_EQ(dg, dw) << "submul_vec len=" << len << " c=" << c;
-    }
-  }
-}
-
-TEST(Mersenne61Simd, DotMatchesScalarPathOnEdges) {
-  PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
-  Rng rng(2027);
-  const std::uint64_t edges[] = {0, 1, 2, kM61 - 2, kM61 - 1};
-  for (std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-        std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{31}, std::size_t{257}}) {
-    std::vector<std::uint64_t> a(len), b(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      a[i] = (i % 3 == 0) ? edges[i % 5] : F.uniform(rng);
-      b[i] = (i % 3 == 1) ? edges[(i + 2) % 5] : F.uniform(rng);
-    }
-    // dot reassociates the accumulation across lanes, which is exact under
-    // modular addition — the scalar left-to-right sum is the oracle.
-    ASSERT_EQ(F.dot(a.data(), b.data(), len), R.dot(a.data(), b.data(), len))
-        << "dot len=" << len;
-  }
 }
 
 TEST(Mersenne61Simd, MatMulMatchesScalarPathOnEdges) {
@@ -575,43 +522,6 @@ TEST(Mersenne61Simd, EvalPointsRefusesOutOfRangeShapes) {
                                              PrimeField::kMaxEvalPoints,
                                              nullptr, 0),
                contract_error);
-}
-
-TEST(Mersenne61Simd, BatchInvMatchesScalarPathAcrossLaneBoundaries) {
-  PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
-  Rng rng(2026);
-  // 32 is the lane-path threshold; straddle it and every len % 4 residue.
-  for (std::size_t len :
-       {std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{34},
-        std::size_t{35}, std::size_t{64}, std::size_t{127}, std::size_t{257}}) {
-    std::vector<std::uint64_t> vals(len), scratch(len);
-    for (auto& v : vals) v = F.uniform_nonzero(rng);
-    vals[0] = kM61 - 1;  // self-inverse edge
-    vals[len / 2] = 1;
-    std::vector<std::uint64_t> ref = vals;
-    std::vector<std::uint64_t> ref_scratch(len);
-    F.batch_inv(vals.data(), len, scratch.data());
-    R.batch_inv(ref.data(), len, ref_scratch.data());
-    ASSERT_EQ(vals, ref) << "len=" << len;
-  }
-}
-
-TEST(Mersenne61Simd, RawKernelsAgreeWithField) {
-  // The m61simd seam itself (what fp.cpp calls) against the field's
-  // checked scalar ops, over a non-multiple-of-lane-width length.
-  PrimeField R(kM61, SimdMode::kOff);
-  Rng rng(2027);
-  const std::size_t len = 21;
-  std::vector<std::uint64_t> a(len), b(len), out(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    a[i] = R.uniform(rng);
-    b[i] = R.uniform(rng);
-  }
-  m61simd::mul_vec(a.data(), b.data(), out.data(), len);
-  for (std::size_t i = 0; i < len; ++i) {
-    ASSERT_EQ(out[i], R.mul(a[i], b[i]));
-  }
 }
 
 TEST(PrimeField, UniformStaysInRange) {

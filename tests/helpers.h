@@ -44,24 +44,16 @@ class OneShotBaProtocol final : public Protocol {
   std::unique_ptr<BaInstance> instance_;
 };
 
-// Fraction of positions where all correct hosts reported the same bit.
+// Fraction of beats from skip_warmup on where all correct hosts reported
+// the same bit.
 inline double common_bit_fraction(const Engine& engine,
                                   std::size_t skip_warmup) {
-  std::vector<const CoinHost*> hosts;
-  for (NodeId id : engine.correct_ids()) {
-    hosts.push_back(dynamic_cast<const CoinHost*>(&engine.node(id)));
-  }
-  if (hosts.empty() || hosts[0]->bits().size() <= skip_warmup) return 0.0;
-  std::size_t common = 0, total = 0;
-  for (std::size_t i = skip_warmup; i < hosts[0]->bits().size(); ++i) {
-    bool all_same = true;
-    for (const auto* h : hosts) {
-      if (h->bits()[i] != hosts[0]->bits()[i]) all_same = false;
-    }
-    ++total;
-    if (all_same) ++common;
-  }
-  return total == 0 ? 0.0 : static_cast<double>(common) / static_cast<double>(total);
+  const std::vector<bool> agree = coin_agreement(engine);
+  if (agree.size() <= skip_warmup) return 0.0;
+  std::size_t common = 0;
+  for (std::size_t i = skip_warmup; i < agree.size(); ++i) common += agree[i];
+  return static_cast<double>(common) /
+         static_cast<double>(agree.size() - skip_warmup);
 }
 
 }  // namespace ssbft::testing
