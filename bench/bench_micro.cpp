@@ -367,8 +367,6 @@ void BM_BeatLoop(benchmark::State& state) {
     eng.run_beat();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["msgs_per_beat"] =
-      eng.metrics().mean_correct_messages_per_beat();
 }
 BENCHMARK(BM_BeatLoop)
     ->ArgNames({"n", "mode"})
@@ -440,8 +438,6 @@ void BM_BeatLoopBroadcast(benchmark::State& state) {
     eng.run_beat();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["bytes_per_beat"] =
-      eng.metrics().mean_correct_bytes_per_beat();
 }
 BENCHMARK(BM_BeatLoopBroadcast)->ArgName("n")->Arg(4)->Arg(16)->Arg(64);
 

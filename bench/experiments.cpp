@@ -651,15 +651,16 @@ void run_message_complexity(const BenchOptions& o, Report& r) {
       add_traffic(name, steady_state(b, beats));
     };
 
-    add("Dolev-Welch [10]", build_dolev_welch(w), 400);
+    add("Dolev-Welch [10]", build_world(Family::kDolevWelch, w), 400);
     {
       World wq = w;
       wq.f = (n - 1) / 4;
       wq.actual = wq.f;
-      add("pipelined queen [15]", build_pipelined(wq, false), 200);
+      add("pipelined queen [15]", build_world(Family::kPipelinedQueen, wq),
+          200);
     }
-    add("pipelined king [7]", build_pipelined(w, true), 200);
-    add("ss-Byz-Clock-Sync (oracle)", build_clock_sync(w), 300);
+    add("pipelined king [7]", build_world(Family::kPipelinedKing, w), 200);
+    add("ss-Byz-Clock-Sync (oracle)", build_world(Family::kClockSync, w), 300);
     {
       // One tracked run feeds both the table row and the per-round
       // breakdown (channel tracking changes nothing but wall-clock).
@@ -667,7 +668,7 @@ void run_message_complexity(const BenchOptions& o, Report& r) {
       wf.coin = CoinKind::kFm;
       wf.track_channel_bytes = true;
       const std::uint64_t beats = n >= 10 ? 60 : 150;
-      auto bundle = build_clock_sync(wf)(shifted_seed(o, 123));
+      auto bundle = build_world(Family::kClockSync, wf)(shifted_seed(o, 123));
       bundle.engine->run_beats(beats / 2);
       bundle.engine->reset_channel_bytes();
       bundle.engine->run_beats(beats - beats / 2);
@@ -757,7 +758,7 @@ void run_table1_large(const BenchOptions& o, Report& r) {
     for (const Probe& p : probes) {
       World wp = w;
       wp.coin = p.kind;
-      auto bundle = build_clock_sync(wp)(shifted_seed(o, 123));
+      auto bundle = build_world(Family::kClockSync, wp)(shifted_seed(o, 123));
       const auto t0 = std::chrono::steady_clock::now();
       bundle.engine->run_beats(p.beats);
       const auto t1 = std::chrono::steady_clock::now();

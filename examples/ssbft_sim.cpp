@@ -10,28 +10,19 @@
 //
 //   --algo      clocksync | clock2 | clock4 | cascade | king | queen |
 //               dw | dw-shared
-//   --coin      oracle | fm | local        (coin-consuming algorithms)
+//   --coin      oracle | fm   (clocksync, clock4 and dw-shared; clock2
+//                              and cascade run the oracle coin only)
 //   --adversary silent | noise | split | skew | adaptive | coinattack
 //   --levels    cascade tower height (cascade only; k = 2^levels)
-//   --p0/--p1   oracle coin common-event probabilities
-#include <cstring>
+//
+// Every run is a (Family, World) pair built by the scenario library's
+// build_world, so the engine is the one the registry builds for that world.
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
 
-#include "adversary/adversaries.h"
-#include "agreement/phase_king.h"
-#include "agreement/phase_queen.h"
-#include "agreement/turpin_coan.h"
-#include "baselines/dolev_welch.h"
-#include "baselines/pipelined_ba_clock.h"
-#include "coin/fm_coin.h"
-#include "coin/local_coin.h"
-#include "coin/oracle_coin.h"
-#include "core/cascade.h"
-#include "core/clock2.h"
-#include "core/clock4.h"
-#include "core/clock_sync.h"
+#include "harness/scenario.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
 
@@ -47,7 +38,6 @@ struct Options {
   std::uint32_t f = 1;
   ClockValue k = 16;
   std::uint32_t levels = 3;
-  double p0 = 0.45, p1 = 0.45;
   std::uint64_t trials = 20;
   std::uint64_t seed = 1;
   std::uint64_t max_beats = 10000;
@@ -58,9 +48,9 @@ struct Options {
   std::cerr << "error: " << msg << "\n"
             << "usage: ssbft_sim [--algo A] [--coin C] [--adversary X] "
                "[--n N] [--f F] [--k K]\n"
-            << "                 [--levels L] [--p0 P] [--p1 P] [--trials T] "
-               "[--seed S]\n"
-            << "                 [--max-beats B] [--csv]\n";
+            << "                 [--levels L] [--trials T] [--seed S] "
+               "[--max-beats B]\n"
+            << "                 [--csv]\n";
   std::exit(2);
 }
 
@@ -79,8 +69,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--f") o.f = static_cast<std::uint32_t>(std::stoul(need(i)));
     else if (a == "--k") o.k = std::stoull(need(i));
     else if (a == "--levels") o.levels = static_cast<std::uint32_t>(std::stoul(need(i)));
-    else if (a == "--p0") o.p0 = std::stod(need(i));
-    else if (a == "--p1") o.p1 = std::stod(need(i));
     else if (a == "--trials") o.trials = std::stoull(need(i));
     else if (a == "--seed") o.seed = std::stoull(need(i));
     else if (a == "--max-beats") o.max_beats = std::stoull(need(i));
@@ -91,101 +79,63 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-EngineBundle build(const Options& o, std::uint64_t seed) {
-  EngineBundle b;
-  EngineConfig cfg;
-  cfg.n = o.n;
-  cfg.f = o.f;
-  cfg.faulty = EngineConfig::last_ids_faulty(o.n, o.f);
-  cfg.seed = seed;
+template <typename T>
+T lookup(const std::map<std::string, T>& table, const std::string& key,
+         const char* what) {
+  const auto it = table.find(key);
+  if (it == table.end()) usage(what);
+  return it->second;
+}
 
-  std::shared_ptr<OracleBeacon> beacon;
-  CoinSpec spec;
-  if (o.coin == "oracle") {
-    beacon = std::make_shared<OracleBeacon>(
-        o.n, OracleCoinParams{o.p0, o.p1}, Rng(seed).split("beacon"));
-    spec = oracle_coin_spec(beacon);
-  } else if (o.coin == "fm") {
-    spec = fm_coin_spec();
-  } else if (o.coin == "local") {
-    spec = local_coin_spec();
-  } else {
-    usage("bad --coin");
-  }
+Family family_of(const Options& o) {
+  static const std::map<std::string, Family> kAlgos = {
+      {"clocksync", Family::kClockSync},
+      {"clock2", Family::kClock2},
+      {"clock4", Family::kClock4},
+      {"cascade", Family::kCascade},
+      {"king", Family::kPipelinedKing},
+      {"queen", Family::kPipelinedQueen},
+      {"dw", Family::kDolevWelch},
+      {"dw-shared", Family::kDolevWelchShared},
+  };
+  return lookup(kAlgos, o.algo, "bad --algo");
+}
 
-  ProtocolFactory factory;
-  ClockValue k = o.k;
-  if (o.algo == "clocksync") {
-    factory = [spec, k](const ProtocolEnv& env, Rng rng) -> std::unique_ptr<Protocol> {
-      return std::make_unique<SsByzClockSync>(env, k, spec, rng);
-    };
-  } else if (o.algo == "clock2") {
-    k = 2;
-    factory = [spec](const ProtocolEnv& env, Rng rng) -> std::unique_ptr<Protocol> {
-      return std::make_unique<SsByz2Clock>(env, spec, 0, rng);
-    };
-  } else if (o.algo == "clock4") {
-    k = 4;
-    factory = [spec](const ProtocolEnv& env, Rng rng) -> std::unique_ptr<Protocol> {
-      return std::make_unique<SsByz4Clock>(env, spec, 0, rng);
-    };
-  } else if (o.algo == "cascade") {
-    k = ClockValue{1} << o.levels;
-    factory = [spec, levels = o.levels](const ProtocolEnv& env,
-                                        Rng rng) -> std::unique_ptr<Protocol> {
-      return std::make_unique<CascadeClock>(env, levels, spec, rng);
-    };
-  } else if (o.algo == "king" || o.algo == "queen") {
-    const BaSpec ba = turpin_coan_spec(
-        o.algo == "king" ? phase_king_spec() : phase_queen_spec());
-    factory = [ba, k](const ProtocolEnv& env, Rng rng) -> std::unique_ptr<Protocol> {
-      return std::make_unique<PipelinedBaClock>(env, k, ba, rng);
-    };
-  } else if (o.algo == "dw") {
-    factory = [k](const ProtocolEnv& env, Rng rng) -> std::unique_ptr<Protocol> {
-      return std::make_unique<DolevWelchClock>(env, k, rng);
-    };
-  } else if (o.algo == "dw-shared") {
-    factory = [spec, k](const ProtocolEnv& env, Rng rng) -> std::unique_ptr<Protocol> {
-      return std::make_unique<DolevWelchSharedCoin>(env, k, spec, rng);
-    };
-  } else {
-    usage("bad --algo");
+World world_of(const Options& o, Family fam) {
+  static const std::map<std::string, CoinKind> kCoins = {
+      {"oracle", CoinKind::kOracle},
+      {"fm", CoinKind::kFm},
+  };
+  static const std::map<std::string, Attack> kAttacks = {
+      {"silent", Attack::kSilent},     {"noise", Attack::kNoise},
+      {"split", Attack::kSplit},       {"skew", Attack::kSkew},
+      {"adaptive", Attack::kAdaptive}, {"coinattack", Attack::kCoinAttack},
+  };
+  World w;
+  w.n = o.n;
+  w.f = o.f;
+  w.actual = o.f;
+  w.k = o.k;
+  w.levels = o.levels;
+  w.coin = lookup(kCoins, o.coin, "bad --coin");
+  w.attack = lookup(kAttacks, o.adversary, "bad --adversary");
+  if ((fam == Family::kClock2 || fam == Family::kCascade) &&
+      w.coin != CoinKind::kOracle) {
+    usage("clock2 and cascade run on the oracle coin only");
   }
-
-  std::unique_ptr<Adversary> adv;
-  if (o.f > 0) {
-    if (o.adversary == "silent") adv = make_silent_adversary();
-    else if (o.adversary == "noise") adv = make_random_noise_adversary(8, 48);
-    else if (o.adversary == "split") {
-      ByteWriter x, y;
-      x.u8(0);
-      y.u8(1);
-      adv = make_split_value_adversary(0, std::move(x).take(),
-                                       std::move(y).take());
-    } else if (o.adversary == "skew") {
-      adv = make_clock_skew_adversary(k, 0);
-    } else if (o.adversary == "adaptive") {
-      adv = make_adaptive_quorum_splitter(k, 0);
-    } else if (o.adversary == "coinattack") {
-      adv = make_fm_coin_attacker(PrimeField::kDefaultPrime, 0);
-    } else {
-      usage("bad --adversary");
-    }
-  }
-
-  b.engine = std::make_unique<Engine>(cfg, factory, std::move(adv));
-  if (beacon) {
-    b.engine->add_listener(beacon.get());
-    b.keepalive = beacon;
-  }
-  return b;
+  // The modulus the family actually solves (the `k` column).
+  if (fam == Family::kClock2) w.k = 2;
+  if (fam == Family::kClock4) w.k = 4;
+  if (fam == Family::kCascade) w.k = ClockValue{1} << o.levels;
+  return w;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
+  const Family fam = family_of(o);
+  const World w = world_of(o, fam);
   if (o.f > 0 && o.n <= 3 * o.f &&
       (o.algo != "queen") /* queen fails earlier anyway */) {
     std::cerr << "warning: n <= 3f — expect non-convergence (that may be "
@@ -196,16 +146,13 @@ int main(int argc, char** argv) {
   rc.trials = o.trials;
   rc.base_seed = o.seed;
   rc.convergence.max_beats = o.max_beats;
-  const EngineBuilder builder = [&](std::uint64_t seed) {
-    return build(o, seed);
-  };
   const TrialStats stats =
-      run_sweep({SweepCell{"", builder, rc}}, SweepOptions{})[0];
+      run_sweep({SweepCell{"", build_world(fam, w), rc}}, SweepOptions{})[0];
 
   AsciiTable t({"algo", "coin", "adversary", "n", "f", "k", "trials",
                 "converged", "mean", "median", "p90", "max", "msgs/beat"});
   t.add_row({o.algo, o.coin, o.adversary, std::to_string(o.n),
-             std::to_string(o.f), std::to_string(o.k),
+             std::to_string(o.f), std::to_string(w.k),
              std::to_string(stats.trials), std::to_string(stats.converged),
              fmt_double(stats.mean, 2), fmt_double(stats.median, 1),
              fmt_double(stats.p90, 1), std::to_string(stats.max),

@@ -52,14 +52,4 @@ void SsByzCoinFlip::randomize_state(Rng& rng) {
   for (auto& slot : slots_) slot->randomize_state(rng);
 }
 
-CoinSpec pipelined_coin_spec(CoinInstanceFactory factory, int rounds) {
-  CoinSpec spec;
-  spec.channels = static_cast<std::uint32_t>(rounds);
-  spec.make = [factory = std::move(factory), rounds](
-                  const ProtocolEnv&, ChannelId base, Rng rng) {
-    return std::make_unique<SsByzCoinFlip>(factory, rounds, base, rng);
-  };
-  return spec;
-}
-
 }  // namespace ssbft

@@ -47,7 +47,4 @@ class SsByzCoinFlip final : public CoinComponent {
   std::vector<std::unique_ptr<CoinInstance>> slots_;
 };
 
-// Builds a CoinSpec wrapping instances from `factory` into a pipeline.
-CoinSpec pipelined_coin_spec(CoinInstanceFactory factory, int rounds);
-
 }  // namespace ssbft

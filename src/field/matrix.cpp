@@ -4,12 +4,11 @@
 
 namespace ssbft {
 
-namespace {
-
-// Forward elimination to row echelon form; returns pivot columns. Operates
-// on the augmented system if b != nullptr.
-std::vector<std::size_t> eliminate(const PrimeField& F, Matrix& A,
-                                   std::vector<std::uint64_t>* b) {
+std::optional<std::vector<std::uint64_t>> solve_linear(
+    const PrimeField& F, Matrix A, std::vector<std::uint64_t> b) {
+  SSBFT_REQUIRE(A.rows() == b.size());
+  // Gauss-Jordan elimination on the augmented system [A | b], recording
+  // the pivot columns.
   std::vector<std::size_t> pivot_cols;
   std::size_t row = 0;
   for (std::size_t col = 0; col < A.cols() && row < A.rows(); ++col) {
@@ -21,31 +20,22 @@ std::vector<std::size_t> eliminate(const PrimeField& F, Matrix& A,
     if (piv != row) {
       for (std::size_t c = 0; c < A.cols(); ++c)
         std::swap(A.at(piv, c), A.at(row, c));
-      if (b) std::swap((*b)[piv], (*b)[row]);
+      std::swap(b[piv], b[row]);
     }
     // Normalize pivot row.
     const std::uint64_t inv = F.inv(A.at(row, col));
     F.scale_vec(A.row(row) + col, inv, A.row(row) + col, A.cols() - col);
-    if (b) (*b)[row] = F.mul((*b)[row], inv);
+    b[row] = F.mul(b[row], inv);
     // Clear the column below and above.
     for (std::size_t r = 0; r < A.rows(); ++r) {
       if (r == row || A.at(r, col) == 0) continue;
       const std::uint64_t factor = A.at(r, col);
       F.submul_vec(A.row(r) + col, A.row(row) + col, factor, A.cols() - col);
-      if (b) (*b)[r] = F.sub((*b)[r], F.mul(factor, (*b)[row]));
+      b[r] = F.sub(b[r], F.mul(factor, b[row]));
     }
     pivot_cols.push_back(col);
     ++row;
   }
-  return pivot_cols;
-}
-
-}  // namespace
-
-std::optional<std::vector<std::uint64_t>> solve_linear(
-    const PrimeField& F, Matrix A, std::vector<std::uint64_t> b) {
-  SSBFT_REQUIRE(A.rows() == b.size());
-  const auto pivot_cols = eliminate(F, A, &b);
   // Inconsistent iff some zero row has nonzero rhs.
   for (std::size_t r = pivot_cols.size(); r < A.rows(); ++r) {
     if (b[r] != 0) return std::nullopt;
@@ -53,10 +43,6 @@ std::optional<std::vector<std::uint64_t>> solve_linear(
   std::vector<std::uint64_t> x(A.cols(), 0);
   for (std::size_t i = 0; i < pivot_cols.size(); ++i) x[pivot_cols[i]] = b[i];
   return x;
-}
-
-std::size_t matrix_rank(const PrimeField& F, Matrix A) {
-  return eliminate(F, A, nullptr).size();
 }
 
 }  // namespace ssbft

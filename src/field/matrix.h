@@ -36,7 +36,4 @@ class Matrix {
 std::optional<std::vector<std::uint64_t>> solve_linear(
     const PrimeField& F, Matrix A, std::vector<std::uint64_t> b);
 
-// Rank of A over F (A is taken by value and reduced in place).
-std::size_t matrix_rank(const PrimeField& F, Matrix A);
-
 }  // namespace ssbft

@@ -10,15 +10,6 @@ Poly::Poly(std::vector<std::uint64_t> coeffs) : coeffs_(std::move(coeffs)) {
   normalize();
 }
 
-Poly Poly::random_with_constant(const PrimeField& F, int deg,
-                                std::uint64_t constant, Rng& rng) {
-  SSBFT_REQUIRE(deg >= 0 && F.valid(constant));
-  std::vector<std::uint64_t> c(static_cast<std::size_t>(deg) + 1);
-  c[0] = constant;
-  for (int i = 1; i <= deg; ++i) c[static_cast<std::size_t>(i)] = F.uniform(rng);
-  return Poly(std::move(c));
-}
-
 Poly Poly::random(const PrimeField& F, int deg, Rng& rng) {
   SSBFT_REQUIRE(deg >= 0);
   std::vector<std::uint64_t> c(static_cast<std::size_t>(deg) + 1);
@@ -45,30 +36,9 @@ std::uint64_t Poly::eval(const PrimeField& F, std::uint64_t x) const {
   return acc;
 }
 
-void Poly::add_into(const PrimeField& F, const Poly& o,
-                    std::vector<std::uint64_t>& out) const {
-  out.resize(std::max(coeffs_.size(), o.coeffs_.size()));
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = F.add(coeff(i), o.coeff(i));
-}
-
-void Poly::mul_into(const PrimeField& F, const Poly& o,
-                    std::vector<std::uint64_t>& out) const {
-  if (is_zero() || o.is_zero()) {
-    out.clear();
-    return;
-  }
-  out.assign(coeffs_.size() + o.coeffs_.size() - 1, 0);
-  for (std::size_t i = 0; i < coeffs_.size(); ++i) {
-    if (coeffs_[i] == 0) continue;
-    for (std::size_t j = 0; j < o.coeffs_.size(); ++j) {
-      out[i + j] = F.add(out[i + j], F.mul(coeffs_[i], o.coeffs_[j]));
-    }
-  }
-}
-
 Poly Poly::add(const PrimeField& F, const Poly& o) const {
-  std::vector<std::uint64_t> c;
-  add_into(F, o, c);
+  std::vector<std::uint64_t> c(std::max(coeffs_.size(), o.coeffs_.size()));
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] = F.add(coeff(i), o.coeff(i));
   return Poly(std::move(c));
 }
 
@@ -79,8 +49,14 @@ Poly Poly::sub(const PrimeField& F, const Poly& o) const {
 }
 
 Poly Poly::mul(const PrimeField& F, const Poly& o) const {
-  std::vector<std::uint64_t> c;
-  mul_into(F, o, c);
+  if (is_zero() || o.is_zero()) return Poly();
+  std::vector<std::uint64_t> c(coeffs_.size() + o.coeffs_.size() - 1, 0);
+  for (std::size_t i = 0; i < coeffs_.size(); ++i) {
+    if (coeffs_[i] == 0) continue;
+    for (std::size_t j = 0; j < o.coeffs_.size(); ++j) {
+      c[i + j] = F.add(c[i + j], F.mul(coeffs_[i], o.coeffs_[j]));
+    }
+  }
   return Poly(std::move(c));
 }
 

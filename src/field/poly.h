@@ -2,10 +2,6 @@
 //
 // Coefficient vectors are little-endian (coeffs[i] multiplies x^i). The zero
 // polynomial is the empty vector; degree() of zero is -1 by convention.
-//
-// The value-returning arithmetic is the convenient API; hot paths use the
-// `_into` scratch variants, which write into caller-provided storage so a
-// long-lived buffer's capacity is reused call after call.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +17,6 @@ class Poly {
   Poly() = default;
   explicit Poly(std::vector<std::uint64_t> coeffs);
 
-  // A uniformly random polynomial of degree <= deg with the given constant
-  // term (the standard Shamir dealing shape).
-  static Poly random_with_constant(const PrimeField& F, int deg,
-                                   std::uint64_t constant, Rng& rng);
   // A uniformly random polynomial of degree <= deg.
   static Poly random(const PrimeField& F, int deg, Rng& rng);
 
@@ -42,14 +34,6 @@ class Poly {
   Poly sub(const PrimeField& F, const Poly& o) const;
   Poly mul(const PrimeField& F, const Poly& o) const;
   Poly scale(const PrimeField& F, std::uint64_t c) const;
-
-  // Scratch variants: write the raw (unnormalized) coefficients of
-  // *this (+|*) o into `out`, resizing it as needed — capacity is reused
-  // across calls. `out` must not alias either operand's storage.
-  void add_into(const PrimeField& F, const Poly& o,
-                std::vector<std::uint64_t>& out) const;
-  void mul_into(const PrimeField& F, const Poly& o,
-                std::vector<std::uint64_t>& out) const;
 
   // Polynomial division: *this = q * divisor + r. divisor must be nonzero.
   // Returns {q, r}.

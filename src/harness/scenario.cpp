@@ -78,29 +78,6 @@ std::unique_ptr<Adversary> make_attack(Attack a, ClockValue k,
   return make_silent_adversary();
 }
 
-namespace {
-
-CoinPipelineMode pipeline_mode(const World& w) {
-  return w.shared_pipeline ? CoinPipelineMode::kShared
-                           : CoinPipelineMode::kPerSubClock;
-}
-
-// Adversary for a world: honors the world's noise tuning, and (for
-// beacon-backed families) kAntiCoin rushing the beacon on
-// `clock_channel`; everything else goes through make_attack.
-std::unique_ptr<Adversary> make_world_attack(
-    const World& w, ClockValue attack_k, ChannelId coin_base,
-    const std::shared_ptr<OracleBeacon>& beacon, ChannelId clock_channel) {
-  if (w.attack == Attack::kAntiCoin) {
-    SSBFT_REQUIRE_MSG(beacon != nullptr,
-                      "anti-coin adversary requires an oracle-coin world");
-    return make_anti_coin_adversary(beacon, clock_channel);
-  }
-  return make_attack(w.attack, attack_k, coin_base, w.noise_msgs_per_beat);
-}
-
-}  // namespace
-
 EngineConfig world_config(const World& w, std::uint64_t seed) {
   EngineConfig cfg;
   cfg.n = w.n;
@@ -125,190 +102,102 @@ EngineConfig world_config(const World& w, std::uint64_t seed) {
   return cfg;
 }
 
-// ss-Byz-Clock-Sync (the paper).
-EngineBuilder build_clock_sync(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    CoinSpec spec;
-    std::shared_ptr<OracleBeacon> beacon;
-    if (w.coin == CoinKind::kOracle) {
-      beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{0.45, 0.45},
-                                              Rng(seed).split("beacon"));
-      spec = oracle_coin_spec(beacon);
-    } else {
-      spec = fm_coin_spec();
-    }
-    const CoinPipelineMode mode = pipeline_mode(w);
-    const auto coin_base = static_cast<ChannelId>(
-        3 + SsByz4Clock::channels_needed(spec, mode));
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, w.k, coin_base, beacon, 0);
-    }
-    auto factory = [spec, k = w.k, mode](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<SsByzClockSync>(env, k, spec, rng, 0, mode);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    if (beacon) {
-      b.engine->add_listener(beacon.get());
-      b.keepalive = beacon;
-    }
-    return b;
-  };
-}
-
-// ss-Byz-4-Clock building block (Remark 4.1 ablation).
-EngineBuilder build_clock4(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    CoinSpec spec;
-    std::shared_ptr<OracleBeacon> beacon;
-    if (w.coin == CoinKind::kOracle) {
-      beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{0.45, 0.45},
-                                              Rng(seed).split("beacon"));
-      spec = oracle_coin_spec(beacon);
-    } else {
-      spec = fm_coin_spec();
-    }
-    const CoinPipelineMode mode = pipeline_mode(w);
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      // The 4-clock's modulus is fixed; attacks that take a k see 4.
-      adv = make_world_attack(w, 4, 0, beacon, 0);
-    }
-    auto factory = [spec, mode](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<SsByz4Clock>(env, spec, 0, rng, mode);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    if (beacon) {
-      b.engine->add_listener(beacon.get());
-      b.keepalive = beacon;
-    }
-    return b;
-  };
-}
-
-// ss-Byz-2-Clock on the oracle coin (gallery / convergence-tail worlds).
-EngineBuilder build_clock2(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    auto beacon = std::make_shared<OracleBeacon>(
-        w.n, OracleCoinParams{0.45, 0.45}, Rng(seed).split("beacon"));
-    CoinSpec spec = oracle_coin_spec(beacon);
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, 2, 0, beacon, 0);
-    }
-    auto factory = [spec](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<SsByz2Clock>(env, spec, 0, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    b.engine->add_listener(beacon.get());
-    b.keepalive = beacon;
-    return b;
-  };
-}
-
-// Section 5 cascade (2^levels-clock).
-EngineBuilder build_cascade(World w, std::uint32_t levels) {
-  return [w, levels](std::uint64_t seed) {
-    EngineBundle b;
-    auto beacon = std::make_shared<OracleBeacon>(
-        w.n, OracleCoinParams{0.45, 0.45}, Rng(seed).split("beacon"));
-    CoinSpec spec = oracle_coin_spec(beacon);
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, w.k, 0, beacon, 0);
-    }
-    auto factory = [spec, levels](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<CascadeClock>(env, levels, spec, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    b.engine->add_listener(beacon.get());
-    b.keepalive = beacon;
-    return b;
-  };
-}
-
-// Dolev-Welch randomized baseline ([10] sync row).
-EngineBuilder build_dolev_welch(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    auto adv = w.actual == 0 ? nullptr
-                   : make_world_attack(w, w.k, 0, nullptr, 0);
-    auto factory = [k = w.k](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<DolevWelchClock>(env, k, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    return b;
-  };
-}
-
-// Section 6.1 retrofit: the DW gamble over a shared (oracle or FM) coin.
-EngineBuilder build_dolev_welch_shared(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    CoinSpec spec;
-    std::shared_ptr<OracleBeacon> beacon;
-    if (w.coin == CoinKind::kOracle) {
-      beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{0.45, 0.45},
-                                              Rng(seed).split("beacon"));
-      spec = oracle_coin_spec(beacon);
-    } else {
-      spec = fm_coin_spec();
-    }
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, w.k, 0, beacon, 0);
-    }
-    auto factory = [spec, k = w.k](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<DolevWelchSharedCoin>(env, k, spec, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    if (beacon) {
-      b.engine->add_listener(beacon.get());
-      b.keepalive = beacon;
-    }
-    return b;
-  };
-}
-
-// Pipelined-BA deterministic baselines ([15] = queen, [7] = king).
-EngineBuilder build_pipelined(World w, bool king) {
-  return [w, king](std::uint64_t seed) {
-    EngineBundle b;
-    const BaSpec spec =
-        turpin_coan_spec(king ? phase_king_spec() : phase_queen_spec());
-    auto adv = w.actual == 0 ? nullptr
-                   : make_world_attack(w, w.k, 0, nullptr, 0);
-    auto factory = [spec, k = w.k](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<PipelinedBaClock>(env, k, spec, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    return b;
-  };
-}
-
+// The one family builder. The switch supplies what differs per family:
+// the protocol factory, the coin, the modulus the attack sees and the
+// coin channel base. The beacon, adversary, engine and listener are
+// built the same way for every family.
 EngineBuilder build_world(Family family, const World& w) {
-  switch (family) {
-    case Family::kClockSync: return build_clock_sync(w);
-    case Family::kClock4: return build_clock4(w);
-    case Family::kClock2: return build_clock2(w);
-    case Family::kCascade: return build_cascade(w, w.levels);
-    case Family::kDolevWelch: return build_dolev_welch(w);
-    case Family::kDolevWelchShared: return build_dolev_welch_shared(w);
-    case Family::kPipelinedQueen: return build_pipelined(w, /*king=*/false);
-    case Family::kPipelinedKing: return build_pipelined(w, /*king=*/true);
-  }
-  SSBFT_CHECK(false);
-  return build_clock_sync(w);
+  return [family, w](std::uint64_t seed) {
+    std::shared_ptr<OracleBeacon> beacon;
+    auto coin = [&](CoinKind kind) {
+      if (kind == CoinKind::kFm) return fm_coin_spec();
+      beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{0.45, 0.45},
+                                              Rng(seed).split("beacon"));
+      return oracle_coin_spec(beacon);
+    };
+    const CoinPipelineMode mode = w.shared_pipeline
+                                      ? CoinPipelineMode::kShared
+                                      : CoinPipelineMode::kPerSubClock;
+    const ClockValue k = w.k;
+    ClockValue attack_k = k;
+    ChannelId coin_base = 0;
+    ProtocolFactory factory;
+    switch (family) {
+      case Family::kClockSync: {
+        const CoinSpec spec = coin(w.coin);
+        coin_base = static_cast<ChannelId>(
+            3 + SsByz4Clock::channels_needed(spec, mode));
+        factory = [spec, k, mode](const ProtocolEnv& env, Rng rng) {
+          return std::make_unique<SsByzClockSync>(env, k, spec, rng, 0, mode);
+        };
+        break;
+      }
+      case Family::kClock4: {
+        const CoinSpec spec = coin(w.coin);
+        attack_k = 4;
+        factory = [spec, mode](const ProtocolEnv& env, Rng rng) {
+          return std::make_unique<SsByz4Clock>(env, spec, 0, rng, mode);
+        };
+        break;
+      }
+      case Family::kClock2: {
+        const CoinSpec spec = coin(CoinKind::kOracle);
+        attack_k = 2;
+        factory = [spec](const ProtocolEnv& env, Rng rng) {
+          return std::make_unique<SsByz2Clock>(env, spec, 0, rng);
+        };
+        break;
+      }
+      case Family::kCascade: {
+        const CoinSpec spec = coin(CoinKind::kOracle);
+        factory = [spec, levels = w.levels](const ProtocolEnv& env, Rng rng) {
+          return std::make_unique<CascadeClock>(env, levels, spec, rng);
+        };
+        break;
+      }
+      case Family::kDolevWelch:
+        factory = [k](const ProtocolEnv& env, Rng rng) {
+          return std::make_unique<DolevWelchClock>(env, k, rng);
+        };
+        break;
+      case Family::kDolevWelchShared: {
+        const CoinSpec spec = coin(w.coin);
+        factory = [spec, k](const ProtocolEnv& env, Rng rng) {
+          return std::make_unique<DolevWelchSharedCoin>(env, k, spec, rng);
+        };
+        break;
+      }
+      case Family::kPipelinedQueen:
+      case Family::kPipelinedKing: {
+        const BaSpec ba = turpin_coan_spec(family == Family::kPipelinedKing
+                                               ? phase_king_spec()
+                                               : phase_queen_spec());
+        factory = [ba, k](const ProtocolEnv& env, Rng rng) {
+          return std::make_unique<PipelinedBaClock>(env, k, ba, rng);
+        };
+        break;
+      }
+    }
+
+    // kAntiCoin rushes the world's oracle beacon on clock channel 0; every
+    // other attack is beacon-free.
+    std::unique_ptr<Adversary> adv;
+    if (w.actual != 0 && w.attack == Attack::kAntiCoin) {
+      SSBFT_REQUIRE_MSG(beacon != nullptr,
+                        "anti-coin adversary requires an oracle-coin world");
+      adv = make_anti_coin_adversary(beacon, 0);
+    } else if (w.actual != 0) {
+      adv = make_attack(w.attack, attack_k, coin_base, w.noise_msgs_per_beat);
+    }
+    EngineBundle b;
+    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
+                                        std::move(adv));
+    if (beacon) {
+      b.engine->add_listener(beacon.get());
+      b.keepalive = std::move(beacon);
+    }
+    return b;
+  };
 }
 
 EngineBuilder build_scenario(const ScenarioSpec& spec) {

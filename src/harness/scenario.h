@@ -2,9 +2,9 @@
 // named, fully-specified simulation cell — algorithm family, (n, f, k)
 // world, adversary, coin, and the FaultPlan network/transient axes — plus
 // the trial-run defaults (trials, seed, beat budget) that make it a cell
-// of a sweep. Every bench table row is registered here by name, so tests,
-// the `ssbft_bench` driver and the thin bench wrappers all build the same
-// engines from the same specs.
+// of a sweep. Every bench table row is registered here by name, and every
+// engine — registry cell, experiment probe, test world or `ssbft_sim` run —
+// is assembled by the one family builder, build_world.
 #pragma once
 
 #include <memory>
@@ -78,25 +78,19 @@ struct World {
 };
 
 // Beacon-free attacks (everything but kAntiCoin, which needs the world's
-// oracle beacon and is built inside the family builders). noise_msgs
-// tunes kNoise only (World::noise_msgs_per_beat flows through here).
+// oracle beacon and is built inside build_world). noise_msgs tunes kNoise
+// only (World::noise_msgs_per_beat flows through here).
 std::unique_ptr<Adversary> make_attack(Attack a, ClockValue k,
                                        ChannelId coin_base,
                                        std::uint32_t noise_msgs = 8);
 
 EngineConfig world_config(const World& w, std::uint64_t seed);
 
-// Family builders. Each returns an EngineBuilder that constructs one
-// seeded engine (plus keepalive beacon where the coin needs one).
-EngineBuilder build_clock_sync(World w);
-EngineBuilder build_clock4(World w);
-EngineBuilder build_clock2(World w);
-EngineBuilder build_cascade(World w, std::uint32_t levels);
-EngineBuilder build_dolev_welch(World w);
-EngineBuilder build_dolev_welch_shared(World w);
-EngineBuilder build_pipelined(World w, bool king);
-
-// Dispatch on the family enum (the registry path).
+// The family builder: an EngineBuilder that constructs one seeded engine
+// of `family` in world `w` (plus the keepalive oracle beacon when the
+// family runs the oracle coin). Clock-sync, the 4-clock and DW-shared run
+// w.coin; the 2-clock and the cascade always run the oracle coin; DW and
+// the pipelined-BA baselines run none.
 EngineBuilder build_world(Family family, const World& w);
 
 // ---------------------------------------------------------------------------

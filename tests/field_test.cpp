@@ -610,30 +610,6 @@ TEST(Poly, DivmodEqualDegrees) {
   }
 }
 
-TEST(Poly, ScratchVariantsMatchValueApi) {
-  PrimeField F(65537);
-  Rng rng(10);
-  std::vector<std::uint64_t> scratch;  // reused across iterations
-  for (int i = 0; i < 30; ++i) {
-    Poly a = Poly::random(F, 5, rng);
-    Poly b = Poly::random(F, 3, rng);
-    a.add_into(F, b, scratch);
-    EXPECT_EQ(Poly(scratch), a.add(F, b));
-    a.mul_into(F, b, scratch);
-    EXPECT_EQ(Poly(scratch), a.mul(F, b));
-  }
-}
-
-TEST(Poly, RandomWithConstantPinsSecret) {
-  PrimeField F(101);
-  Rng rng(7);
-  for (int i = 0; i < 20; ++i) {
-    Poly p = Poly::random_with_constant(F, 3, 42, rng);
-    EXPECT_EQ(p.eval(F, 0), 42u);
-    EXPECT_LE(p.degree(), 3);
-  }
-}
-
 TEST(Interpolation, RecoversOriginalPolynomial) {
   PrimeField F(2305843009213693951ULL);
   Rng rng(8);

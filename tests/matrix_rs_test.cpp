@@ -83,19 +83,6 @@ TEST(Matrix, RandomSolvableSystemsVerify) {
   }
 }
 
-TEST(Matrix, RankOfStructuredMatrices) {
-  PrimeField F(101);
-  Matrix Z(3, 3);
-  EXPECT_EQ(matrix_rank(F, Z), 0u);
-  Matrix I(3, 3);
-  for (std::size_t i = 0; i < 3; ++i) I.at(i, i) = 1;
-  EXPECT_EQ(matrix_rank(F, I), 3u);
-  Matrix R(2, 3);  // second row = 2 * first
-  R.at(0, 0) = 1; R.at(0, 1) = 2; R.at(0, 2) = 3;
-  R.at(1, 0) = 2; R.at(1, 1) = 4; R.at(1, 2) = 6;
-  EXPECT_EQ(matrix_rank(F, R), 1u);
-}
-
 // ---- Berlekamp-Welch ------------------------------------------------------
 
 struct BwParam {

@@ -61,8 +61,8 @@ ParseResult parse_str(const std::string& s) {
   return parse_trace(in);
 }
 
-// parse -> merge -> check of a single serialized trace.
-CheckResult check_str(const std::string& s, const CheckOptions& opts) {
+// parse -> merge of a single serialized trace.
+ParsedTrace merge_str(const std::string& s) {
   ParseResult p = parse_str(s);
   EXPECT_TRUE(p.ok) << p.error << " at line " << p.error_line;
   std::vector<ParsedTrace> parts;
@@ -70,7 +70,11 @@ CheckResult check_str(const std::string& s, const CheckOptions& opts) {
   MergeResult m = merge_traces(std::move(parts));
   EXPECT_TRUE(m.ok) << m.error;
   EXPECT_EQ(m.traces.size(), 1u);
-  return check_trace(m.traces[0], opts);
+  return std::move(m.traces[0]);
+}
+
+CheckResult check_str(const std::string& s, const CheckOptions& opts) {
+  return check_trace(merge_str(s), opts);
 }
 
 // ---------------------------------------------------------------------------
@@ -106,6 +110,54 @@ std::vector<FamilyCase> family_cases() {
   add("queen", Family::kPipelinedQueen, 5, 1, 8, Attack::kSilent);
   add("king", Family::kPipelinedKing, 4, 1, 8, Attack::kSilent);
   return cases;
+}
+
+// One small world per family (n = 4, f = actual = 1, skew, k = 16), built
+// through build_world and pinned by the commitment of 64 traced beats.
+// The constants were recorded at commit 1c95f03, from the seven
+// per-family builders that build_world replaced, so every stack's engine
+// stays bit-identical to theirs. SIMD and scalar builds must agree.
+TEST(TraceCommitment, EveryFamilyEngineIsPinned) {
+  struct Pin {
+    const char* name;
+    Family fam;
+    CoinKind coin;
+    const char* commitment;
+  };
+  const Pin pins[] = {
+      {"clock_sync/oracle", Family::kClockSync, CoinKind::kOracle,
+       "d7a64d2d77efd667a3410778636294efeb98cfa39846a1f8ea3364032a1be33e"},
+      {"clock_sync/fm", Family::kClockSync, CoinKind::kFm,
+       "8f0f4c1113d75d977b2dc0347e1973ba51dddae13bc93fb023d5ba6c5ac589f9"},
+      {"clock4", Family::kClock4, CoinKind::kOracle,
+       "a76068aa0b9541718acdc12f0dc2c6c08e9e33b67c3b8499297c447d66617283"},
+      {"clock2", Family::kClock2, CoinKind::kOracle,
+       "63771f08f094677b33d4f0162b47abdfdacc8adac0662a8e67daa835364668c9"},
+      {"cascade", Family::kCascade, CoinKind::kOracle,
+       "a99258599d982c5ec66be4e78f47bc39484af5bcf6260136f808749bd884c55d"},
+      {"dw", Family::kDolevWelch, CoinKind::kOracle,
+       "253828535e672d62b408b27c430200461f05ea869fff1ee61dce6f8bf9bba976"},
+      {"dw_shared/oracle", Family::kDolevWelchShared, CoinKind::kOracle,
+       "7e827bd46b4d4970fbf565587c20213543cdc99a8f3eba0b02349774eaba80a7"},
+      {"dw_shared/fm", Family::kDolevWelchShared, CoinKind::kFm,
+       "5cd02cf255655ca989e775dfff274c947ae9d953f8e9bf604b4f68f241e644f1"},
+      {"queen", Family::kPipelinedQueen, CoinKind::kOracle,
+       "db30991fc33d6231de7a70a9f7b42794796ff254582cd426390efeb02ab4e066"},
+      {"king", Family::kPipelinedKing, CoinKind::kOracle,
+       "921a2a69bc4e7beb67adcdc4c10f4e96b5c284679e3e32bbfd42ef2523e16484"},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.name);
+    World w;
+    w.n = 4;
+    w.f = 1;
+    w.actual = 1;
+    w.k = 16;
+    w.attack = Attack::kSkew;
+    w.coin = p.coin;
+    EXPECT_EQ(trace_commitment(merge_str(run_traced(p.fam, w, 5, 64))),
+              p.commitment);
+  }
 }
 
 TEST(TraceCheck, EveryFamilyPassesAllInvariantsOver10kBeats) {
