@@ -49,8 +49,6 @@ std::string converged_cell(const TrialStats& s) {
   return std::to_string(s.converged) + "/" + std::to_string(s.trials);
 }
 
-namespace {
-
 SweepOptions sweep_options(const BenchOptions& o) {
   SweepOptions so;
   so.jobs = o.jobs;
@@ -58,6 +56,8 @@ SweepOptions sweep_options(const BenchOptions& o) {
   so.trace_dir = o.trace;
   return so;
 }
+
+namespace {
 
 // Registered spec backing a sweep cell. Experiments only build cells from
 // registry names, so absence is a programming error, not user input.

@@ -14,7 +14,8 @@
 
 namespace ssbft::bench {
 
-// The driver's `run` / `soak` options, parsed in ssbft_bench.cpp. A value of 0 means "keep the experiment's per-cell default" (for
+// The driver's `run` / `soak` / `sim` options, parsed in ssbft_bench.cpp.
+// A value of 0 means "keep the experiment's per-cell default" (for
 // --jobs, 0 means one worker per available CPU, the default).
 struct BenchOptions {
   std::uint64_t trials = 0;  // override every cell's trial count
@@ -41,6 +42,10 @@ std::uint64_t trials_or(const BenchOptions& o, std::uint64_t def);
 // per-table offsets (e.g. 2000 + n) keep rows statistically independent
 // while a nonzero S yields a fresh independent replication.
 std::uint64_t shifted_seed(const BenchOptions& o, std::uint64_t def);
+
+// SweepOptions carrying --jobs, --progress and --trace (the experiment
+// tables' and `sim`'s sweeps; scenario globs add the crash-safety knobs).
+SweepOptions sweep_options(const BenchOptions& o);
 
 // RunnerConfig for a registry cell: the spec's defaults + the overrides.
 RunnerConfig cell_config(const BenchOptions& o, const ScenarioSpec& spec);
@@ -103,7 +108,8 @@ void run_shard_cells(const std::string& pattern,
 
 // `ssbft_bench merge`: parse + validate + fold shard reports, then render
 // the standard scenario table (or, with commitment_only, print just the
-// aggregate trace commitment — `ssbft_check --commitment-only`'s shape).
+// aggregate trace commitment — `ssbft_bench check --commitment-only`'s
+// shape).
 // Returns the process exit code; every rejection is one structured
 // stderr line.
 int merge_shard_reports(const std::vector<std::string>& paths,

@@ -6,17 +6,27 @@
 // checkpoints (--checkpoint/--resume); `merge` folds shard reports back
 // into the unsharded table, bit for bit; `soak` drives seed-driven chaos
 // campaigns (harness/chaos.h) over the matched scenarios with streaming
-// invariant checking and optional repro minimization. It is the only
+// invariant checking and optional repro minimization; `check` verifies
+// `--trace` output offline against the paper's invariants and prints its
+// SHA-256 commitments (harness/checker.h); `sim` runs one ad-hoc
+// (algorithm, world) cell that no registry name covers. It is the only
 // front end of the experiment registry (experiments.h): the paper's tables
 // are `ssbft_bench run table1`, `run resiliency`, `run kclock_scaling`, ...
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <cstring>
+#include <filesystem>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "experiments.h"
+#include "harness/checker.h"
 #include "support/check.h"
 
 using namespace ssbft;
@@ -34,6 +44,10 @@ int usage(std::ostream& os, int code) {
         "`run --shard`) into one table\n"
         "  soak <glob> [options]      chaos campaign: fuzz the matched "
         "scenarios' fault space with streaming invariant checking\n"
+        "  check [options] <trace.jsonl|dir>...  verify --trace output "
+        "against the paper's invariants and print its commitments\n"
+        "  sim [options]              run one ad-hoc (algorithm, world) "
+        "cell\n"
         "run options: [--trials N] [--jobs J] [--seed S]\n"
         "             [--format ascii|csv|jsonl] [--out FILE] [--trace DIR]\n"
         "             [--progress] [--shard I/K]\n"
@@ -46,7 +60,7 @@ int usage(std::ostream& os, int code) {
         "  --format F   ascii (default), csv (RFC-4180) or jsonl\n"
         "  --out FILE   write the report to FILE instead of stdout\n"
         "  --trace DIR  write one JSONL execution trace per (cell, trial)\n"
-        "               into DIR; verify them with `ssbft_check DIR`\n"
+        "               into DIR; verify them with `ssbft_bench check DIR`\n"
         "  --progress   stderr progress line (units done / total)\n"
         "  --shard I/K  run only the slice u % K == I of the sweep's unit\n"
         "               sequence and emit an ssbft-shard-v2 JSONL report\n"
@@ -60,7 +74,7 @@ int usage(std::ostream& os, int code) {
         "[--commitment-only]\n"
         "  --commitment-only  print just the aggregate SHA-256 trace\n"
         "               commitment (shards must have run with --trace);\n"
-        "               matches `ssbft_check --commitment-only`\n"
+        "               matches `ssbft_bench check --commitment-only`\n"
         "soak options: [--campaign-seed S] [--units N] [--bound B] "
         "[--minimize]\n"
         "              plus --jobs/--progress/--out/--trace and the "
@@ -80,7 +94,7 @@ int usage(std::ostream& os, int code) {
         "  ssbft_bench list 'net/*'\n"
         "  ssbft_bench run table1 --trials 2 --jobs 2\n"
         "  ssbft_bench run 'gallery/*' --format jsonl\n"
-        "  ssbft_bench run net/baseline --trace traces && ssbft_check "
+        "  ssbft_bench run net/baseline --trace traces && ssbft_bench check "
         "traces\n"
         "  ssbft_bench run table1-large --trials 1   # n up to 128 "
         "(scaling-large/* cells)\n"
@@ -93,6 +107,8 @@ int usage(std::ostream& os, int code) {
         "--jobs 4\n"
         "  ssbft_bench soak 'gallery/*' --campaign-seed 7 --units 200 "
         "--minimize\n"
+        "  ssbft_bench sim --algo clocksync --n 7 --f 2 --k 60 --coin fm "
+        "--trials 25\n"
         "notes:\n"
         "  field/codec kernels auto-dispatch to SIMD (AVX2) when the CPU\n"
         "  supports it; a -DSSBFT_SIMD=off build pins the scalar reference.\n"
@@ -111,11 +127,13 @@ const char* flag_value(const std::string& prog, int argc, char** argv,
   return argv[++i];
 }
 
-// flag_value as a non-negative integer. Strict digits-only: strtoull alone
+// flag_value as an integer in [lo, hi]. Strict digits-only: strtoull alone
 // would skip leading whitespace and wrap negatives like " -3" to ~2^64.
 // Exits 2 on anything else.
-std::uint64_t u64_flag_value(const std::string& prog, int argc, char** argv,
-                             int& i) {
+std::uint64_t u64_flag_value(
+    const std::string& prog, int argc, char** argv, int& i,
+    std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
   const std::string flag = argv[i];
   const char* text = flag_value(prog, argc, argv, i);
   bool digits_only = *text != '\0';
@@ -127,8 +145,30 @@ std::uint64_t u64_flag_value(const std::string& prog, int argc, char** argv,
   }
   errno = 0;
   const unsigned long long v = std::strtoull(text, nullptr, 10);
-  if (!digits_only || errno == ERANGE) {
-    std::cerr << prog << ": " << flag << " needs a non-negative integer, got '"
+  if (!digits_only || errno == ERANGE || v < lo || v > hi) {
+    std::cerr << prog << ": " << flag << " needs ";
+    if (lo == 0 && hi == std::numeric_limits<std::uint64_t>::max()) {
+      std::cerr << "a non-negative integer";
+    } else {
+      std::cerr << "an integer in [" << lo << ", " << hi << "]";
+    }
+    std::cerr << ", got '" << text << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
+// flag_value as a probability: the whole text must parse as a number in
+// [0, 1]. Exits 2 on anything else.
+double probability_flag_value(const std::string& prog, int argc, char** argv,
+                              int& i) {
+  const std::string flag = argv[i];
+  const char* text = flag_value(prog, argc, argv, i);
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || stop != end || !(v >= 0.0 && v <= 1.0)) {
+    std::cerr << prog << ": " << flag << " needs a number in [0, 1], got '"
               << text << "'\n";
     std::exit(2);
   }
@@ -387,6 +427,220 @@ int soak_command(int argc, char** argv) {
   return run_soak_campaign(pattern, matched, o, soak);
 }
 
+// `ssbft_bench check`: expands directories to their *.jsonl files, reads
+// and merges the traces, and prints one verdict line per merged run plus
+// the aggregate commitment. Exit 0 ok, 1 violation, 2 decode error.
+int check_command(int argc, char** argv) {
+  const std::string prog = "ssbft_bench check";
+  CheckOptions opts;
+  bool commitment_only = false;
+  std::vector<std::string> paths;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      return usage(std::cout, 0);
+    } else if (arg == "--bound") {
+      opts.bound = u64_flag_value(prog, argc, argv, i);
+    } else if (arg == "--require-convergence") {
+      opts.require_convergence = true;
+    } else if (arg == "--coin-agreement") {
+      opts.coin_agreement = probability_flag_value(prog, argc, argv, i);
+    } else if (arg == "--window") {
+      opts.confirm_window = u64_flag_value(prog, argc, argv, i);
+    } else if (arg == "--commitment-only") {
+      commitment_only = true;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::cerr << prog << ": unknown option '" << arg << "' (try --help)\n";
+      return 2;
+    } else if (std::error_code ec; std::filesystem::is_directory(arg, ec)) {
+      for (const auto& entry :
+           std::filesystem::directory_iterator(arg, ec)) {
+        if (entry.is_regular_file() && entry.path().extension() == ".jsonl") {
+          paths.push_back(entry.path().string());
+        }
+      }
+    } else {
+      paths.push_back(arg);
+    }
+  }
+  // File-system enumeration order must not influence anything downstream.
+  std::sort(paths.begin(), paths.end());
+  if (paths.empty()) {
+    std::cerr << prog << ": no .jsonl inputs found\n";
+    return 2;
+  }
+  const MergeResult merged = read_traces(paths);
+  if (!merged.ok) {
+    std::cerr << prog << ": " << merged.error << "\n";
+    return 2;
+  }
+
+  bool all_ok = true;
+  std::vector<std::string> commitments;
+  for (const ParsedTrace& trace : merged.traces) {
+    const std::string commit = trace_commitment(trace);
+    commitments.push_back(commit);
+    if (commitment_only) continue;
+    const CheckResult res = check_trace(trace, opts);
+    all_ok = all_ok && res.ok;
+    const char* status = res.ok ? (res.censored ? "censored" : "ok") : "FAIL";
+    std::printf(
+        "%-8s %-28s trial=%llu seed=%llu beats=%llu synced_at=%lld "
+        "coin=%.3f/%llu commit=%.12s\n",
+        status,
+        trace.header.scenario.empty() ? "(ad-hoc)"
+                                      : trace.header.scenario.c_str(),
+        static_cast<unsigned long long>(trace.header.trial),
+        static_cast<unsigned long long>(trace.header.seed),
+        static_cast<unsigned long long>(res.beats),
+        res.converged ? static_cast<long long>(res.synced_at) : -1ll,
+        res.coin_agreement_rate,
+        static_cast<unsigned long long>(res.coin_groups), commit.c_str());
+    for (const std::string& v : res.violations) {
+      std::printf("         violation: %s\n", v.c_str());
+    }
+  }
+  const std::string aggregate = aggregate_commitment(commitments);
+  std::printf(commitment_only ? "%s\n" : "aggregate %s\n", aggregate.c_str());
+  return all_ok ? 0 : 1;
+}
+
+// The value `name` maps to in `table`; exits 2 naming `flag` otherwise.
+template <typename T>
+T named_value(const std::string& prog, const char* flag,
+              const std::map<std::string, T>& table, const std::string& name) {
+  const auto it = table.find(name);
+  if (it == table.end()) {
+    std::cerr << prog << ": unknown " << flag << " '" << name << "' (one of";
+    for (const auto& entry : table) std::cerr << ' ' << entry.first;
+    std::cerr << ")\n";
+    std::exit(2);
+  }
+  return it->second;
+}
+
+// `ssbft_bench sim`: one ad-hoc (Family, World) cell built by build_world
+// and run through the sweep — "what does algorithm X do at (n, f, k) under
+// attack Y?" without registering a scenario.
+int sim_command(int argc, char** argv) {
+  const std::string prog = "ssbft_bench sim";
+  static const std::map<std::string, Family> kAlgos = {
+      {"clocksync", Family::kClockSync},
+      {"clock2", Family::kClock2},
+      {"clock4", Family::kClock4},
+      {"cascade", Family::kCascade},
+      {"king", Family::kPipelinedKing},
+      {"queen", Family::kPipelinedQueen},
+      {"dw", Family::kDolevWelch},
+      {"dw-shared", Family::kDolevWelchShared},
+  };
+  static const std::map<std::string, CoinKind> kCoins = {
+      {"oracle", CoinKind::kOracle},
+      {"fm", CoinKind::kFm},
+  };
+  static const std::map<std::string, Attack> kAttacks = {
+      {"silent", Attack::kSilent},     {"noise", Attack::kNoise},
+      {"split", Attack::kSplit},       {"skew", Attack::kSkew},
+      {"adaptive", Attack::kAdaptive}, {"coinattack", Attack::kCoinAttack},
+  };
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  std::string algo = "clocksync";
+  std::string coin = "oracle";
+  std::string adversary = "skew";
+  World w;
+  w.k = 16;
+  w.levels = 3;
+  std::uint64_t max_beats = 10000;
+  // Pull out the sim-specific flags, then hand everything else (--trials,
+  // --seed, --jobs, --format, --out, ...) to the shared parser.
+  std::vector<char*> rest;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto take_raw = [&] { return flag_value(prog, argc, argv, i); };
+    const auto take_u32 = [&](std::uint64_t lo, std::uint64_t hi) {
+      return static_cast<std::uint32_t>(
+          u64_flag_value(prog, argc, argv, i, lo, hi));
+    };
+    if (arg == "--help" || arg == "-h") {
+      return usage(std::cout, 0);
+    } else if (arg == "--algo") {
+      algo = take_raw();
+    } else if (arg == "--coin") {
+      coin = take_raw();
+    } else if (arg == "--adversary") {
+      adversary = take_raw();
+    } else if (arg == "--n") {
+      w.n = take_u32(0, kU32Max);
+    } else if (arg == "--f") {
+      w.f = take_u32(0, kU32Max);
+    } else if (arg == "--k") {
+      w.k = u64_flag_value(prog, argc, argv, i);
+    } else if (arg == "--levels") {
+      w.levels = take_u32(1, 62);
+    } else if (arg == "--max-beats") {
+      max_beats = u64_flag_value(prog, argc, argv, i);
+    } else {
+      rest.push_back(argv[i]);
+    }
+  }
+  const BenchOptions o =
+      parse_cli(prog, static_cast<int>(rest.size()), rest.data(), 0);
+  if (o.shard.active() || !o.checkpoint.empty() || o.resume) {
+    std::cerr << prog << ": --shard/--checkpoint/--resume apply to scenario "
+                         "sweeps (globs), not an ad-hoc sim cell\n";
+    return 2;
+  }
+  const Family fam = named_value(prog, "--algo", kAlgos, algo);
+  w.coin = named_value(prog, "--coin", kCoins, coin);
+  w.attack = named_value(prog, "--adversary", kAttacks, adversary);
+  w.actual = w.f;
+  if ((fam == Family::kClock2 || fam == Family::kCascade) &&
+      w.coin != CoinKind::kOracle) {
+    std::cerr << prog << ": clock2 and cascade run on the oracle coin only\n";
+    return 2;
+  }
+  // The modulus the family actually solves (the `k` column).
+  if (fam == Family::kClock2) w.k = 2;
+  if (fam == Family::kClock4) w.k = 4;
+  if (fam == Family::kCascade) w.k = ClockValue{1} << w.levels;
+  if (w.f > 0 && w.n <= std::uint64_t{3} * w.f && algo != "queen") {
+    std::cerr << "warning: n <= 3f — expect non-convergence (that may be "
+                 "the experiment)\n";
+  }
+
+  AtomicOutFile file;
+  std::ostream* os = open_report_out(o, file, "ssbft_bench");
+  if (os == nullptr) return 2;
+  RunnerConfig rc;
+  rc.trials = trials_or(o, 20);
+  rc.base_seed = shifted_seed(o, 1);
+  rc.convergence.max_beats = max_beats;
+  const TrialStats stats = run_sweep(
+      {SweepCell{"", build_world(fam, w), rc}}, sweep_options(o))[0];
+
+  Report report(RunMeta{"sim", o.trials, o.seed, o.jobs}, o.format, *os);
+  // DW and the pipelined-BA baselines run no coin, whatever --coin says.
+  const bool coinless = fam == Family::kDolevWelch ||
+                        fam == Family::kPipelinedQueen ||
+                        fam == Family::kPipelinedKing;
+  AsciiTable t({"algo", "coin", "adversary", "n", "f", "k", "trials",
+                "converged", "mean", "median", "p90", "max", "msgs/beat"});
+  t.add_row({algo, coinless ? "-" : coin, adversary, std::to_string(w.n),
+             std::to_string(w.f), std::to_string(w.k),
+             std::to_string(stats.trials), std::to_string(stats.converged),
+             fmt_double(stats.mean, 2), fmt_double(stats.median, 1),
+             fmt_double(stats.p90, 1), std::to_string(stats.max),
+             fmt_double(stats.mean_msgs_per_beat, 1)});
+  report.table("sim", t);
+  if (stats.converged < stats.trials) {
+    report.text(std::to_string(stats.trials - stats.converged) +
+                " trial(s) censored at --max-beats " +
+                std::to_string(max_beats) +
+                " (excluded from the statistics above)\n");
+  }
+  return commit_report_out(file, "ssbft_bench") ? 0 : 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -414,6 +668,12 @@ int main(int argc, char** argv) {
     }
     if (command == "soak") {
       return soak_command(argc, argv);
+    }
+    if (command == "check") {
+      return check_command(argc, argv);
+    }
+    if (command == "sim") {
+      return sim_command(argc, argv);
     }
   } catch (const contract_error& e) {
     // Unresumable checkpoints, unwritable checkpoints, unreadable trace

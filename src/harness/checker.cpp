@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <map>
 #include <optional>
@@ -298,6 +299,27 @@ MergeResult merge_traces(std::vector<ParsedTrace> parts) {
   }
   res.ok = true;
   return res;
+}
+
+MergeResult read_traces(const std::vector<std::string>& paths) {
+  std::vector<ParsedTrace> parts;
+  for (const std::string& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      MergeResult res;
+      res.error = "cannot open " + path;
+      return res;
+    }
+    ParseResult parsed = parse_trace(in);
+    if (!parsed.ok) {
+      MergeResult res;
+      res.error = path + ":" + std::to_string(parsed.error_line) + ": " +
+                  parsed.error;
+      return res;
+    }
+    parts.push_back(std::move(parsed.trace));
+  }
+  return merge_traces(std::move(parts));
 }
 
 CheckResult check_trace(const ParsedTrace& trace, const CheckOptions& opts) {

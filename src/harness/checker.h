@@ -1,4 +1,4 @@
-// Offline trace verification (the `ssbft_check` tool's engine).
+// Offline trace verification (the engine of `ssbft_bench check`).
 //
 // Input: JSONL execution traces written by JsonlTraceSink (sim/trace.h).
 // The pipeline is parse -> merge -> check/commit:
@@ -90,6 +90,12 @@ struct MergeResult {
 };
 
 MergeResult merge_traces(std::vector<ParsedTrace> parts);
+
+// Opens, parse_traces and merge_traces the files at `paths`: the one
+// reader behind `ssbft_bench check` and the sweep's per-unit commitments.
+// The first failure is the result's one-line error: "cannot open PATH",
+// "PATH:LINE: msg" for a decode error, or merge_traces' own message.
+MergeResult read_traces(const std::vector<std::string>& paths);
 
 struct CheckOptions {
   // Required re-convergence bound in beats after the last corruption

@@ -1,4 +1,4 @@
-// Streaming invariant checking: the `ssbft_check` verdicts computed
+// Streaming invariant checking: the `ssbft_bench check` verdicts computed
 // incrementally, one beat at a time, in bounded memory.
 //
 // InvariantCore is the single implementation of the four trace invariants

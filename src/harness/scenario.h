@@ -3,8 +3,8 @@
 // world, adversary, coin, and the FaultPlan network/transient axes — plus
 // the trial-run defaults (trials, seed, beat budget) that make it a cell
 // of a sweep. Every bench table row is registered here by name, and every
-// engine — registry cell, experiment probe, test world or `ssbft_sim` run —
-// is assembled by the one family builder, build_world.
+// engine — registry cell, experiment probe, test world or `ssbft_bench
+// sim` run — is assembled by the one family builder, build_world.
 #pragma once
 
 #include <memory>

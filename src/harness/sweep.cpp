@@ -61,10 +61,6 @@ std::string trace_path_for(const SweepOptions& opts, const std::string& cell,
          std::to_string(trial) + ".jsonl";
 }
 
-// Parse -> merge -> commit on one unit's trace file: identical to what
-// ssbft_check would compute, so the sweep's per-unit commitments are the
-// replay-exactness oracle. Each unit's (scenario, trial, seed) is unique,
-// so the merge is a one-file canonicalization.
 // Environment failures (unreadable trace files, unresumable checkpoints,
 // unwritable checkpoint paths) throw contract_error with a message that
 // stands alone — the CLI prints it verbatim, so no macro expression noise.
@@ -72,23 +68,14 @@ std::string trace_path_for(const SweepOptions& opts, const std::string& cell,
   throw contract_error(msg);
 }
 
+// Parse -> merge -> commit on one unit's trace file through the same
+// read_traces as `ssbft_bench check`, so the sweep's per-unit commitments
+// are the replay-exactness oracle. Each unit's (scenario, trial, seed) is
+// unique, so the merge is a one-file canonicalization.
 std::string commitment_from_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    sweep_fail("cannot open trace file " + path +
-               " to compute its commitment");
-  }
-  ParseResult parsed = parse_trace(in);
-  if (!parsed.ok) {
-    sweep_fail("trace file " + path + " line " +
-               std::to_string(parsed.error_line) + ": " + parsed.error);
-  }
-  std::vector<ParsedTrace> parts;
-  parts.push_back(std::move(parsed.trace));
-  MergeResult merged = merge_traces(std::move(parts));
-  if (!merged.ok || merged.traces.size() != 1) {
-    sweep_fail("trace file " + path + ": " + merged.error);
-  }
+  const MergeResult merged = read_traces({path});
+  if (!merged.ok) sweep_fail("trace commitment: " + merged.error);
+  SSBFT_CHECK(merged.traces.size() == 1);
   return trace_commitment(merged.traces[0]);
 }
 

@@ -33,7 +33,7 @@
 // JsonlTraceSink writes one JSON object per line: a `header` line carrying
 // the TraceMeta, then one line per record (`clock`, `phase`, `coin`,
 // `beat`, `net`, `probe`, `corrupt`). The offline checker
-// (harness/checker.h, the `ssbft_check` tool) parses these files, merges
+// (harness/checker.h, `ssbft_bench check`) parses these files, merges
 // the records of one (scenario, trial, seed) into a canonical beat-ordered
 // stream, verifies the paper's invariants, and hashes a canonical
 // re-serialization into a SHA-256 *trace commitment*. The commitment is

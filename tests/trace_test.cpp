@@ -503,8 +503,8 @@ TEST(TraceCheck, FaultHorizonExcusesBreaksInsideTheDeclaredWindow) {
 // ---------------------------------------------------------------------------
 // Streaming/offline equivalence: InvariantCore is the single invariant
 // implementation, so a StreamingChecker attached to the live engine must
-// produce exactly the verdict ssbft_check computes from the same run's
-// serialized trace — same flags, same beats, same violation strings.
+// produce exactly the verdict `ssbft_bench check` computes from the same
+// run's serialized trace — same flags, same beats, same violation strings.
 
 CheckResult run_streamed(Family fam, const World& w, std::uint64_t seed,
                          std::uint64_t beats, const CheckOptions& opts) {
@@ -779,6 +779,47 @@ TEST(TraceDecode, MergeFoldsSplitFilesIntoOneCanonicalStream) {
   };
   EXPECT_EQ(merged_commit({whole}), merged_commit({clocks, coins}));
   EXPECT_EQ(merged_commit({whole}), merged_commit({coins, clocks}));
+}
+
+TEST(TraceDecode, ReadTracesMergesFilesAndNamesTheFailingLine) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "ssbft_read_traces";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto write = [&](const char* name, const std::string& body) {
+    const std::string path = (dir / name).string();
+    std::ofstream(path) << body;
+    return path;
+  };
+  const std::string clocks =
+      std::string(kHeader) + clock_line(0, 0, 1) + clock_line(0, 1, 1) +
+      clock_line(0, 2, 1);
+  const std::string coin =
+      "{\"type\":\"coin\",\"beat\":0,\"node\":0,\"stream\":2,\"bit\":1}\n";
+  const std::string whole_path = write("whole.jsonl", clocks + coin);
+  const std::string clocks_path = write("clocks.jsonl", clocks);
+  const std::string coin_path = write("coin.jsonl", kHeader + coin);
+
+  // Split files fold into the single file's canonical stream.
+  const MergeResult whole = read_traces({whole_path});
+  const MergeResult split = read_traces({coin_path, clocks_path});
+  ASSERT_TRUE(whole.ok) << whole.error;
+  ASSERT_TRUE(split.ok) << split.error;
+  ASSERT_EQ(split.traces.size(), 1u);
+  EXPECT_EQ(trace_commitment(split.traces[0]),
+            trace_commitment(whole.traces[0]));
+
+  // The first failure is one PATH:LINE: msg line; later files are unread.
+  const std::string bad_path =
+      write("bad.jsonl", std::string(kHeader) + "{\"type\":\"clock\"");
+  const MergeResult bad = read_traces({whole_path, bad_path, "no-such"});
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.error.rfind(bad_path + ":2: ", 0), 0u) << bad.error;
+
+  const std::string missing = (dir / "missing.jsonl").string();
+  const MergeResult gone = read_traces({missing});
+  EXPECT_FALSE(gone.ok);
+  EXPECT_EQ(gone.error, "cannot open " + missing);
+  fs::remove_all(dir);
 }
 
 TEST(TraceCommitment, SensitiveToContentNotOrderOfAggregation) {
