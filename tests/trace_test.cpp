@@ -160,6 +160,71 @@ TEST(TraceCommitment, EveryFamilyEngineIsPinned) {
   }
 }
 
+// One small clock-sync world per delivery kind (n = 4, f = actual = 1,
+// k = 16), pinned by the commitment of 64 traced beats. Every world is
+// lossy with phantoms for beats < 24, so each kind's loss lottery and
+// phantom draws interleave with its own net_rng use; eclipse, partition
+// and delay heal at beat 40. Reorder runs twice: under the split
+// adversary, and under noise, whose same-sender duplicates let the
+// shuffle decide which copy an inbox keeps. The constants were recorded
+// at commit 23cf5e4, before the five delivery policy classes became one
+// Delivery. SIMD and scalar builds must agree.
+TEST(TraceCommitment, EveryDeliveryKindIsPinned) {
+  struct Pin {
+    const char* name;
+    DeliveryKind kind;
+    Attack attack;
+    const char* commitment;
+  };
+  const Pin pins[] = {
+      {"synchronous", DeliveryKind::kSynchronous, Attack::kSkew,
+       "fe67200e8610507d92cd98e3c7a30c1fdb7a79c75aca2e428079c8f188f621b9"},
+      {"eclipse", DeliveryKind::kEclipse, Attack::kSkew,
+       "c620b914e2e9c388a080765afce8c1d7307bed85f47c567611f1b9f6f6099c10"},
+      {"partition", DeliveryKind::kPartition, Attack::kSkew,
+       "39ed5858177487487a1e74f7e6a9bf69715b283a0d38f1496d340d70b3ba1479"},
+      {"targeted-delay", DeliveryKind::kTargetedDelay, Attack::kSkew,
+       "417e0954b21137c08e26e0a232344430497fff885733552b0c4113e2d4384690"},
+      {"reorder/split", DeliveryKind::kReorder, Attack::kSplit,
+       "af0d0b99a5cdc6004644ca88eaea22df57061f59f81c34355538f54e2a498479"},
+      {"reorder/noise", DeliveryKind::kReorder, Attack::kNoise,
+       "53f12ea9369a59412aa35209de0b43ea6427c4b872928ce578479dfcd5de5145"},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.name);
+    World w;
+    w.n = 4;
+    w.f = 1;
+    w.actual = 1;
+    w.k = 16;
+    w.attack = p.attack;
+    w.faults.network_faulty_until = 24;
+    w.faults.faulty_drop_prob = 0.2;
+    w.faults.phantoms_per_beat = 2;
+    w.faults.phantom_max_len = 16;
+    DeliverySpec& d = w.faults.delivery;
+    d.kind = p.kind;
+    if (p.kind != DeliveryKind::kReorder) d.heal_at = 40;
+    d.victims = {0};
+    d.allowed_senders = {1};
+    d.partition_split = 2;
+    d.delay_beats = 3;
+    EngineBundle b = build_world(Family::kClockSync, w)(7);
+    const std::string trace = trace_engine(*b.engine, "delivery", 7, 64);
+    EXPECT_EQ(trace_commitment(merge_str(trace)), p.commitment);
+    // Each world exercises what its pin is meant to cover.
+    const BeatTraffic& t = b.engine->metrics().total();
+    EXPECT_GT(t.dropped_messages, 0u);
+    EXPECT_GT(t.phantom_messages, 0u);
+    EXPECT_EQ(t.eclipsed_messages > 0,
+              p.kind == DeliveryKind::kEclipse ||
+                  p.kind == DeliveryKind::kPartition);
+    EXPECT_EQ(t.delayed_messages > 0,
+              p.kind == DeliveryKind::kTargetedDelay);
+    EXPECT_EQ(t.reordered_messages > 0, p.kind == DeliveryKind::kReorder);
+  }
+}
+
 TEST(TraceCheck, EveryFamilyPassesAllInvariantsOver10kBeats) {
   for (const FamilyCase& fc : family_cases()) {
     SCOPED_TRACE(fc.name);
