@@ -570,7 +570,7 @@ int sim_command(int argc, char** argv) {
     } else if (arg == "--adversary") {
       adversary = take_raw();
     } else if (arg == "--n") {
-      w.n = take_u32(0, kU32Max);
+      w.n = take_u32(1, kU32Max);
     } else if (arg == "--f") {
       w.f = take_u32(0, kU32Max);
     } else if (arg == "--k") {
@@ -582,6 +582,11 @@ int sim_command(int argc, char** argv) {
     } else {
       rest.push_back(argv[i]);
     }
+  }
+  if (w.f >= w.n) {
+    std::cerr << prog << ": --f " << w.f << " must be below --n " << w.n
+              << " (convergence is measured over the correct nodes)\n";
+    return 2;
   }
   const BenchOptions o =
       parse_cli(prog, static_cast<int>(rest.size()), rest.data(), 0);

@@ -148,10 +148,6 @@ class FmCoinInstance final : public CoinInstance {
 
   static constexpr int kRounds = 4;
 
-  // Introspection for tests.
-  GvssGrade grade_of(NodeId dealer) const { return grades_[dealer]; }
-  std::uint64_t my_secret() const { return dealing_.secret(); }
-
  private:
   void send_deal(Outbox& out, ChannelId ch);
   void send_cross(Outbox& out, ChannelId ch);

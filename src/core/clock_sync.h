@@ -54,9 +54,6 @@ class SsByzClockSync final : public ClockProtocol {
     return 3 + SsByz4Clock::channels_needed(coin, mode) + coin.channels;
   }
 
-  // Introspection for tests.
-  const SsByz4Clock& four_clock() const { return *a_; }
-
  private:
   void tally(ClockValue v);
   void recv_phase0(const Inbox& in);

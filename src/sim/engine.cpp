@@ -10,7 +10,6 @@
 #include <sched.h>
 #endif
 
-#include "sim/delivery.h"
 #include "support/check.h"
 
 namespace ssbft {
@@ -193,7 +192,6 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
       adversary_(std::move(adversary)),
       adv_rng_(Rng(cfg_.seed).split("adversary")),
       corrupt_rng_(Rng(cfg_.seed).split("corrupt")),
-      net_rng_(Rng(cfg_.seed).split("network")),
       metrics_(cfg_.metrics_history_limit),
       outbox_(0, cfg_.n, &arena_),
       worker_cap_(available_cpus()) {
@@ -201,7 +199,6 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
   SSBFT_REQUIRE_MSG(adversary_ != nullptr || cfg_.faulty.empty(),
                     "faulty nodes present but no adversary supplied");
   cfg_.faults.validate(cfg_.n);
-  delivery_ = make_delivery_policy(cfg_.faults.delivery);
   is_faulty_.assign(cfg_.n, false);
   for (NodeId id : cfg_.faulty) {
     SSBFT_REQUIRE(id < cfg_.n);
@@ -231,7 +228,8 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
   if (cfg_.track_channel_bytes) {
     channel_bytes_.assign(channel_count_, 0);
   }
-  delivery_->bind(cfg_.n, channel_count_);
+  delivery_ = Delivery(cfg_.faults, is_faulty_, channel_count_,
+                       Rng(cfg_.seed).split("network"));
   // Send phases write straight into the beat scratch; no drain pass.
   outbox_.bind_sink(&correct_msgs_);
 }
@@ -441,29 +439,12 @@ void Engine::run_beat() {
     metrics_.count_adversary_bulk(adv_msgs_.size(), adv_bytes);
   }
 
-  // 3. Delivery, run by the configured DeliveryPolicy (sim/delivery.h).
-  //    Inboxes were cleared at the end of the previous beat. The per-beat
-  //    drop decision is hoisted here — policies never re-derive it per
-  //    message. Deferring policies copy what they hold back into arenas of
-  //    their own; everything else reads the beat arena.
-  const bool network_faulty = beat_ < cfg_.faults.network_faulty_until;
-  DeliveryBeat db;
-  db.beat = beat_;
-  db.network_faulty = network_faulty;
-  db.sample_drops = network_faulty && cfg_.faults.faulty_drop_prob > 0.0;
-  db.drop_prob = cfg_.faults.faulty_drop_prob;
-  db.n = cfg_.n;
-  db.channel_count = channel_count_;
-  db.faults = &cfg_.faults;
-  db.is_faulty = &is_faulty_;
-  db.correct_ids = &correct_ids_;
-  db.correct_msgs = &correct_msgs_;
-  db.adv_msgs = &adv_msgs_;
-  db.inboxes = &inboxes_;
-  db.net_rng = &net_rng_;
-  db.metrics = &metrics_;
-  db.arena = &arena_;
-  delivery_->deliver_beat(db);
+  // 3. Delivery under FaultPlan's network (sim/delivery.h). Inboxes were
+  //    cleared at the end of the previous beat. A targeted delay copies
+  //    what it holds back into arenas of its own; everything else reads
+  //    the beat arena.
+  delivery_.deliver_beat(beat_, correct_msgs_, adv_msgs_, inboxes_, arena_,
+                         metrics_);
 
   // 4. Receive phases, each reading only its own node's inbox.
   receive_phases();

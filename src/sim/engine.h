@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/adversary.h"
+#include "sim/delivery.h"
 #include "sim/fault_plan.h"
 #include "sim/message.h"
 #include "sim/metrics.h"
@@ -15,8 +16,6 @@
 #include "support/rng.h"
 
 namespace ssbft {
-
-class DeliveryPolicy;  // sim/delivery.h
 
 // CPUs this process may run on: the count in its sched_getaffinity mask
 // (so `taskset -c 0` gives 1), else hardware_concurrency(), at least 1.
@@ -105,7 +104,7 @@ class Engine {
   // correct node emitted on channel ch, broadcasts counted once per
   // recipient — the same wire-byte semantics as Metrics. Scope: correct-
   // sender traffic only (no adversary or phantom bytes), accumulated at
-  // send time — before the delivery policy runs — so drops, eclipses and
+  // send time — before the delivery phase runs — so drops, eclipses and
   // delays never change what a protocol is charged for.
   const std::vector<std::uint64_t>& channel_bytes() const {
     return channel_bytes_;
@@ -159,16 +158,16 @@ class Engine {
   // Every payload of the current beat — sends, adversary traffic and
   // phantoms — rewound at the end of run_beat (message.h ownership rules).
   PayloadArena arena_;
-  // The delivery phase of run_beat (sim/delivery.h), chosen by
-  // FaultPlan::delivery. A deferring policy copies held-back payloads into
-  // arenas of its own, so it borrows nothing across beats.
-  std::unique_ptr<DeliveryPolicy> delivery_;
+  // The delivery phase of run_beat (sim/delivery.h), built from
+  // FaultPlan once the world's shape is known. It owns the network rng and
+  // copies what a targeted delay holds back into arenas of its own, so it
+  // borrows nothing across beats.
+  Delivery delivery_;
   std::vector<Inbox> inboxes_;                        // per node id
   std::unique_ptr<Adversary> adversary_;
   std::uint32_t channel_count_ = 0;
   Rng adv_rng_;
   Rng corrupt_rng_;
-  Rng net_rng_;
   Metrics metrics_;
   std::vector<BeatListener*> listeners_;
   TraceSink* trace_ = nullptr;

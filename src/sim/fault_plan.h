@@ -19,9 +19,9 @@
 
 namespace ssbft {
 
-// Which delivery engine runs the network between the send and receive
-// phases of a beat (policies live in sim/delivery.h; this enum is the
-// sweepable spec field).
+// Which network runs between the send and receive phases of a beat
+// (sim/delivery.h runs every kind; this enum is the sweepable spec
+// field).
 enum class DeliveryKind : std::uint8_t {
   kSynchronous,    // every surviving message arrives in its send beat
   kEclipse,        // victims hear only an allowlist of senders until heal_at
@@ -31,16 +31,15 @@ enum class DeliveryKind : std::uint8_t {
 };
 
 // Fully-specified delivery adversary, a value type so scenario worlds can
-// sweep it like every other fault axis. Interpreted by
-// make_delivery_policy (sim/delivery.h).
+// sweep it like every other fault axis. Interpreted by Delivery
+// (sim/delivery.h).
 struct DeliverySpec {
   // heal_at value meaning "the topology adversary never stops".
   static constexpr Beat kNever = ~Beat{0};
   // Largest supported targeted delay. The pending ring holds
   // delay_beats x one beat's victim traffic (messages and payload
-  // copies), so the
-  // bound keeps the policy's steady-state memory a sane multiple of the
-  // per-beat traffic shape.
+  // copies), so the bound keeps the delivery's steady-state memory a sane
+  // multiple of the per-beat traffic shape.
   static constexpr std::uint32_t kMaxDelayBeats = 1u << 12;
 
   DeliveryKind kind = DeliveryKind::kSynchronous;
@@ -68,7 +67,7 @@ struct DeliverySpec {
       SSBFT_REQUIRE_MSG(s < n, "delivery allowed-sender id "
                                    << s << " out of range for n = " << n);
     }
-    // Duplicate ids would double-count victims in the policies' set
+    // Duplicate ids would double-count victims in the delivery's set
     // handling and make plan digests non-canonical; require each list to
     // name every id at most once.
     const auto has_duplicate = [](std::vector<NodeId> ids) {
@@ -127,7 +126,7 @@ struct FaultPlan {
 
   // The delivery adversary (default: synchronous, the paper's network).
   // Orthogonal to the loss/phantom axes above: drops and phantoms apply
-  // under every delivery policy.
+  // under every delivery kind.
   DeliverySpec delivery;
 
   // Largest phantom payload a plan may ask for (1 MiB). Far beyond any

@@ -25,8 +25,8 @@
 //     sent in (the arena's next `clear()`), never longer. Protocols read
 //     their inbox during the beat; an adversary that wants to keep
 //     observed bytes past its turn copies them. The one sanctioned
-//     exception is a deferring delivery policy (sim/delivery.h), which
-//     copies each held-back payload into an arena of its own.
+//     exception is a targeted delay (sim/delivery.h), which copies each
+//     held-back payload into an arena of its own.
 //   * Store once, address many. `PayloadArena::store` copies only bytes
 //     the arena does not already hold: a span it handed out earlier in the
 //     beat comes back as is. A sender that addresses one payload to many
@@ -91,7 +91,7 @@ void append_broadcast(std::vector<Message>& sink, NodeId from,
 // settles after a few beats and a steady-state beat never allocates.
 // Not thread-safe: one thread fills an arena during a phase. An engine owns
 // one, plus one per extra beat worker (sim/engine.h), each filled only by
-// its worker's send phases; a deferring policy keeps arenas of its own.
+// its worker's send phases; a targeted delay keeps arenas of its own.
 //
 // Under AddressSanitizer the free part of every chunk is poisoned: reading
 // through a span after the arena rewound is reported as use-after-poison.
@@ -292,7 +292,7 @@ class Outbox {
 //
 // The paper's nodes count at most one value per sender per beat against
 // their thresholds, so this is all a protocol reads: a Byzantine duplicate
-// flood counts once, and which duplicate counts is the delivery policy's
+// flood counts once, and which duplicate counts is the delivery's
 // arrival order, first arrival winning. `deliver()` is one slot write
 // plus its one-byte stamp; a read is a row lookup. A slot is filled iff
 // its stamp equals the current epoch, so `clear()` only advances the

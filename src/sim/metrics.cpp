@@ -25,22 +25,6 @@ BeatTraffic& Metrics::current() {
   return history_[static_cast<std::size_t>((beats_ - 1) % limit_)];
 }
 
-void Metrics::count_correct(std::size_t payload_bytes) {
-  BeatTraffic& cur = current();
-  ++cur.correct_messages;
-  cur.correct_bytes += payload_bytes;
-  ++total_.correct_messages;
-  total_.correct_bytes += payload_bytes;
-}
-
-void Metrics::count_adversary(std::size_t payload_bytes) {
-  BeatTraffic& cur = current();
-  ++cur.adversary_messages;
-  cur.adversary_bytes += payload_bytes;
-  ++total_.adversary_messages;
-  total_.adversary_bytes += payload_bytes;
-}
-
 void Metrics::count_phantom() {
   ++current().phantom_messages;
   ++total_.phantom_messages;
@@ -102,12 +86,6 @@ const BeatTraffic& Metrics::retained(std::size_t i) const {
 double Metrics::mean_correct_messages_per_beat() const {
   if (beats_ == 0) return 0.0;
   return static_cast<double>(total_.correct_messages) /
-         static_cast<double>(beats_);
-}
-
-double Metrics::mean_correct_bytes_per_beat() const {
-  if (beats_ == 0) return 0.0;
-  return static_cast<double>(total_.correct_bytes) /
          static_cast<double>(beats_);
 }
 

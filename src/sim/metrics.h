@@ -23,13 +23,13 @@ struct BeatTraffic {
   // Messages lost to the faulty network (FaultPlan::faulty_drop_prob),
   // correct-node and adversary traffic alike.
   std::uint64_t dropped_messages = 0;
-  // Messages suppressed by a topology policy — an eclipse allowlist or a
-  // partition cut (sim/delivery.h) — before the drop lottery.
+  // Messages suppressed by a topology cut — an eclipse allowlist or a
+  // partition split (sim/delivery.h) — before the drop lottery.
   std::uint64_t eclipsed_messages = 0;
-  // Messages held back by a targeted-delay policy, counted at hold time
+  // Messages held back by a targeted delay, counted at hold time
   // (they are delivered, late, in a later beat's traffic).
   std::uint64_t delayed_messages = 0;
-  // Messages a reorder policy displaced from their arrival position.
+  // Messages a reorder displaced from their arrival position.
   std::uint64_t reordered_messages = 0;
 };
 
@@ -42,14 +42,12 @@ class Metrics {
   void begin_beat();
   // Counting before the first begin_beat() is a contract error: there is
   // no current beat to attribute the traffic to.
-  void count_correct(std::size_t payload_bytes);
-  void count_adversary(std::size_t payload_bytes);
   void count_phantom();
   void count_dropped();
   void count_eclipsed();
   void count_delayed();
   void count_reordered();
-  // Bulk variants: one call per (node, beat) instead of one per message.
+  // Sent traffic, added in bulk: one call per beat (or per node and beat).
   void count_correct_bulk(std::uint64_t messages, std::uint64_t bytes);
   void count_adversary_bulk(std::uint64_t messages, std::uint64_t bytes);
 
@@ -69,9 +67,8 @@ class Metrics {
 
   std::size_t history_limit() const { return limit_; }
 
-  // Mean correct messages / bytes per beat over the whole run.
+  // Mean correct messages per beat over the whole run.
   double mean_correct_messages_per_beat() const;
-  double mean_correct_bytes_per_beat() const;
 
  private:
   BeatTraffic& current();

@@ -172,8 +172,8 @@ TEST(AllocationFreeBeat, BroadcastsDropsPhantomsAndFaultyRecipients) {
          "heap";
 }
 
-// A deferring delivery policy parks payload copies across beats in its
-// pending ring. Once the ring slots, the arenas and the inbox buckets
+// A targeted delay parks payload copies across beats in its pending
+// ring. Once the ring slots, the arenas and the inbox buckets
 // have settled, a warm beat — flush due traffic, sample drops, park the
 // victims' messages, inject phantoms — must still not touch the heap.
 TEST(AllocationFreeBeat, TargetedDelayDeliveryWithDropsAndPhantoms) {

@@ -4,7 +4,6 @@
 
 #include "adversary/adversaries.h"
 #include "coin/fm_coin.h"
-#include "coin/local_coin.h"
 #include "coin/oracle_coin.h"
 #include "core/clock2.h"
 #include "harness/convergence.h"
@@ -191,7 +190,11 @@ TEST(Clock2, LowCommonCoinSlowsConvergence) {
 TEST(Clock2, LocalCoinDoesNotBreakClosure) {
   // With a local (non-common) coin the algorithm may converge slowly, but
   // once synced, closure is still deterministic (Lemma 2 needs no coin).
-  CoinSpec spec = local_coin_spec();
+  // The oracle at p0 = p1 = 0 is that coin: one independent fair bit per
+  // node per beat.
+  auto beacon = std::make_shared<OracleBeacon>(4, OracleCoinParams{0, 0},
+                                               Rng(21).split("beacon"));
+  CoinSpec spec = oracle_coin_spec(beacon);
   EngineConfig cfg;
   cfg.n = 4;
   cfg.f = 0;
@@ -201,6 +204,7 @@ TEST(Clock2, LocalCoinDoesNotBreakClosure) {
     return std::make_unique<SsByz2Clock>(env, spec, 0, rng);
   };
   Engine eng(cfg, factory, nullptr);
+  eng.add_listener(beacon.get());
   auto prev = eng.correct_clocks().front();
   for (int i = 0; i < 30; ++i) {
     eng.run_beat();
@@ -235,7 +239,8 @@ TEST(Clock2, FullStackWithFmCoinConverges) {
 }
 
 TEST(Clock2, ChannelAccounting) {
-  CoinSpec spec = local_coin_spec();
+  CoinSpec spec = oracle_coin_spec(
+      std::make_shared<OracleBeacon>(4, OracleCoinParams{0, 0}, Rng(1)));
   EXPECT_EQ(SsByz2Clock::channels_needed(spec), 1u);
   CoinSpec fm = fm_coin_spec();
   EXPECT_EQ(SsByz2Clock::channels_needed(fm), 5u);

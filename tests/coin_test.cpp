@@ -1,12 +1,11 @@
-// Tests for the coin stack: oracle beacon, local coin, the ss-Byz-Coin-Flip
-// pipeline (Figure 1 / Lemma 1), and the FM-style GVSS coin over the real
-// engine (Theorem 1).
+// Tests for the coin stack: oracle beacon (at p0 = p1 = 0 the local coin),
+// the ss-Byz-Coin-Flip pipeline (Figure 1 / Lemma 1), and the FM-style
+// GVSS coin over the real engine (Theorem 1).
 #include <gtest/gtest.h>
 
 #include "adversary/adversaries.h"
 #include "coin/coin_pipeline.h"
 #include "coin/fm_coin.h"
-#include "coin/local_coin.h"
 #include "coin/oracle_coin.h"
 #include "harness/runner.h"
 #include "helpers.h"
@@ -75,7 +74,10 @@ TEST(OracleCoin, CommonFractionMatchesP0PlusP1) {
 }
 
 TEST(LocalCoin, RarelyCommonForManyNodes) {
-  auto bundle = coin_engine(8, 0, local_coin_spec(), 3, nullptr);
+  // The oracle at p0 = p1 = 0: one independent fair bit per node per beat.
+  auto beacon = std::make_shared<OracleBeacon>(8, OracleCoinParams{0, 0},
+                                               Rng(3));
+  auto bundle = coin_engine(8, 0, oracle_coin_spec(beacon), 3, nullptr, beacon);
   bundle.engine->run_beats(2000);
   // All-8-equal happens w.p. 2 * 2^-8 = 1/128 per beat.
   EXPECT_LT(common_bit_fraction(*bundle.engine, 0), 0.05);

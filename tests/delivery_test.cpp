@@ -1,8 +1,7 @@
-// Tests for the pluggable delivery engine (sim/delivery.h): replay
-// exactness of the default synchronous policy against pre-extraction
-// goldens, the semantics of the eclipse / partition / targeted-delay /
-// reorder adversaries, and FaultPlan validation of delivery specs and
-// corruption schedules.
+// Tests for the delivery phase (sim/delivery.h): replay exactness of the
+// default synchronous kind against pre-extraction goldens, the semantics
+// of the eclipse / partition / targeted-delay / reorder adversaries, and
+// FaultPlan validation of delivery specs and corruption schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,12 +135,12 @@ std::set<NodeId> senders_at(const ProbeProtocol& p, Beat b) {
 }
 
 // ---------------------------------------------------------------------
-// Replay exactness: the default SynchronousDelivery must reproduce the
+// Replay exactness: the default synchronous delivery must reproduce the
 // pre-extraction engine bit for bit. The constants below were captured by
 // running exactly this world — mixed drops + phantoms + scheduled
 // corruption + random-noise adversary over the full clock-sync protocol —
-// against the engine as of PR 5, before the delivery phase moved behind
-// DeliveryPolicy. Every net_rng draw (drop lotteries, phantom from /
+// against the engine as of PR 5, before the delivery phase moved out of
+// the engine. Every net_rng draw (drop lotteries, phantom from /
 // channel / len / payload words) must land in the same sequence for these
 // to hold.
 
@@ -463,7 +462,7 @@ TEST(ReorderDelivery, PermutesArrivalOrderButKeepsTheSet) {
 }
 
 TEST(ReorderDelivery, SynchronousBaselineKeepsSendOrder) {
-  // The control for the test above: without the reorder policy, every
+  // The control for the test above: without the reorder, every
   // sender's first send arrives first.
   EngineConfig cfg = probe_config(3);
   cfg.seed = 11;
@@ -516,7 +515,7 @@ TEST(ReorderDelivery, EquivocationWinnerMatchesStableSortReference) {
     NodeId to;
     std::uint32_t seq;
   };
-  // The policy's arrival list before the shuffle: the correct broadcasts
+  // The arrival list before the shuffle: the correct broadcasts
   // in send order, then the adversary's sends, traffic to node 3 skipped.
   std::vector<Sent> sent;
   for (NodeId from = 0; from < 3; ++from) {
@@ -560,7 +559,7 @@ TEST(ReorderDelivery, EquivocationWinnerMatchesStableSortReference) {
 }
 
 // ---------------------------------------------------------------------
-// Delivery policies compose with the loss/phantom axes.
+// Every delivery kind composes with the loss/phantom axes.
 
 TEST(EclipseDelivery, ComposesWithDropsAndPhantoms) {
   EngineConfig cfg = probe_config(4);

@@ -161,8 +161,8 @@ TEST(Sweep, BitIdenticalAcrossJobsAndToSingleCellSweeps) {
   }
 }
 
-TEST(Sweep, DeliveryPolicyGridBitIdenticalAcrossJobs) {
-  // The delivery-policy cells carry cross-beat policy state (pending
+TEST(Sweep, DeliveryKindGridBitIdenticalAcrossJobs) {
+  // The delivery-kind cells carry cross-beat delivery state (pending
   // rings, victim masks); trial isolation and merge order must keep the
   // sweep bit-identical across scheduler widths regardless.
   const char* names[] = {"net/eclipse", "net/partition-heal",

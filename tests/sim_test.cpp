@@ -606,20 +606,19 @@ TEST(Convergence, RejectsZeroConfirmWindow) {
 
 TEST(Metrics, CountBeforeBeginBeatIsContractError) {
   Metrics m;
-  EXPECT_THROW(m.count_correct(1), contract_error);
-  EXPECT_THROW(m.count_adversary(1), contract_error);
-  EXPECT_THROW(m.count_phantom(), contract_error);
   EXPECT_THROW(m.count_correct_bulk(2, 8), contract_error);
+  EXPECT_THROW(m.count_adversary_bulk(1, 1), contract_error);
+  EXPECT_THROW(m.count_phantom(), contract_error);
 }
 
 TEST(Metrics, BoundedRingKeepsRecentBeats) {
   Metrics m(2);
   m.begin_beat();
-  m.count_correct(1);
+  m.count_correct_bulk(1, 1);
   m.begin_beat();
-  m.count_correct(2);
+  m.count_correct_bulk(1, 2);
   m.begin_beat();
-  m.count_correct(4);
+  m.count_correct_bulk(2, 4);
   EXPECT_EQ(m.beats_recorded(), 3u);
   ASSERT_EQ(m.retained_count(), 2u);
   EXPECT_EQ(m.retained(0).correct_bytes, 2u);  // oldest retained = beat 1
@@ -627,7 +626,7 @@ TEST(Metrics, BoundedRingKeepsRecentBeats) {
   EXPECT_THROW(m.history(), contract_error);  // full history unavailable
   // Totals and means still cover the whole run.
   EXPECT_EQ(m.total().correct_bytes, 7u);
-  EXPECT_DOUBLE_EQ(m.mean_correct_bytes_per_beat(), 7.0 / 3.0);
+  EXPECT_DOUBLE_EQ(m.mean_correct_messages_per_beat(), 4.0 / 3.0);
 }
 
 TEST(Engine, BoundedMetricsHistoryStopsGrowing) {
@@ -646,18 +645,18 @@ TEST(Metrics, EmptyHistoryMeansZero) {
   Metrics m;
   EXPECT_TRUE(m.history().empty());
   EXPECT_DOUBLE_EQ(m.mean_correct_messages_per_beat(), 0.0);
-  EXPECT_DOUBLE_EQ(m.mean_correct_bytes_per_beat(), 0.0);
   EXPECT_EQ(m.total().correct_messages, 0u);
+  EXPECT_EQ(m.total().correct_bytes, 0u);
 }
 
 TEST(Metrics, CountsLandInTheCurrentBeat) {
   Metrics m;
   m.begin_beat();
-  m.count_correct(10);
-  m.count_correct(6);
-  m.count_adversary(3);
+  m.count_correct_bulk(1, 10);
+  m.count_correct_bulk(1, 6);
+  m.count_adversary_bulk(1, 3);
   m.begin_beat();  // boundary: subsequent counts belong to beat 1
-  m.count_correct(4);
+  m.count_correct_bulk(1, 4);
   m.count_phantom();
 
   ASSERT_EQ(m.history().size(), 2u);
@@ -676,16 +675,15 @@ TEST(Metrics, CountsLandInTheCurrentBeat) {
   EXPECT_EQ(m.total().adversary_messages, 1u);
   EXPECT_EQ(m.total().phantom_messages, 1u);
   EXPECT_DOUBLE_EQ(m.mean_correct_messages_per_beat(), 1.5);
-  EXPECT_DOUBLE_EQ(m.mean_correct_bytes_per_beat(), 10.0);
 }
 
 TEST(Metrics, EmptyBeatStaysZeroInHistory) {
   Metrics m;
   m.begin_beat();
-  m.count_correct(8);
+  m.count_correct_bulk(1, 8);
   m.begin_beat();  // a beat in which nothing is sent
   m.begin_beat();
-  m.count_correct(8);
+  m.count_correct_bulk(1, 8);
   ASSERT_EQ(m.history().size(), 3u);
   EXPECT_EQ(m.history()[1].correct_messages, 0u);
   EXPECT_EQ(m.history()[1].correct_bytes, 0u);
