@@ -55,6 +55,8 @@ namespace ssbft {
 
 class Delivery {
  public:
+  // Empty until the engine, once it knows its channel count, assigns the
+  // real one.
   Delivery() = default;
   // Built once per engine from its validated plan, its fault mask (size n)
   // and its channel count; `net_rng` is the network's random stream.

@@ -20,6 +20,7 @@
 #include "core/clock_sync.h"
 #include "harness/live_check.h"
 #include "harness/scenario.h"
+#include "sim/delivery.h"
 #include "sim/engine.h"
 #include "support/bytes.h"
 
@@ -172,30 +173,41 @@ TEST(AllocationFreeBeat, BroadcastsDropsPhantomsAndFaultyRecipients) {
          "heap";
 }
 
-// A targeted delay parks payload copies across beats in its pending
-// ring. Once the ring slots, the arenas and the inbox buckets
-// have settled, a warm beat — flush due traffic, sample drops, park the
-// victims' messages, inject phantoms — must still not touch the heap.
-TEST(AllocationFreeBeat, TargetedDelayDeliveryWithDropsAndPhantoms) {
-  EngineConfig cfg;
-  cfg.n = 16;
-  cfg.f = 5;
-  cfg.faulty = EngineConfig::last_ids_faulty(16, 5);
-  cfg.seed = 8;
-  cfg.metrics_history_limit = 8;
-  cfg.faults.network_faulty_until = ~std::uint64_t{0};
-  cfg.faults.faulty_drop_prob = 0.2;
-  cfg.faults.phantoms_per_beat = 3;
-  cfg.faults.phantom_max_len = 48;
-  cfg.faults.delivery.kind = DeliveryKind::kTargetedDelay;
-  cfg.faults.delivery.victims = {0, 1, 2};
-  cfg.faults.delivery.delay_beats = 3;
-  Engine eng(cfg, steady_factory(), std::make_unique<BroadcastingAdversary>());
-  eng.run_beats(64);  // ring slots and arena demand settle
-  const std::size_t before = g_allocations;
-  eng.run_beats(32);
-  EXPECT_EQ(g_allocations - before, 0u)
-      << "steady-state beat under delayed delivery touched the heap";
+// Every delivery kind under a lossy, phantom-injecting network. A
+// targeted delay parks payload copies across beats in its pending ring; a
+// reorder collects each beat's survivors for its shuffle. Once the ring
+// slots, the arenas, the shuffle scratch and the inbox buckets have
+// settled, a warm beat — flush due traffic, sample drops, cut, park or
+// shuffle, inject phantoms — must still not touch the heap.
+TEST(AllocationFreeBeat, EveryDeliveryKindWithDropsAndPhantoms) {
+  for (DeliveryKind kind :
+       {DeliveryKind::kSynchronous, DeliveryKind::kEclipse,
+        DeliveryKind::kPartition, DeliveryKind::kTargetedDelay,
+        DeliveryKind::kReorder}) {
+    SCOPED_TRACE(delivery_kind_name(kind));
+    EngineConfig cfg;
+    cfg.n = 16;
+    cfg.f = 5;
+    cfg.faulty = EngineConfig::last_ids_faulty(16, 5);
+    cfg.seed = 8;
+    cfg.metrics_history_limit = 8;
+    cfg.faults.network_faulty_until = ~std::uint64_t{0};
+    cfg.faults.faulty_drop_prob = 0.2;
+    cfg.faults.phantoms_per_beat = 3;
+    cfg.faults.phantom_max_len = 48;
+    cfg.faults.delivery.kind = kind;
+    cfg.faults.delivery.victims = {0, 1, 2};
+    cfg.faults.delivery.allowed_senders = {3};
+    cfg.faults.delivery.partition_split = 8;
+    cfg.faults.delivery.delay_beats = 3;
+    Engine eng(cfg, steady_factory(),
+               std::make_unique<BroadcastingAdversary>());
+    eng.run_beats(64);  // ring slots, scratch and arena demand settle
+    const std::size_t before = g_allocations;
+    eng.run_beats(32);
+    EXPECT_EQ(g_allocations - before, 0u)
+        << "steady-state beat under this delivery kind touched the heap";
+  }
 }
 
 // A trace sink that only counts: the engine-side emission path (record
