@@ -453,6 +453,43 @@ TEST(FuzzChaos, FourHundredDrawsValidateCleanAndRedrawByteIdentical) {
   }
 }
 
+// The sampler's draws are part of every campaign's identity: a repro line
+// names (campaign seed, unit, plan digest), so the same triple must keep
+// drawing the same plan. These digests pin one draw per delivery kind
+// across world shapes; any change to a sampling bound or the order of
+// draws moves at least one of them.
+TEST(FuzzChaos, SamplerDrawsArePinned) {
+  struct Draw {
+    std::uint64_t campaign, index;
+    const char* scenario;
+    std::uint32_t n, actual;
+    std::uint64_t max_beats;
+    DeliveryKind kind;
+    const char* digest;
+  };
+  const Draw draws[] = {
+      {1, 0, "net/eclipse", 7, 2, 8000, DeliveryKind::kEclipse,
+       "842f49d37d6c8d37d580d2f2ad4493dc6ad668158b5eb6c14ee8863c462af359"},
+      {1, 1, "gallery/split", 7, 2, 5000, DeliveryKind::kPartition,
+       "328d7c7e79524cdb9e976389774f1a0c821c1f6bd233e181bc6d7f8435e2fa36"},
+      {1, 2, "net/reorder", 7, 2, 8000, DeliveryKind::kReorder,
+       "a9a7b40c6a74bf157ebcea7a27e539f99c53cd8ebbe6a9cf39cb95ff63e9cfea"},
+      {1, 3, "table1/sync/n4", 4, 1, 400, DeliveryKind::kTargetedDelay,
+       "86cd4fdee1b50ccdc1d14631bec4e5a2e3b79596ad8b442d64ec69c5d075ba4c"},
+      {3, 5, "net/baseline", 7, 2, 8000, DeliveryKind::kSynchronous,
+       "9eb2e78155938fbbaf7d969635e95adbf7749ba49f387aabac86a38279fb7d20"},
+      {42, 0, "table1/sync/n13", 13, 4, 20000, DeliveryKind::kTargetedDelay,
+       "9269e6338fd2bfe18bd84583d413ec3141686c06319c7e4c83569ed6ea70d15b"},
+  };
+  for (const Draw& d : draws) {
+    const ChaosUnit unit = FaultPlanGenerator(d.campaign).make_unit(
+        d.index, d.scenario, d.n, d.actual, d.max_beats);
+    SCOPED_TRACE(encode_chaos_unit(unit));
+    EXPECT_EQ(unit.plan.delivery.kind, d.kind);
+    EXPECT_EQ(chaos_unit_digest(unit), d.digest);
+  }
+}
+
 TEST(FuzzChaos, EveryMinimizerCandidateStaysValid) {
   Rng rng(778);
   for (int iter = 0; iter < 50; ++iter) {
