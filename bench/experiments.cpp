@@ -11,7 +11,6 @@
 #include "coin/oracle_coin.h"
 #include "harness/chaos.h"
 #include "harness/checker.h"
-#include "harness/live_check.h"
 #include "sim/delivery.h"
 #include "support/check.h"
 
@@ -991,14 +990,7 @@ void run_shard_cells(const std::string& pattern,
   header.cli_seed = o.seed;
   header.cli_trials = o.trials;
   out << encode_shard_header(header);
-  for (const SweepUnitResult& u : res.units) {
-    ShardUnitRow row;
-    row.unit = u.unit;
-    row.cell = u.cell;
-    row.trial = u.trial;
-    row.outcome = u.outcome;
-    out << encode_shard_unit(row);
-  }
+  for (const ShardUnitRow& row : res.units) out << encode_shard_unit(row);
 }
 
 int merge_shard_reports(const std::vector<std::string>& paths,
@@ -1089,56 +1081,52 @@ SweepCell chaos_cell(const ScenarioSpec& spec, const ChaosUnit& unit) {
                    build_world(spec.family, w), rc};
 }
 
-// Re-runs one unit under the streaming checker — the --minimize probe.
-// Builds the engine exactly as the sweep's live-checked run does (same
-// seed, same full beat budget, same confirmation window), so the verdict
-// is bit-identical to the campaign's.
-CheckResult chaos_probe(const ScenarioSpec& spec, const ChaosUnit& unit,
-                        const CheckOptions& copts) {
-  World w = spec.world;
-  w.faults = unit.plan;
-  w.faulty_override = unit.faulty;
-  const RunnerConfig rc = scenario_runner_config(spec);
-  EngineBundle bundle = build_world(spec.family, w)(unit.engine_seed);
-  CheckOptions probe_opts = copts;
-  probe_opts.fault_horizon = w.faults.network_quiescence();
-  StreamingChecker checker(probe_opts);
-  TraceMeta meta;
-  meta.scenario = unit.scenario;
-  meta.seed = unit.engine_seed;
-  meta.n = spec.world.n;
-  meta.f = spec.world.f;
-  meta.faulty = unit.faulty;
-  meta.max_beats = rc.convergence.max_beats;
-  meta.confirm_window = rc.convergence.confirm_window;
-  checker.begin_trace(meta);
-  bundle.engine->set_trace(&checker);
-  bundle.engine->run_beats(rc.convergence.max_beats);
-  return checker.finish();
+// Runs one unit through the campaign's own unit runner: a one-cell,
+// live-checked sweep under the campaign's check settings. The --minimize
+// loop re-runs every candidate plan this way, so a minimized verdict is
+// exactly what the campaign would report for that plan.
+TrialOutcome run_chaos_unit(const ScenarioSpec& spec, const ChaosUnit& unit,
+                            const CheckOptions& copts) {
+  SweepOptions so;
+  so.live_check = true;
+  so.live_check_opts = copts;
+  return run_sweep_ex({chaos_cell(spec, unit)}, so).units[0].outcome;
 }
+
+struct MinimalRepro {
+  ChaosUnit unit;
+  TrialOutcome outcome;     // the minimal plan's live-checked run
+  std::uint64_t steps = 0;  // reductions applied
+};
 
 // Greedy delta-debugging to a fixed point: keep the first strictly-weaker
 // reduction that still violates; stop when none does. Every candidate is
-// weaker than its parent, so the loop terminates.
-ChaosUnit minimize_chaos_unit(const ScenarioSpec& spec, ChaosUnit unit,
-                              const CheckOptions& copts,
-                              std::uint64_t* steps) {
-  *steps = 0;
-  for (;;) {
-    bool reduced = false;
-    std::vector<FaultPlan> candidates = chaos_reductions(unit.plan);
-    for (FaultPlan& cand : candidates) {
-      ChaosUnit trial = unit;
+// weaker than its parent, so the loop terminates. `outcome` is the
+// campaign's run of `unit`.
+MinimalRepro minimize_chaos_unit(const ScenarioSpec& spec,
+                                 const ChaosUnit& unit,
+                                 const TrialOutcome& outcome,
+                                 const CheckOptions& copts) {
+  MinimalRepro m{unit, outcome, 0};
+  for (bool reduced = true; reduced;) {
+    reduced = false;
+    for (FaultPlan& cand : chaos_reductions(m.unit.plan)) {
+      ChaosUnit trial = m.unit;
       trial.plan = std::move(cand);
-      if (!chaos_probe(spec, trial, copts).ok) {
-        unit = std::move(trial);
-        ++*steps;
+      TrialOutcome out = run_chaos_unit(spec, trial, copts);
+      if (out.check_violations != 0) {
+        m = MinimalRepro{std::move(trial), std::move(out), m.steps + 1};
         reduced = true;
         break;
       }
     }
-    if (!reduced) return unit;
   }
+  // A unit restored by --resume carries its violation count but not its
+  // messages (checkpoints never persist them): run it once more.
+  if (m.outcome.violations.empty()) {
+    m.outcome = run_chaos_unit(spec, m.unit, copts);
+  }
+  return m;
 }
 
 void write_indented(std::ostream& os, const std::string& text) {
@@ -1196,7 +1184,7 @@ int run_soak_campaign(const std::string& pattern,
   // --shard/--resume covers exactly the slice), so this report — and the
   // exit code — is deterministic however the campaign was scheduled.
   std::uint64_t violating = 0;
-  for (const SweepUnitResult& u : res.units) {
+  for (const ShardUnitRow& u : res.units) {
     if (u.outcome.check_violations == 0) continue;
     ++violating;
     const ChaosUnit& unit = units[u.cell];
@@ -1207,33 +1195,29 @@ int run_soak_campaign(const std::string& pattern,
         << " plan=" << chaos_unit_digest(unit) << "\n";
   }
 
-  if (soak.minimize && violating > 0) {
-    CheckOptions copts;
-    copts.bound = soak.bound;
-    for (const SweepUnitResult& u : res.units) {
+  if (soak.minimize) {
+    for (const ShardUnitRow& u : res.units) {
       if (u.outcome.check_violations == 0) continue;
       const ScenarioSpec& spec = *matched[u.cell % matched.size()];
-      std::uint64_t steps = 0;
-      const ChaosUnit min =
-          minimize_chaos_unit(spec, units[u.cell], copts, &steps);
-      const CheckResult verdict = chaos_probe(spec, min, copts);
-      *os << "\nminimal repro for unit " << min.index << " (" << steps
-          << (steps == 1 ? " reduction" : " reductions") << " applied, plan "
-          << chaos_unit_digest(min) << "):\n"
+      const MinimalRepro min = minimize_chaos_unit(spec, units[u.cell],
+                                                   u.outcome, so.live_check_opts);
+      *os << "\nminimal repro for unit " << min.unit.index << " ("
+          << min.steps << (min.steps == 1 ? " reduction" : " reductions")
+          << " applied, plan " << chaos_unit_digest(min.unit) << "):\n"
           << "  scenario " << spec.name << " (family "
           << family_name(spec.family) << ", n=" << spec.world.n
           << " f=" << spec.world.f << " actual=" << spec.world.actual
-          << "), trials 1, base_seed " << min.engine_seed << ", max_beats "
-          << spec.max_beats << "\n";
-      write_indented(*os, encode_chaos_unit(min));
+          << "), trials 1, base_seed " << min.unit.engine_seed
+          << ", max_beats " << spec.max_beats << "\n";
+      write_indented(*os, encode_chaos_unit(min.unit));
       std::size_t shown = 0;
-      for (const std::string& msg : verdict.violations) {
+      for (const std::string& msg : min.outcome.violations) {
         if (shown == 4) break;
         ++shown;
         *os << "  ! " << msg << "\n";
       }
-      if (verdict.violation_count > shown) {
-        *os << "  ! ... " << (verdict.violation_count - shown)
+      if (min.outcome.check_violations > shown) {
+        *os << "  ! ... " << (min.outcome.check_violations - shown)
             << " more violation(s)\n";
       }
     }

@@ -11,6 +11,18 @@ namespace ssbft {
 
 namespace {
 
+// The envelope every sampled plan stays inside; every bound is inclusive.
+// Faults are scheduled (and heal) by half the unit's beat budget, leaving
+// the other half for re-convergence.
+constexpr std::uint32_t kMaxCorruptionBeats = 3;
+constexpr std::uint32_t kMaxCorruptionNodes = 2;  // per corruption beat
+constexpr std::uint32_t kMaxPhantomsPerBeat = 6;
+constexpr std::uint32_t kMaxPhantomLen = 256;
+constexpr double kMaxDropProb = 0.8;
+constexpr std::uint32_t kMaxDelayBeats = 6;  // targeted-delay hold
+static_assert(kMaxPhantomLen <= FaultPlan::kMaxPhantomLen);
+static_assert(kMaxDelayBeats <= DeliverySpec::kMaxDelayBeats);
+
 // `count` distinct ids from [0, n), sorted — a partial Fisher-Yates, so
 // the draw sequence is a fixed function of the rng stream.
 std::vector<NodeId> sample_distinct(Rng& r, std::uint32_t n,
@@ -45,9 +57,7 @@ ChaosUnit FaultPlanGenerator::make_unit(std::uint64_t index,
   SSBFT_REQUIRE_MSG(actual <= n,
                     "faulty count " << actual << " exceeds n = " << n);
   const std::uint64_t horizon =
-      budget_.horizon != 0
-          ? budget_.horizon
-          : std::max<std::uint64_t>(std::uint64_t{1}, max_beats / 2);
+      std::max<std::uint64_t>(std::uint64_t{1}, max_beats / 2);
 
   // Every axis draws from its own named split of the unit stream, so
   // adding an axis later never perturbs the existing ones.
@@ -72,18 +82,18 @@ ChaosUnit FaultPlanGenerator::make_unit(std::uint64_t index,
     if (nr.next_bool()) {
       p.network_faulty_until = nr.next_in(1, horizon);
       p.phantoms_per_beat = static_cast<std::uint32_t>(
-          nr.next_below(std::uint64_t{budget_.max_phantoms_per_beat} + 1));
+          nr.next_below(std::uint64_t{kMaxPhantomsPerBeat} + 1));
       p.phantom_max_len = static_cast<std::uint32_t>(
-          nr.next_in(1, budget_.max_phantom_len));
-      p.faulty_drop_prob = nr.next_double() * budget_.max_drop_prob;
+          nr.next_in(1, kMaxPhantomLen));
+      p.faulty_drop_prob = nr.next_double() * kMaxDropProb;
     }
   }
 
   {
     Rng cr = unit_rng.split("corruptions");
     const auto beats = static_cast<std::uint32_t>(
-        cr.next_below(std::uint64_t{budget_.max_corruption_beats} + 1));
-    const std::uint32_t node_cap = std::min(budget_.max_corruption_nodes, n);
+        cr.next_below(std::uint64_t{kMaxCorruptionBeats} + 1));
+    const std::uint32_t node_cap = std::min(kMaxCorruptionNodes, n);
     for (std::uint32_t i = 0; i < beats; ++i) {
       const Beat beat = cr.next_in(1, horizon);
       const auto count =
@@ -123,7 +133,7 @@ ChaosUnit FaultPlanGenerator::make_unit(std::uint64_t index,
         d.victims = sample_distinct(
             dr, n, static_cast<std::uint32_t>(dr.next_in(1, vmax)));
         d.delay_beats =
-            static_cast<std::uint32_t>(dr.next_in(1, budget_.max_delay_beats));
+            static_cast<std::uint32_t>(dr.next_in(1, kMaxDelayBeats));
         d.heal_at = dr.next_in(1, horizon);
         break;
       }

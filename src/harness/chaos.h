@@ -7,12 +7,15 @@
 // arbitrary-but-valid fault assignment — faulty-set placement, transient
 // corruption schedule, drop/phantom network axes, and a composed delivery
 // adversary (eclipse / partition / targeted delay / reorder with
-// randomized victims, splits and heal beats) — inside a declared
-// ChaosBudget envelope, so every sampled plan is `validate()`-clean,
-// eventually quiescent (all faults scheduled within the horizon, so a
-// censored-but-clean run is meaningful), and exactly reproducible: the
-// sampler is a pure function of (campaign_seed, unit_index, scenario
-// shape), built on split-stable named Rng streams (support/rng.h).
+// randomized victims, splits and heal beats) — inside a fixed envelope
+// (chaos.cpp's sampling bounds), so every sampled plan is
+// `validate()`-clean, eventually quiescent (all faults scheduled within
+// the first half of the unit's beat budget, so a censored-but-clean run
+// is meaningful), and exactly reproducible: the sampler is a pure
+// function of (campaign_seed, unit_index, scenario shape), built on
+// split-stable named Rng streams (support/rng.h). `soak --minimize`
+// re-runs candidate plans through the campaign's own unit runner (a
+// one-cell live-checked sweep), so a minimized verdict is the campaign's.
 //
 // encode_chaos_unit / chaos_unit_digest give each sampled unit a
 // canonical text form and a SHA-256 digest — the identity a violation's
@@ -31,43 +34,6 @@
 
 namespace ssbft {
 
-// Envelope the sampler stays inside. Every bound is inclusive.
-struct ChaosBudget {
-  // Latest beat any sampled fault may be scheduled at or heal by
-  // (corruption beats, network_faulty_until, delivery heal_at). 0 =
-  // derive half the unit's beat budget, leaving the other half for
-  // re-convergence.
-  std::uint64_t horizon = 0;
-  // Corruption schedule: number of corruption beats, nodes per beat.
-  std::uint32_t max_corruption_beats = 3;
-  std::uint32_t max_corruption_nodes = 2;
-  // Faulty-network axes (phantom injection, message loss).
-  std::uint32_t max_phantoms_per_beat = 6;
-  std::uint32_t max_phantom_len = 256;
-  double max_drop_prob = 0.8;
-  // Targeted-delay hold, in beats.
-  std::uint32_t max_delay_beats = 6;
-
-  void validate() const {
-    SSBFT_REQUIRE_MSG(max_drop_prob >= 0.0 && max_drop_prob <= 1.0,
-                      "chaos max_drop_prob must be a probability");
-    SSBFT_REQUIRE_MSG(max_phantom_len >= 1 &&
-                          max_phantom_len <= FaultPlan::kMaxPhantomLen,
-                      "chaos max_phantom_len " << max_phantom_len
-                                               << " out of [1, "
-                                               << FaultPlan::kMaxPhantomLen
-                                               << "]");
-    SSBFT_REQUIRE_MSG(max_delay_beats >= 1 &&
-                          max_delay_beats <= DeliverySpec::kMaxDelayBeats,
-                      "chaos max_delay_beats " << max_delay_beats
-                                               << " out of [1, "
-                                               << DeliverySpec::kMaxDelayBeats
-                                               << "]");
-    SSBFT_REQUIRE_MSG(max_corruption_nodes >= 1,
-                      "chaos max_corruption_nodes must be >= 1");
-  }
-};
-
 // One sampled campaign unit: everything needed to rebuild its engine —
 // the registry cell it perturbs, the engine seed, the faulty-set
 // placement and the full FaultPlan. The (campaign_seed, index) pair is
@@ -83,11 +49,8 @@ struct ChaosUnit {
 
 class FaultPlanGenerator {
  public:
-  explicit FaultPlanGenerator(std::uint64_t campaign_seed,
-                              ChaosBudget budget = {})
-      : campaign_seed_(campaign_seed), budget_(budget) {
-    budget_.validate();
-  }
+  explicit FaultPlanGenerator(std::uint64_t campaign_seed)
+      : campaign_seed_(campaign_seed) {}
 
   // Samples unit `index` against a world of `n` nodes with `actual`
   // faulty ones and a `max_beats` run budget. Pure: the same arguments
@@ -97,12 +60,10 @@ class FaultPlanGenerator {
                       std::uint32_t n, std::uint32_t actual,
                       std::uint64_t max_beats) const;
 
-  const ChaosBudget& budget() const { return budget_; }
   std::uint64_t campaign_seed() const { return campaign_seed_; }
 
  private:
   std::uint64_t campaign_seed_;
-  ChaosBudget budget_;
 };
 
 // Canonical text form of a unit ("ssbft-chaos-v1", one axis per line).

@@ -38,12 +38,6 @@ struct MergeKey {
   }
 };
 
-bool headers_equal(const TraceHeader& a, const TraceHeader& b) {
-  return a.scenario == b.scenario && a.trial == b.trial && a.seed == b.seed &&
-         a.n == b.n && a.f == b.f && a.faulty == b.faulty &&
-         a.max_beats == b.max_beats && a.confirm_window == b.confirm_window;
-}
-
 // Post-merge structural validation: one clock record per correct node on
 // every beat that carries any, plus a single modulus across the trace.
 bool validate_merged(const ParsedTrace& t, std::string& err) {
@@ -102,6 +96,12 @@ const char* event_name(TraceEvent e) {
 
 }  // namespace
 
+bool operator==(const TraceMeta& a, const TraceMeta& b) {
+  return a.scenario == b.scenario && a.trial == b.trial && a.seed == b.seed &&
+         a.n == b.n && a.f == b.f && a.faulty == b.faulty &&
+         a.max_beats == b.max_beats && a.confirm_window == b.confirm_window;
+}
+
 ParseResult parse_trace(std::istream& in) {
   ParseResult res;
   std::string line;
@@ -143,7 +143,7 @@ ParseResult parse_trace(std::istream& in) {
         return fail(err);
       }
       if (*find_int(v, "version") != 1) return fail("unsupported version");
-      TraceHeader& h = res.trace.header;
+      TraceMeta& h = res.trace.header;
       for (const auto& [k, s] : v.strs) {
         if (k == "scenario") h.scenario = s;
       }
@@ -265,7 +265,7 @@ MergeResult merge_traces(std::vector<ParsedTrace> parts) {
       groups.emplace(key, std::move(p));
       continue;
     }
-    if (!headers_equal(it->second.header, p.header)) {
+    if (!(it->second.header == p.header)) {
       res.error = "conflicting headers for scenario '" + key.scenario +
                   "' trial " + std::to_string(key.trial) + " seed " +
                   std::to_string(key.seed);
@@ -335,7 +335,7 @@ CheckResult check_trace(const ParsedTrace& trace, const CheckOptions& opts) {
 std::string trace_commitment(const ParsedTrace& trace) {
   Sha256 sha;
   sha.update(std::string("ssbft-trace-v1\n"));
-  const TraceHeader& h = trace.header;
+  const TraceMeta& h = trace.header;
   std::string line = "h|" + h.scenario + "|" + std::to_string(h.trial) + "|" +
                      std::to_string(h.seed) + "|" + std::to_string(h.n) + "|" +
                      std::to_string(h.f) + "|";

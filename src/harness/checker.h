@@ -54,20 +54,12 @@
 
 namespace ssbft {
 
-// Decoded trace header (the TraceMeta round-tripped through JSONL).
-struct TraceHeader {
-  std::string scenario;
-  std::uint64_t trial = 0;
-  std::uint64_t seed = 0;
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
-  std::vector<NodeId> faulty;
-  std::uint64_t max_beats = 0;
-  std::uint64_t confirm_window = 0;
-};
+// Field-for-field equality: the parts of one run merge only when their
+// header lines describe the same run.
+bool operator==(const TraceMeta& a, const TraceMeta& b);
 
 struct ParsedTrace {
-  TraceHeader header;
+  TraceMeta header;  // the run's TraceMeta, decoded from its header line
   std::vector<TraceRecord> records;
 };
 

@@ -71,6 +71,10 @@ struct TrialOutcome {
   // ran with live checking (SweepOptions::live_check); 0 otherwise.
   // Persisted (optional "violations" key) only when nonzero.
   std::uint64_t check_violations = 0;
+  // The checker's retained violation messages (CheckResult::violations).
+  // In memory only: never persisted, so a unit restored from a file
+  // carries its count but no messages.
+  std::vector<std::string> violations;
 };
 
 // --shard i/k: run only units u with u % count == index.

@@ -4,6 +4,26 @@
 
 namespace ssbft {
 
+bool ConvergenceStreak::step(Beat b, std::optional<ClockValue> common,
+                             ClockValue k) {
+  const bool continues = common.has_value() && prev.has_value() &&
+                         length > 0 && *common == (*prev + 1) % k;
+  prev = common;
+  if (!common.has_value()) {
+    length = 0;
+    return false;
+  }
+  if (continues) {
+    ++length;
+    return false;
+  }
+  // First synced beat, or synced but the increment chain broke: a fresh
+  // streak starts here.
+  start = b;
+  length = 1;
+  return true;
+}
+
 bool clocks_agree(const Engine& engine) {
   const auto clocks = engine.correct_clocks();
   for (const ClockValue c : clocks) {
@@ -25,35 +45,16 @@ ConvergenceResult measure_convergence(Engine& engine,
   const ClockValue k = first->modulus();
 
   ConvergenceResult res;
-  std::optional<ClockValue> prev_common;
-  Beat streak_start = 0;
-  std::uint64_t streak = 0;
-
+  ConvergenceStreak streak;
   for (std::uint64_t i = 0; i < cfg.max_beats; ++i) {
     engine.run_beat();
     ++res.beats_run;
-    const Beat b = engine.beat() - 1;  // the beat just executed
     std::optional<ClockValue> common;
     if (clocks_agree(engine)) common = engine.correct_clocks().front();
-
-    const bool continues = common.has_value() &&
-                           (!prev_common.has_value() ||
-                            (streak > 0 && *common == (*prev_common + 1) % k));
-    if (common.has_value() && (streak == 0 || continues)) {
-      if (streak == 0) streak_start = b;
-      ++streak;
-    } else if (common.has_value()) {
-      // Synced but the increment chain broke: a fresh sync starts here.
-      streak_start = b;
-      streak = 1;
-    } else {
-      streak = 0;
-    }
-    prev_common = common;
-
-    if (streak >= cfg.confirm_window) {
+    streak.step(engine.beat() - 1, common, k);  // the beat just executed
+    if (streak.length >= cfg.confirm_window) {
       res.converged = true;
-      res.synced_at = streak_start;
+      res.synced_at = streak.start;
       return res;
     }
   }

@@ -7,6 +7,11 @@
 // confirmation window rejects coincidental equality (e.g. an all-? 2-clock
 // state) without ever mis-measuring: for every protocol in this library,
 // closure after genuine convergence is deterministic.
+//
+// ConvergenceStreak is that rule, one beat at a time. measure_convergence
+// steps it over a live engine; the trace checker's InvariantCore
+// (harness/live_check.h) steps the same struct over recorded clocks and
+// adds only its fault-beat and closure handling on top.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +37,17 @@ struct ConvergenceResult {
   Beat synced_at = 0;
   // Beats actually simulated.
   Beat beats_run = 0;
+};
+
+// The streak of beats whose correct clocks agree and step by +1 mod k.
+struct ConvergenceStreak {
+  std::optional<ClockValue> prev;  // the previous beat's common clock
+  std::uint64_t length = 0;        // beats in the current streak
+  Beat start = 0;                  // first beat of the current streak
+
+  // Folds beat `b`'s common clock (nullopt when the correct clocks
+  // disagree). Returns true when a new streak starts at `b`.
+  bool step(Beat b, std::optional<ClockValue> common, ClockValue k);
 };
 
 // Runs the engine beat by beat until convergence is confirmed or the

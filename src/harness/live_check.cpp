@@ -13,9 +13,7 @@ void InvariantCore::reset(const CheckOptions& opts,
                 : (header_confirm_window != 0 ? header_confirm_window : 12);
   res_ = CheckResult{};
   mode_ = Mode::kSearching;
-  prev_common_.reset();
-  streak_ = 0;
-  streak_start_ = 0;
+  streak_ = ConvergenceStreak{};
   k_ = 0;
   total_groups_ = total_equal_ = 0;
   after_groups_ = after_equal_ = 0;
@@ -105,47 +103,32 @@ void InvariantCore::finalize_beat() {
   const bool faulted = corrupt_here_ || beat < opts_.fault_horizon;
   if (faulted) {
     mode_ = Mode::kSearching;
-    streak_ = 0;
+    streak_.length = 0;
   }
 
   if (have_clocks_) {
     if (mode_ == Mode::kConverged) {
-      const bool legal_step = common.has_value() && prev_common_.has_value() &&
-                              *common == (*prev_common_ + 1) % k_;
+      const bool legal_step = common.has_value() && streak_.prev.has_value() &&
+                              *common == (*streak_.prev + 1) % k_;
       if (!legal_step) {
         violation("beat " + std::to_string(beat) +
                   ": closure broke without a recorded corruption");
         mode_ = Mode::kSearching;
-        streak_ = 0;
+        streak_.length = 0;
       }
     }
     // A faulted beat never accrues streak: its common clock (if any)
     // predates the damage just injected, or sits inside the declared
     // network-fault window.
     if (mode_ == Mode::kSearching && !faulted) {
-      const bool continues =
-          common.has_value() &&
-          (!prev_common_.has_value() ||
-           (streak_ > 0 && *common == (*prev_common_ + 1) % k_));
-      if (common.has_value() && (streak_ == 0 || continues)) {
-        if (streak_ == 0) {
-          streak_start_ = beat;
-          after_groups_ = after_equal_ = 0;
-        }
-        ++streak_;
-      } else if (common.has_value()) {
-        streak_start_ = beat;
-        after_groups_ = after_equal_ = 0;
-        streak_ = 1;
-      } else {
-        streak_ = 0;
-      }
-      if (streak_ >= window_) {
+      if (streak_.step(beat, common, k_)) after_groups_ = after_equal_ = 0;
+      if (streak_.length >= window_) {
         mode_ = Mode::kConverged;
-        res_.synced_at = streak_start_;
+        res_.synced_at = streak_.start;
       }
+    } else {
+      streak_.prev = common;
     }
-    prev_common_ = common;
   }
 
   // Fold the beat's coin groups after the streak update, so a group on a
@@ -155,8 +138,8 @@ void InvariantCore::finalize_beat() {
     if (acc.count < 2) continue;
     ++total_groups_;
     if (acc.equal) ++total_equal_;
-    const bool candidate = mode_ == Mode::kConverged || streak_ > 0;
-    if (candidate && beat > streak_start_) {
+    const bool candidate = mode_ == Mode::kConverged || streak_.length > 0;
+    if (candidate && beat > streak_.start) {
       ++after_groups_;
       if (acc.equal) ++after_equal_;
     }

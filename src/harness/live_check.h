@@ -21,10 +21,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "harness/checker.h"
+#include "harness/convergence.h"
 #include "sim/trace.h"
 
 namespace ssbft {
@@ -35,8 +35,8 @@ namespace ssbft {
 class InvariantCore {
  public:
   // Arms the core for one run. header_confirm_window is the traced run's
-  // own window (TraceMeta/TraceHeader::confirm_window); opts may override
-  // it, and 12 is the fallback when both are zero.
+  // own window (TraceMeta::confirm_window); opts may override it, and 12
+  // is the fallback when both are zero.
   void reset(const CheckOptions& opts, std::uint64_t header_confirm_window);
 
   void feed(const TraceRecord& r);
@@ -55,13 +55,13 @@ class InvariantCore {
   std::uint64_t window_ = 12;
   CheckResult res_;
 
-  // Mirror of measure_convergence's streak detector (harness/convergence.h)
-  // plus a closure mode it never needs (it stops at confirmation).
+  // measure_convergence's streak rule (harness/convergence.h), plus the
+  // closure mode it never needs (it stops at confirmation). Faulted beats
+  // and closure breaks cut the streak; beats outside the search still
+  // record their common clock as the streak's predecessor.
   enum class Mode { kSearching, kConverged };
   Mode mode_ = Mode::kSearching;
-  std::optional<ClockValue> prev_common_;
-  std::uint64_t streak_ = 0;
-  Beat streak_start_ = 0;
+  ConvergenceStreak streak_;
   ClockValue k_ = 0;
 
   // Coin-agreement counters. `total_*` cover every >=2-node coin group in

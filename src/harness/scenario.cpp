@@ -238,32 +238,6 @@ std::string world_blurb(Family fam, const World& w) {
     os << ", FM coin";
   }
   if (w.shared_pipeline != 0) os << ", shared pipeline";
-  if (w.faults.faulty_drop_prob > 0.0) {
-    os << ", drop " << w.faults.faulty_drop_prob << " until beat "
-       << w.faults.network_faulty_until;
-  }
-  if (w.faults.phantoms_per_beat > 0) {
-    os << ", " << w.faults.phantoms_per_beat << " phantoms/beat until beat "
-       << w.faults.network_faulty_until;
-  }
-  if (!w.faults.corruptions.empty()) {
-    os << ", corruptions at";
-    for (const auto& [beat, ids] : w.faults.corruptions) {
-      os << " b" << beat << "(" << ids.size() << ")";
-    }
-  }
-  if (w.faults.delivery.kind != DeliveryKind::kSynchronous) {
-    const DeliverySpec& d = w.faults.delivery;
-    os << ", " << delivery_kind_name(d.kind) << " delivery";
-    if (!d.victims.empty()) os << " victims=" << d.victims.size();
-    if (d.kind == DeliveryKind::kPartition) {
-      os << " split=" << d.partition_split;
-    }
-    if (d.kind == DeliveryKind::kTargetedDelay) {
-      os << " d=" << d.delay_beats;
-    }
-    if (d.heal_at != DeliverySpec::kNever) os << " heal@" << d.heal_at;
-  }
   return os.str();
 }
 
@@ -271,11 +245,10 @@ std::vector<ScenarioSpec> make_registry() {
   std::vector<ScenarioSpec> specs;
   auto add = [&](std::string name, Family fam, const World& w,
                  std::uint64_t trials, std::uint64_t seed,
-                 std::uint64_t max_beats, std::uint64_t confirm = 0,
-                 std::string extra = "") {
+                 std::uint64_t max_beats, std::uint64_t confirm = 0) {
     ScenarioSpec s;
     s.name = std::move(name);
-    s.summary = world_blurb(fam, w) + extra;
+    s.summary = world_blurb(fam, w);
     s.family = fam;
     s.world = w;
     s.trials = trials;

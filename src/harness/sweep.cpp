@@ -176,6 +176,7 @@ TrialOutcome run_unit(const SweepCell& cell, std::uint64_t t,
     out.converged = verdict.converged;
     out.synced_at = verdict.synced_at;
     out.check_violations = verdict.violation_count;
+    out.violations = verdict.violations;
   } else {
     const ConvergenceResult r =
         measure_convergence(*bundle.engine, cell.cfg.convergence);
@@ -293,8 +294,10 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     std::filesystem::create_directories(opts.trace_dir);
   }
 
-  std::vector<TrialOutcome> outcome_of(slice.size());
-  std::vector<char> have(slice.size(), 0);
+  // Position j of the slice's rows, filled as unit slice[j] completes or
+  // is restored; the checkpoint lines and the result are these rows.
+  std::vector<ShardUnitRow> rows(slice.size());
+  std::vector<char> have(slice.size(), 0);  // restored from the checkpoint
   std::uint64_t resumed = 0;
 
   // The checkpoint: publish the preamble — plus, on resume, the old file's
@@ -351,7 +354,7 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
         const std::uint64_t j =
             (row.unit - opts.shard.index) / opts.shard.count;
         text += encode_shard_unit(row);
-        outcome_of[j] = std::move(row.outcome);
+        rows[j] = std::move(row);
         have[j] = 1;
         ++resumed;
       }
@@ -406,15 +409,13 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
     const std::uint64_t u = slice[j];
     const std::uint32_t c = cell_of[u];
     const std::uint64_t t = trial_of[u];
-    TrialOutcome out = run_unit(cells[c], t, opts, jobs);
+    ShardUnitRow row{u, c, t, run_unit(cells[c], t, opts, jobs)};
     if (opts.collect_commitments) {
-      out.trace_commitment =
+      row.outcome.trace_commitment =
           commitment_from_trace_file(trace_path_for(opts, cells[c].name, t));
     }
-    const std::string line =
-        checkpointing ? encode_shard_unit(ShardUnitRow{u, c, t, out}) : "";
-    outcome_of[j] = std::move(out);
-    have[j] = 1;
+    const std::string line = checkpointing ? encode_shard_unit(row) : "";
+    rows[j] = std::move(row);
     std::lock_guard<std::mutex> lock(io_mu);
     if (checkpointing) {
       ckpt_out << line;
@@ -461,21 +462,12 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
   SweepResult res;
   res.total_units = total;
   res.resumed_units = resumed;
-  res.units.reserve(slice.size());
   std::vector<std::vector<TrialOutcome>> per_cell(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
     per_cell[c].reserve(cells[c].cfg.trials);
   }
-  for (std::uint64_t j = 0; j < slice.size(); ++j) {
-    const std::uint64_t u = slice[j];
-    SweepUnitResult unit;
-    unit.unit = u;
-    unit.cell = cell_of[u];
-    unit.trial = trial_of[u];
-    unit.outcome = outcome_of[j];
-    res.units.push_back(std::move(unit));
-    per_cell[cell_of[u]].push_back(outcome_of[j]);
-  }
+  for (const ShardUnitRow& row : rows) per_cell[row.cell].push_back(row.outcome);
+  res.units = std::move(rows);
   res.stats.reserve(cells.size());
   for (const auto& cell_outcomes : per_cell) {
     res.stats.push_back(merge_outcomes(cell_outcomes));

@@ -52,8 +52,8 @@ struct SweepOptions {
   // bit-identical to the serial run.
   ShardSpec shard;
   // Compute each unit's SHA-256 trace commitment (requires trace_dir) and
-  // return it in SweepUnitResult — the replay-exactness oracle shard
-  // reports and checkpoints carry.
+  // return it on the unit's TrialOutcome — the replay-exactness oracle
+  // shard reports and checkpoints carry.
   bool collect_commitments = false;
   // When non-empty, record completed units in this ssbft-shard-v2 file:
   // the preamble (shard_header_for(cells, *this, "")) is published
@@ -71,19 +71,11 @@ struct SweepOptions {
   // StreamingChecker to every unit and run the *full* beat budget (not
   // stopping at confirmed convergence, so post-convergence closure and
   // late scheduled corruptions stay under scrutiny). converged/synced_at
-  // come from the checker's verdict and TrialOutcome::check_violations
-  // carries its violation count. Composes with trace_dir (the records tee
-  // to both sinks).
+  // come from the checker's verdict; TrialOutcome::check_violations
+  // carries its violation count and TrialOutcome::violations its retained
+  // messages. Composes with trace_dir (the records tee to both sinks).
   bool live_check = false;
   CheckOptions live_check_opts;
-};
-
-// One completed unit, in global unit order within the shard's slice.
-struct SweepUnitResult {
-  std::uint64_t unit = 0;  // global unit index
-  std::uint32_t cell = 0;  // index into the cells vector
-  std::uint64_t trial = 0;
-  TrialOutcome outcome;
 };
 
 struct SweepResult {
@@ -92,7 +84,9 @@ struct SweepResult {
   // an active shard, only the slice's (useful for smoke checks — the real
   // cross-shard fold is merge_shard_files).
   std::vector<TrialStats> stats;
-  std::vector<SweepUnitResult> units;  // the slice, in unit order
+  // The slice's units in global unit order — the same rows the
+  // checkpoint and a shard report persist (`cell` indexes `cells`).
+  std::vector<ShardUnitRow> units;
   std::uint64_t total_units = 0;       // whole grid, all shards
   std::uint64_t resumed_units = 0;     // restored from the checkpoint
 };

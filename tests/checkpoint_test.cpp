@@ -549,7 +549,7 @@ TEST(CheckpointRecovery, CheckpointIsAShardFileCoveringTheSlice) {
   EXPECT_TRUE(p.file.header.pattern.empty());
   ASSERT_EQ(p.file.units.size(), res.units.size());
   for (const ShardUnitRow& row : p.file.units) {
-    const SweepUnitResult& u = res.units[(row.unit - 1) / 2];
+    const ShardUnitRow& u = res.units[(row.unit - 1) / 2];
     ASSERT_EQ(row.unit, u.unit);
     EXPECT_EQ(row.outcome.converged, u.outcome.converged);
     EXPECT_EQ(row.outcome.synced_at, u.outcome.synced_at);

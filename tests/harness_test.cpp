@@ -227,10 +227,7 @@ TEST(Sweep, ShardAndMergeBitIdenticalToUnsharded) {
       const SweepResult res = run_sweep_ex(cells, so);
       std::string text =
           encode_shard_header(shard_header_for(cells, so, "grid"));
-      for (const SweepUnitResult& u : res.units) {
-        text += encode_shard_unit(ShardUnitRow{u.unit, u.cell, u.trial,
-                                               u.outcome});
-      }
+      for (const ShardUnitRow& row : res.units) text += encode_shard_unit(row);
       std::istringstream in(text);
       ShardParse parsed = parse_shard_file(in);
       ASSERT_TRUE(parsed.ok) << parsed.error;
@@ -257,10 +254,7 @@ TEST(Sweep, MergeRefusesOverlapAndIncompleteness) {
     const SweepResult res = run_sweep_ex(cells, so);
     std::string text =
         encode_shard_header(shard_header_for(cells, so, "grid"));
-    for (const SweepUnitResult& u : res.units) {
-      text +=
-          encode_shard_unit(ShardUnitRow{u.unit, u.cell, u.trial, u.outcome});
-    }
+    for (const ShardUnitRow& row : res.units) text += encode_shard_unit(row);
     std::istringstream in(text);
     ShardParse parsed = parse_shard_file(in);
     EXPECT_TRUE(parsed.ok) << parsed.error;
@@ -292,10 +286,7 @@ TEST(Sweep, MergeRefusesOverlapAndIncompleteness) {
     const SweepResult res = run_sweep_ex(other_cells, so);
     std::string text = encode_shard_header(
         shard_header_for(other_cells, so, "grid"));
-    for (const SweepUnitResult& u : res.units) {
-      text +=
-          encode_shard_unit(ShardUnitRow{u.unit, u.cell, u.trial, u.outcome});
-    }
+    for (const ShardUnitRow& row : res.units) text += encode_shard_unit(row);
     std::istringstream in(text);
     ShardParse parsed = parse_shard_file(in);
     ASSERT_TRUE(parsed.ok) << parsed.error;
@@ -378,7 +369,7 @@ TEST(Scenario, DeliveryCellsCarryTheirSpecs) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->world.faults.delivery.kind, DeliveryKind::kEclipse);
   EXPECT_EQ(e->world.faults.delivery.heal_at, 40u);
-  EXPECT_NE(e->summary.find("eclipse"), std::string::npos);
+  EXPECT_NE(scenario_detail(*e).find("eclipse"), std::string::npos);
 
   const ScenarioSpec* p = find_scenario("net/partition-heal");
   ASSERT_NE(p, nullptr);
