@@ -28,8 +28,10 @@
 //          beats later), so any break without a preceding corruption is a
 //          violation;
 //       3. re-convergence bound: with CheckOptions::bound set, the final
-//          convergence must start within `bound` beats of the last
-//          corruption (of genesis when none);
+//          convergence must start within `bound` beats of its origin: the
+//          later of the last corruption and network quiescence
+//          (CheckOptions::fault_horizon), or genesis when there is
+//          neither — the violation message names which;
 //       4. coin agreement: post-convergence, per-(beat, stream) groups of
 //          coin records from >= 2 correct nodes must be all-equal at a
 //          rate >= CheckOptions::coin_agreement (the common coin's
@@ -90,8 +92,9 @@ MergeResult merge_traces(std::vector<ParsedTrace> parts);
 MergeResult read_traces(const std::vector<std::string>& paths);
 
 struct CheckOptions {
-  // Required re-convergence bound in beats after the last corruption
-  // (0 = don't enforce). Implies the trace must end converged.
+  // Required re-convergence bound in beats after the last corruption or
+  // fault_horizon, whichever is later (genesis when neither; 0 = don't
+  // enforce). Implies the trace must end converged.
   std::uint64_t bound = 0;
   // Treat a censored (never-converged) trace as a violation.
   bool require_convergence = false;

@@ -1,6 +1,5 @@
 #include "harness/live_check.h"
 
-#include <algorithm>
 #include <string>
 
 namespace ssbft {
@@ -178,12 +177,20 @@ const CheckResult& InvariantCore::finish() {
     if (!res_.converged) {
       violation("re-convergence bound set but the trace never (re)converged");
     } else {
-      const Beat origin =
-          std::max<Beat>(res_.had_corruption ? res_.last_corruption : 0,
-                         opts_.fault_horizon);
+      // Re-convergence is measured from the later of the last corruption
+      // and network quiescence, or from genesis when there is neither.
+      Beat origin = 0;
+      std::string from = "genesis";
+      if (res_.had_corruption && res_.last_corruption >= opts_.fault_horizon) {
+        origin = res_.last_corruption;
+        from = "the last corruption (beat " + std::to_string(origin) + ")";
+      } else if (opts_.fault_horizon != 0) {
+        origin = opts_.fault_horizon;
+        from = "network quiescence (beat " + std::to_string(origin) + ")";
+      }
       if (res_.synced_at >= origin && res_.synced_at - origin > opts_.bound) {
         violation("re-converged " + std::to_string(res_.synced_at - origin) +
-                  " beats after the last corruption, bound is " +
+                  " beats after " + from + ", bound is " +
                   std::to_string(opts_.bound));
       }
     }

@@ -260,6 +260,30 @@ TEST(TraceCheck, ScheduledCorruptionIsLegalAndReconvergesWithinBound) {
   EXPECT_TRUE(res.had_corruption);
   EXPECT_EQ(res.last_corruption, 3000u);
   EXPECT_TRUE(res.converged);
+
+  // A missed bound names the origin it was measured from: the last
+  // corruption, else network quiescence, else genesis.
+  CheckOptions tight;
+  tight.bound = 1;
+  const auto last_violation = [&tight](const std::string& t) {
+    const CheckResult r = check_str(t, tight);
+    EXPECT_FALSE(r.ok);
+    return r.violations.empty() ? std::string() : r.violations.back();
+  };
+  EXPECT_NE(last_violation(trace).find(
+                "beats after the last corruption (beat 3000), bound is 1"),
+            std::string::npos)
+      << last_violation(trace);
+  w.faults.corruptions.clear();
+  const std::string clean = run_traced(Family::kClockSync, w, 11, 10000);
+  EXPECT_NE(last_violation(clean).find("beats after genesis, bound is 1"),
+            std::string::npos)
+      << last_violation(clean);
+  tight.fault_horizon = 2;
+  EXPECT_NE(last_violation(clean).find(
+                "beats after network quiescence (beat 2), bound is 1"),
+            std::string::npos)
+      << last_violation(clean);
 }
 
 // ---------------------------------------------------------------------------
