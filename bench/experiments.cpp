@@ -1199,8 +1199,8 @@ int run_soak_campaign(const std::string& pattern,
     for (const ShardUnitRow& u : res.units) {
       if (u.outcome.check_violations == 0) continue;
       const ScenarioSpec& spec = *matched[u.cell % matched.size()];
-      const MinimalRepro min = minimize_chaos_unit(spec, units[u.cell],
-                                                   u.outcome, so.live_check_opts);
+      const MinimalRepro min = minimize_chaos_unit(
+          spec, units[u.cell], u.outcome, so.live_check_opts);
       *os << "\nminimal repro for unit " << min.unit.index << " ("
           << min.steps << (min.steps == 1 ? " reduction" : " reductions")
           << " applied, plan " << chaos_unit_digest(min.unit) << "):\n"

@@ -11,16 +11,17 @@
 //     before the header — is a decode error, never UB.
 //
 //   * merge_traces: groups parsed files by (scenario, trial, seed),
-//     requires their headers to agree, and folds each group into one
-//     canonical stream under a total record order (beat, node, event,
-//     stream, payload) — independent of how the run was split across
-//     files. Post-merge, any beat carrying clock
+//     requires their headers (each a decoded TraceMeta) to be equal, and
+//     folds each group into one canonical stream under a total record
+//     order (beat, node, event, stream, payload) — independent of how the
+//     run was split across files. Post-merge, any beat carrying clock
 //     records must carry exactly one per correct node, and every clock
 //     record must agree on the modulus.
 //
 //   * check_trace verifies the paper's invariants on one merged trace:
-//       1. convergence: the same streak detector as measure_convergence
-//          (harness/convergence.h) run over the recorded clocks;
+//       1. convergence: measure_convergence's own streak step
+//          (ConvergenceStreak, harness/convergence.h) run over the
+//          recorded clocks;
 //       2. closure: after a confirmed convergence, every beat's common
 //          clock must be previous + 1 (mod k); a recorded transient
 //          corruption withdraws the converged claim at its own beat (the

@@ -7,6 +7,11 @@
 // records; StreamingChecker feeds it live from Engine::set_trace. Both
 // paths produce byte-identical CheckResults — same verdicts, same
 // violation strings — which tests/trace_test.cpp pins on a traced grid.
+// Its convergence streak is measure_convergence's own ConvergenceStreak
+// (harness/convergence.h); the core adds only fault-beat and closure
+// handling on top. A live-checked sweep unit (SweepOptions::live_check)
+// returns the verdict's violation count and retained messages on its
+// TrialOutcome, which is all `soak` and `soak --minimize` read.
 //
 // The streaming formulation replaces the offline checker's unbounded
 // coin-group list with four counters maintained relative to the current

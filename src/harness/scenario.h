@@ -98,7 +98,9 @@ EngineBuilder build_world(Family family, const World& w);
 
 struct ScenarioSpec {
   std::string name;     // registry key, e.g. "table1/sync/n7"
-  std::string summary;  // one-liner for `ssbft_bench list`
+  // One-liner for `ssbft_bench list`: family, (n, f, k), attack, coin and
+  // pipeline. The fault plan is scenario_detail's alone.
+  std::string summary;
   Family family = Family::kClockSync;
   World world;
   // Trial-run defaults for this cell (CLI overrides layer on top).
@@ -115,11 +117,11 @@ EngineBuilder build_scenario(const ScenarioSpec& spec);
 // convergence budget).
 RunnerConfig scenario_runner_config(const ScenarioSpec& spec);
 
-// One-line audit detail for `ssbft_bench list`: the cell's DeliverySpec
-// (kind, victim/allowed-sender id lists, split/delay/heal), the network
-// fault axes (drop probability, phantoms) with their horizon, the
-// corruption schedule, and the trial-run defaults — everything needed to
-// audit a grid before running it.
+// One-line audit detail for `ssbft_bench list`, printed under the
+// summary: the cell's DeliverySpec (kind, victim/allowed-sender id lists,
+// split/delay/heal), the network fault axes (drop probability, phantoms)
+// with their horizon, the corruption schedule, and the trial-run defaults
+// — the whole fault plan, needed to audit a grid before running it.
 std::string scenario_detail(const ScenarioSpec& spec);
 
 // All registered scenarios, sorted by name. Built once, immutable.

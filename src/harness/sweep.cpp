@@ -466,7 +466,9 @@ SweepResult run_sweep_ex(const std::vector<SweepCell>& cells,
   for (std::size_t c = 0; c < cells.size(); ++c) {
     per_cell[c].reserve(cells[c].cfg.trials);
   }
-  for (const ShardUnitRow& row : rows) per_cell[row.cell].push_back(row.outcome);
+  for (const ShardUnitRow& row : rows) {
+    per_cell[row.cell].push_back(row.outcome);
+  }
   res.units = std::move(rows);
   res.stats.reserve(cells.size());
   for (const auto& cell_outcomes : per_cell) {
