@@ -160,6 +160,49 @@ TEST(TraceCommitment, EveryFamilyEngineIsPinned) {
   }
 }
 
+// The skew pins above leave most vote counts with one clear winner. These
+// n = 7, f = actual = 2 worlds (k = 16, 64 traced beats) reach the other
+// paths: the split adversary drives DW's, DW-shared's, king's and queen's
+// counts into ties; the adaptive quorum splitter runs its plurality over
+// clock-sync's and DW-shared's clock broadcasts; noise feeds the 2-clock
+// malformed and out-of-range bytes. The constants were recorded at commit
+// ce6c978. SIMD and scalar builds must agree.
+TEST(TraceCommitment, TieAndSplitPathsArePinned) {
+  struct Pin {
+    const char* name;
+    Family fam;
+    Attack attack;
+    const char* commitment;
+  };
+  const Pin pins[] = {
+      {"dw/split", Family::kDolevWelch, Attack::kSplit,
+       "b089712de11d02955050aed4fe9153e88cd74e292c59808919e383b6778e3179"},
+      {"dw_shared/split", Family::kDolevWelchShared, Attack::kSplit,
+       "ec5d92c518835478672155853178adc86e763effd617ac1d43d2f87e05ef2807"},
+      {"king/split", Family::kPipelinedKing, Attack::kSplit,
+       "4a70bd267dd61b0647b8909e567c9b3c3365d0f010aa7ed9652b2c8f956f0688"},
+      {"queen/split", Family::kPipelinedQueen, Attack::kSplit,
+       "4d1e6804c3841bb99cdf0389b736d76e710a8849ed78bb3c895f2cc07d648649"},
+      {"clock_sync/oracle/adaptive", Family::kClockSync, Attack::kAdaptive,
+       "80e2229569b465e5386f0d0ad742562562583cd1e16f1cb5e81f5b95036b7caf"},
+      {"dw_shared/adaptive", Family::kDolevWelchShared, Attack::kAdaptive,
+       "5cd54d5b91bf1b442f8cca7a95cf95e876cf3bb45ebc45e34a7643368912c136"},
+      {"clock2/noise", Family::kClock2, Attack::kNoise,
+       "66e224370e952d6654c1e4570e68a545ca43f3573026e9ecb0b1cf2a7a24796e"},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.name);
+    World w;
+    w.n = 7;
+    w.f = 2;
+    w.actual = 2;
+    w.k = 16;
+    w.attack = p.attack;
+    EXPECT_EQ(trace_commitment(merge_str(run_traced(p.fam, w, 5, 64))),
+              p.commitment);
+  }
+}
+
 // One small clock-sync world per delivery kind (n = 4, f = actual = 1,
 // k = 16), pinned by the commitment of 64 traced beats. Every world is
 // lossy with phantoms for beats < 24, so each kind's loss lottery and
