@@ -34,6 +34,38 @@ using namespace ssbft::bench;
 
 namespace {
 
+// `sim`'s --algo, --coin and --adversary names.
+const std::map<std::string, Family> kAlgos = {
+    {"clocksync", Family::kClockSync},
+    {"clock2", Family::kClock2},
+    {"clock4", Family::kClock4},
+    {"cascade", Family::kCascade},
+    {"king", Family::kPipelinedKing},
+    {"queen", Family::kPipelinedQueen},
+    {"dw", Family::kDolevWelch},
+    {"dw-shared", Family::kDolevWelchShared},
+};
+const std::map<std::string, CoinKind> kCoins = {
+    {"oracle", CoinKind::kOracle},
+    {"fm", CoinKind::kFm},
+};
+const std::map<std::string, Attack> kAttacks = {
+    {"silent", Attack::kSilent},     {"noise", Attack::kNoise},
+    {"split", Attack::kSplit},       {"skew", Attack::kSkew},
+    {"adaptive", Attack::kAdaptive}, {"coinattack", Attack::kCoinAttack},
+};
+
+// The names of `table`, space-separated.
+template <typename T>
+std::string names_of(const std::map<std::string, T>& table) {
+  std::string out;
+  for (const auto& entry : table) {
+    if (!out.empty()) out += ' ';
+    out += entry.first;
+  }
+  return out;
+}
+
 int usage(std::ostream& os, int code) {
   os << "usage: ssbft_bench <command> [...]\n"
         "  list [glob]                list experiments and registered "
@@ -85,11 +117,41 @@ int usage(std::ostream& os, int code) {
         "  --units N    chaos units to sample across the matched cells "
         "(default 64)\n"
         "  --bound B    also enforce the re-convergence bound: every unit\n"
-        "               must (re)converge within B beats of its last "
-        "corruption\n"
+        "               must (re)converge within B beats of the later of\n"
+        "               its last corruption and network quiescence (of\n"
+        "               genesis when it has neither)\n"
         "  --minimize   delta-debug each violating plan to a minimal\n"
         "               registrable repro (axes dropped, schedules and\n"
         "               victim sets shrunk, horizons halved)\n"
+        "check options: [--bound B] [--require-convergence] "
+        "[--coin-agreement P]\n"
+        "               [--window W] [--commitment-only]\n"
+        "  --bound B    every trace must end converged, its final streak\n"
+        "               starting within B beats of its last corruption (of\n"
+        "               genesis when it has none)\n"
+        "  --require-convergence  a never-converged trace is a violation,\n"
+        "               not censored\n"
+        "  --coin-agreement P  least post-convergence rate of all-equal\n"
+        "               coin groups, in [0, 1] (default 0.5)\n"
+        "  --window W   confirmation window in beats (default: the trace\n"
+        "               header's, else 12)\n"
+        "  --commitment-only  print just the aggregate SHA-256 trace\n"
+        "               commitment\n"
+        "sim options: [--algo A] [--coin C] [--adversary X] [--n N] [--f F]\n"
+        "             [--k K] [--levels L] [--max-beats B]\n"
+        "             plus run's --trials/--seed/--jobs/--format/--out/--trace/\n"
+        "             --progress\n"
+        "  --algo A     protocol family (default clocksync), one of:\n"
+        "               " << names_of(kAlgos) << "\n"
+        "  --coin C     coin (default oracle), one of: " << names_of(kCoins)
+     << "\n"
+        "  --adversary X  attack (default skew), one of:\n"
+        "               " << names_of(kAttacks) << "\n"
+        "  --n N --f F  n nodes, f of them faulty (default 4, 1)\n"
+        "  --k K        clock modulus (default 16; clock2, clock4 and\n"
+        "               cascade fix their own)\n"
+        "  --levels L   cascade levels, k = 2^L (default 3)\n"
+        "  --max-beats B  convergence budget per trial (default 10000)\n"
         "examples:\n"
         "  ssbft_bench list 'net/*'\n"
         "  ssbft_bench run table1 --trials 2 --jobs 2\n"
@@ -524,25 +586,6 @@ T named_value(const std::string& prog, const char* flag,
 // attack Y?" without registering a scenario.
 int sim_command(int argc, char** argv) {
   const std::string prog = "ssbft_bench sim";
-  static const std::map<std::string, Family> kAlgos = {
-      {"clocksync", Family::kClockSync},
-      {"clock2", Family::kClock2},
-      {"clock4", Family::kClock4},
-      {"cascade", Family::kCascade},
-      {"king", Family::kPipelinedKing},
-      {"queen", Family::kPipelinedQueen},
-      {"dw", Family::kDolevWelch},
-      {"dw-shared", Family::kDolevWelchShared},
-  };
-  static const std::map<std::string, CoinKind> kCoins = {
-      {"oracle", CoinKind::kOracle},
-      {"fm", CoinKind::kFm},
-  };
-  static const std::map<std::string, Attack> kAttacks = {
-      {"silent", Attack::kSilent},     {"noise", Attack::kNoise},
-      {"split", Attack::kSplit},       {"skew", Attack::kSkew},
-      {"adaptive", Attack::kAdaptive}, {"coinattack", Attack::kCoinAttack},
-  };
   constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
   std::string algo = "clocksync";
   std::string coin = "oracle";

@@ -7,6 +7,7 @@
 
 #include "coin/gvss.h"
 #include "field/bivariate.h"
+#include "sim/tally.h"
 #include "support/check.h"
 
 namespace ssbft {
@@ -128,8 +129,7 @@ class ClockSkewAdversary final : public Adversary {
     w_.u64(v);
     const ByteSpan full = ctx.store(w_.data());
     w_.clear();
-    w_.u8(1);
-    w_.u64(v);
+    write_proposal(w_, true, v);
     const ByteSpan prop = ctx.store(w_.data());
     return Story{full, prop, ctx.store(ByteSpan{&support, 1})};
   }
@@ -152,28 +152,18 @@ class AdaptiveQuorumSplitter final : public Adversary {
     // The first decodable value per sender counts. All scratch is reused
     // across beats.
     value_.assign(n, kNone);
-    values_.clear();
+    tally_.reserve(n);
+    tally_.clear();
     for (const Message& m : ctx.observed()) {
       if (m.channel != channel_ || value_[m.from] != kNone) continue;
       ByteReader r(m.payload);
       const std::uint64_t v = r.u64();
       if (!r.at_end() || v >= k_) continue;
       value_[m.from] = v;
-      values_.push_back(v);
+      tally_.add(v);
     }
     // The value with the largest support; ties go to the lowest value.
-    std::sort(values_.begin(), values_.end());
-    ClockValue u = 0;
-    std::uint32_t c = 0;
-    for (std::size_t i = 0; i < values_.size();) {
-      std::size_t j = i;
-      while (j < values_.size() && values_[j] == values_[i]) ++j;
-      if (j - i > c) {
-        u = values_[i];
-        c = static_cast<std::uint32_t>(j - i);
-      }
-      i = j;
-    }
+    const auto [u, c] = tally_.plurality();
     if (c + f < n - f || c >= n - f) {
       // Either no boostable value (even our votes cannot complete a
       // quorum) or the correct nodes already hold one on their own — the
@@ -207,8 +197,8 @@ class AdaptiveQuorumSplitter final : public Adversary {
 
   ClockValue k_;
   ChannelId channel_;
-  std::vector<ClockValue> value_;   // per sender id: its clock value
-  std::vector<ClockValue> values_;  // the values seen this beat
+  std::vector<ClockValue> value_;  // per sender id: its clock value
+  ValueTally tally_;               // the values seen this beat
   ByteWriter w_;
 };
 

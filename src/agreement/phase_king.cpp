@@ -1,29 +1,9 @@
 #include "agreement/phase_king.h"
 
+#include "sim/tally.h"
 #include "support/check.h"
 
 namespace ssbft {
-
-namespace {
-
-// Reads a one-byte value <= max from each sender; returns per-sender
-// values with 0xff = absent/malformed.
-std::vector<std::uint8_t> read_u8_per_sender(const Inbox& in, ChannelId ch,
-                                             std::uint32_t n,
-                                             std::uint8_t max) {
-  std::vector<std::uint8_t> vals(n, 0xff);
-  const auto payloads = in.first_per_sender(ch);
-  for (NodeId j = 0; j < n; ++j) {
-    if (payloads[j] == nullptr) continue;
-    ByteReader r(*payloads[j]);
-    const std::uint8_t v = r.u8();
-    if (!r.at_end() || v > max) continue;
-    vals[j] = v;
-  }
-  return vals;
-}
-
-}  // namespace
 
 PhaseKingInstance::PhaseKingInstance(const ProtocolEnv& env, bool input)
     : env_(env), v_(input) {}
@@ -60,11 +40,7 @@ void PhaseKingInstance::receive_round(int round, const Inbox& in,
   const std::uint32_t f = env_.f;
   switch (sub) {
     case 0: {
-      const auto vals = read_u8_per_sender(in, ch, n, 1);
-      std::uint32_t cnt[2] = {0, 0};
-      for (auto v : vals) {
-        if (v <= 1) ++cnt[v];
-      }
+      const ByteVotes cnt = count_byte_votes(in, ch, 1);
       propose_ = 2;
       for (int w = 0; w < 2; ++w) {
         if (cnt[w] >= n - f) propose_ = static_cast<std::uint8_t>(w);
@@ -72,11 +48,8 @@ void PhaseKingInstance::receive_round(int round, const Inbox& in,
       break;
     }
     case 1: {
-      const auto vals = read_u8_per_sender(in, ch, n, 2);
-      std::uint32_t cnt[2] = {0, 0};
-      for (auto v : vals) {
-        if (v <= 1) ++cnt[v];
-      }
+      // "?" (2) proposals are read but count toward neither value.
+      const ByteVotes cnt = count_byte_votes(in, ch, 2);
       const int d = cnt[1] > cnt[0] ? 1 : 0;
       if (cnt[d] >= n - f) {
         v_ = d != 0;
@@ -90,12 +63,11 @@ void PhaseKingInstance::receive_round(int round, const Inbox& in,
       break;
     }
     case 2: {
-      const auto vals = read_u8_per_sender(in, ch, n, 1);
       const NodeId king = static_cast<NodeId>(phase) % env_.n;
       if (lock_ < 2) {
         // Missing/garbled king value defaults to 0 — every correct node
         // applies the same default, preserving agreement in king phases.
-        v_ = vals[king] == 1;
+        v_ = byte_vote_of(in, ch, king, 1) == 1;
       }
       break;
     }

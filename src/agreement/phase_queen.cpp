@@ -1,5 +1,6 @@
 #include "agreement/phase_queen.h"
 
+#include "sim/tally.h"
 #include "support/check.h"
 
 namespace ssbft {
@@ -26,18 +27,8 @@ void PhaseQueenInstance::receive_round(int round, const Inbox& in,
   const int phase = (round - 1) / 2;
   const int sub = (round - 1) % 2;
   const auto ch = static_cast<ChannelId>(base + round - 1);
-  const auto payloads = in.first_per_sender(ch);
-  std::uint32_t cnt[2] = {0, 0};
-  std::vector<std::uint8_t> vals(env_.n, 0xff);
-  for (NodeId j = 0; j < env_.n; ++j) {
-    if (payloads[j] == nullptr) continue;
-    ByteReader r(*payloads[j]);
-    const std::uint8_t v = r.u8();
-    if (!r.at_end() || v > 1) continue;
-    vals[j] = v;
-    ++cnt[v];
-  }
   if (sub == 0) {
+    const ByteVotes cnt = count_byte_votes(in, ch, 1);
     strong_ = false;
     for (int w = 0; w < 2; ++w) {
       if (cnt[w] >= env_.n - env_.f) {
@@ -48,7 +39,8 @@ void PhaseQueenInstance::receive_round(int round, const Inbox& in,
     if (!strong_) v_ = cnt[1] > cnt[0];
   } else {
     const NodeId queen = static_cast<NodeId>(phase) % env_.n;
-    if (!strong_) v_ = vals[queen] == 1;  // absent queen defaults to 0
+    // An absent or garbled queen value defaults to 0.
+    if (!strong_) v_ = byte_vote_of(in, ch, queen, 1) == 1;
   }
 }
 

@@ -1,21 +1,16 @@
 #include "agreement/turpin_coan.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 
 #include "support/check.h"
 
 namespace ssbft {
 
-namespace {
-constexpr std::uint8_t kBottom = 0;
-constexpr std::uint8_t kValue = 1;
-}  // namespace
-
 TurpinCoanInstance::TurpinCoanInstance(const ProtocolEnv& env,
                                        std::uint64_t input,
                                        const BaSpec& binary, Rng rng)
-    : env_(env), input_(input), binary_(binary), rng_(rng) {}
+    : env_(env), input_(input), binary_(binary), rng_(rng), tally_(env.n) {}
 
 int TurpinCoanInstance::rounds() const {
   return 2 + binary_.rounds_for(env_.f);
@@ -35,8 +30,7 @@ void TurpinCoanInstance::send_round(int round, Outbox& out, ChannelId base) {
     out.broadcast(base, w.data());
   } else if (round == 2) {
     ByteWriter& w = out.writer();
-    w.u8(have_z_ ? kValue : kBottom);
-    w.u64(z_);
+    write_proposal(w, have_z_, z_);
     out.broadcast(static_cast<ChannelId>(base + 1), w.data());
   } else {
     // A transient fault (or pipeline-genesis garbage) can reach round >= 3
@@ -50,43 +44,16 @@ void TurpinCoanInstance::send_round(int round, Outbox& out, ChannelId base) {
 void TurpinCoanInstance::receive_round(int round, const Inbox& in,
                                        ChannelId base) {
   if (round == 1) {
-    std::map<std::uint64_t, std::uint32_t> counts;
-    for (const ByteSpan* p : in.first_per_sender(base)) {
-      if (p == nullptr) continue;
-      ByteReader r(*p);
-      const std::uint64_t v = r.u64();
-      if (!r.at_end()) continue;
-      ++counts[v];
-    }
-    have_z_ = false;
-    z_ = 0;
-    for (const auto& [v, c] : counts) {
-      if (c >= env_.n - env_.f) {
-        have_z_ = true;
-        z_ = v;
-        break;  // unique by quorum intersection
-      }
-    }
+    // Inputs are arbitrary u64s: every value counts, with no range check.
+    tally_.count_values(in, base);
+    const std::optional<std::uint64_t> z = tally_.quorum(env_.n - env_.f);
+    have_z_ = z.has_value();
+    z_ = z.value_or(0);
   } else if (round == 2) {
-    std::map<std::uint64_t, std::uint32_t> counts;
-    for (const ByteSpan* p : in.first_per_sender(static_cast<ChannelId>(base + 1))) {
-      if (p == nullptr) continue;
-      ByteReader r(*p);
-      const std::uint8_t tag = r.u8();
-      const std::uint64_t v = r.u64();
-      if (!r.at_end() || tag > kValue) continue;
-      if (tag == kBottom) continue;
-      ++counts[v];
-    }
-    x_ = 0;
-    std::uint32_t best = 0;
-    for (const auto& [v, c] : counts) {
-      if (c > best) {  // ties resolve to the smallest value (map order)
-        best = c;
-        x_ = v;
-      }
-    }
-    ensure_inner(best >= env_.n - env_.f);
+    tally_.count_proposals(in, static_cast<ChannelId>(base + 1));
+    const ValueTally::Count top = tally_.plurality();
+    x_ = top.value;
+    ensure_inner(top.count >= env_.n - env_.f);
   } else {
     ensure_inner(false);
     inner_->receive_round(round - 2, in, static_cast<ChannelId>(base + 2));

@@ -14,6 +14,7 @@
 #pragma once
 
 #include "agreement/ba_interface.h"
+#include "sim/tally.h"
 
 namespace ssbft {
 
@@ -35,6 +36,7 @@ class TurpinCoanInstance final : public BaInstance {
   std::uint64_t input_;
   BaSpec binary_;
   Rng rng_;
+  ValueTally tally_;  // rounds 1 and 2's vote count
 
   bool have_z_ = false;
   std::uint64_t z_ = 0;

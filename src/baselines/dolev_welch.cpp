@@ -1,7 +1,5 @@
 #include "baselines/dolev_welch.h"
 
-#include <map>
-
 #include "sim/trace.h"
 #include "support/check.h"
 
@@ -9,7 +7,7 @@ namespace ssbft {
 
 DolevWelchClock::DolevWelchClock(const ProtocolEnv& env, ClockValue k, Rng rng,
                                  ChannelId base)
-    : env_(env), k_(k), base_(base), rng_(rng) {
+    : env_(env), k_(k), base_(base), rng_(rng), tally_(env.n) {
   SSBFT_REQUIRE(k >= 1);
 }
 
@@ -20,20 +18,11 @@ void DolevWelchClock::send_phase(Outbox& out) {
 }
 
 void DolevWelchClock::receive_phase(const Inbox& in) {
-  std::map<ClockValue, std::uint32_t> counts;
-  for (const ByteSpan* p : in.first_per_sender(base_)) {
-    if (p == nullptr) continue;
-    ByteReader r(*p);
-    const std::uint64_t v = r.u64();
-    if (!r.at_end() || v >= k_) continue;
-    ++counts[v];
-  }
-  for (const auto& [v, c] : counts) {
-    if (c >= env_.n - env_.f) {
-      clock_ = (v + 1) % k_;
-      gambled_ = false;
-      return;
-    }
+  tally_.count_values(in, base_, k_ - 1);
+  if (const auto v = tally_.quorum(env_.n - env_.f)) {
+    clock_ = (*v + 1) % k_;
+    gambled_ = false;
+    return;
   }
   // No quorum: gamble with local randomness. This is the exponential
   // bottleneck the common coin removes.
@@ -58,7 +47,8 @@ DolevWelchSharedCoin::DolevWelchSharedCoin(const ProtocolEnv& env,
       base_(base),
       channels_end_(base + channels_needed(coin)),
       coin_(coin.make(env, static_cast<ChannelId>(base + 1),
-                      rng.split("coin"))) {
+                      rng.split("coin"))),
+      tally_(env.n) {
   SSBFT_REQUIRE(k >= 1);
   SSBFT_CHECK(coin_ != nullptr);
 }
@@ -74,31 +64,17 @@ void DolevWelchSharedCoin::receive_phase(const Inbox& in) {
   // The coin bit is revealed only after all beat-r messages are committed
   // (the same commitment ordering as Remark 3.1).
   const bool rand = coin_->receive_phase(in);
-  std::map<ClockValue, std::uint32_t> counts;
-  for (const ByteSpan* p : in.first_per_sender(base_)) {
-    if (p == nullptr) continue;
-    ByteReader r(*p);
-    const std::uint64_t v = r.u64();
-    if (!r.at_end() || v >= k_) continue;
-    ++counts[v];
-  }
-  ClockValue best = 0;
-  std::uint32_t best_count = 0;
-  for (const auto& [v, c] : counts) {
-    if (c >= env_.n - env_.f) {
-      clock_ = (v + 1) % k_;
-      gambled_ = false;
-      return;
-    }
-    if (c > best_count) {
-      best = v;
-      best_count = c;
-    }
+  tally_.count_values(in, base_, k_ - 1);
+  if (const auto v = tally_.quorum(env_.n - env_.f)) {
+    clock_ = (*v + 1) % k_;
+    gambled_ = false;
+    return;
   }
   // No quorum: the common gamble. rand = 0 lands every gambling node on
-  // the canonical value 0 simultaneously.
+  // the canonical value 0 simultaneously; rand = 1 bets on the most
+  // frequent value (0 when nothing decoded).
   gambled_ = true;
-  clock_ = rand ? (best + 1) % k_ : 0;
+  clock_ = rand ? (tally_.plurality().value + 1) % k_ : 0;
 }
 
 void DolevWelchSharedCoin::trace_state(TraceEmitter& em) const {

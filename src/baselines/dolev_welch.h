@@ -15,6 +15,7 @@
 
 #include "coin/coin_interface.h"
 #include "sim/protocol.h"
+#include "sim/tally.h"
 #include "support/rng.h"
 
 namespace ssbft {
@@ -39,6 +40,7 @@ class DolevWelchClock final : public ClockProtocol {
   ClockValue k_;
   ChannelId base_;
   Rng rng_;
+  ValueTally tally_;  // this beat's clock broadcasts
   ClockValue clock_ = 0;
   bool gambled_ = false;  // latched by receive_phase for trace_state
 };
@@ -75,6 +77,7 @@ class DolevWelchSharedCoin final : public ClockProtocol {
   ChannelId base_;
   std::uint32_t channels_end_;
   std::unique_ptr<CoinComponent> coin_;
+  ValueTally tally_;  // this beat's clock broadcasts
   ClockValue clock_ = 0;
   bool gambled_ = false;  // latched by receive_phase for trace_state
 };

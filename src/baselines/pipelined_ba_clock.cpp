@@ -1,6 +1,5 @@
 #include "baselines/pipelined_ba_clock.h"
 
-#include <map>
 #include <optional>
 
 #include "sim/trace.h"
@@ -15,7 +14,8 @@ PipelinedBaClock::PipelinedBaClock(const ProtocolEnv& env, ClockValue k,
       spec_(spec),
       base_(base),
       rng_(rng),
-      rounds_(spec.rounds_for(env.f)) {
+      rounds_(spec.rounds_for(env.f)),
+      tally_(env.n) {
   SSBFT_REQUIRE(k >= 1 && rounds_ >= 1);
   clock_channel_ = static_cast<ChannelId>(base_ + rounds_);
   slots_.reserve(static_cast<std::size_t>(rounds_));
@@ -45,21 +45,8 @@ void PipelinedBaClock::send_phase(Outbox& out) {
 
 void PipelinedBaClock::receive_phase(const Inbox& in) {
   // Quorum scan over this beat's clock broadcasts.
-  std::map<ClockValue, std::uint32_t> counts;
-  for (const ByteSpan* p : in.first_per_sender(clock_channel_)) {
-    if (p == nullptr) continue;
-    ByteReader r(*p);
-    const std::uint64_t v = r.u64();
-    if (!r.at_end() || v >= k_) continue;
-    ++counts[v];
-  }
-  std::optional<ClockValue> strong;
-  for (const auto& [v, c] : counts) {
-    if (c >= env_.n - env_.f) {
-      strong = v;  // unique: two n-f quorums intersect in a correct node
-      break;
-    }
-  }
+  tally_.count_values(in, clock_channel_, k_ - 1);
+  const std::optional<ClockValue> strong = tally_.quorum(env_.n - env_.f);
 
   for (int j = 0; j < rounds_; ++j) {
     slots_[static_cast<std::size_t>(j)]->receive_round(j + 1, in, base_);

@@ -33,6 +33,7 @@
 
 #include "agreement/ba_interface.h"
 #include "sim/protocol.h"
+#include "sim/tally.h"
 
 namespace ssbft {
 
@@ -65,6 +66,7 @@ class PipelinedBaClock final : public ClockProtocol {
   ChannelId clock_channel_;  // base_ + rounds_
   Rng rng_;
   int rounds_;
+  ValueTally tally_;  // this beat's clock broadcasts
   ClockValue clock_ = 0;
   bool quorum_step_ = false;  // latched by receive_phase for trace_state
   // slots_[j] executes round j+1 at the current beat.

@@ -1,5 +1,6 @@
 #include "core/clock2.h"
 
+#include "sim/tally.h"
 #include "sim/trace.h"
 #include "support/check.h"
 
@@ -49,18 +50,9 @@ void SsByz2Clock::sub_receive_with_rand(const Inbox& in, bool rand) {
 void SsByz2Clock::apply_majority_rule(const Inbox& in, bool rand) {
   // Lines 3-4: count values with "?" read as rand. Malformed or missing
   // payloads are ignored (a Byzantine sender gains nothing by gibberish).
-  std::uint32_t count[2] = {0, 0};
-  for (const ByteSpan* payload : in.first_per_sender(clock_channel_)) {
-    if (payload == nullptr) continue;
-    ByteReader r(*payload);
-    const std::uint8_t v = r.u8();
-    if (!r.at_end() || v > static_cast<std::uint8_t>(Tri::kBottom)) continue;
-    if (v == static_cast<std::uint8_t>(Tri::kBottom)) {
-      ++count[rand ? 1 : 0];
-    } else {
-      ++count[v];
-    }
-  }
+  ByteVotes count = count_byte_votes(
+      in, clock_channel_, static_cast<std::uint8_t>(Tri::kBottom));
+  count[rand ? 1 : 0] += count[static_cast<std::uint8_t>(Tri::kBottom)];
   // maj = most frequent value. Ties cannot matter: #maj >= n-f > n/2 is
   // required below, and two values above n/2 cannot coexist; break toward 0.
   const int maj = count[1] > count[0] ? 1 : 0;

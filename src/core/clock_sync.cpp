@@ -1,18 +1,9 @@
 #include "core/clock_sync.h"
 
-#include <algorithm>
-
 #include "sim/trace.h"
 #include "support/check.h"
 
 namespace ssbft {
-
-namespace {
-
-constexpr std::uint8_t kPropBottom = 0;
-constexpr std::uint8_t kPropValue = 1;
-
-}  // namespace
 
 SsByzClockSync::SsByzClockSync(const ProtocolEnv& env, ClockValue k,
                                const CoinSpec& coin, Rng rng, ChannelId base,
@@ -23,8 +14,8 @@ SsByzClockSync::SsByzClockSync(const ProtocolEnv& env, ClockValue k,
       ch_prop_(static_cast<ChannelId>(base + 1)),
       ch_bit_(static_cast<ChannelId>(base + 2)),
       channels_end_(base + channels_needed(coin, mode)),
-      node_local_(coin.node_local) {
-  value_counts_.reserve(env.n);
+      node_local_(coin.node_local),
+      tally_(env.n) {
   SSBFT_REQUIRE_MSG(k >= 1, "k-Clock needs k >= 1");
   const auto a_base = static_cast<ChannelId>(base + 3);
   a_ = std::make_unique<SsByz4Clock>(env, coin, a_base, rng.split("four"),
@@ -61,13 +52,7 @@ void SsByzClockSync::send_phase(Outbox& out) {
     }
     case 1: {  // Block (b): propose what had n-f support in the previous beat.
       ByteWriter& w = out.writer();
-      if (strong_value_) {
-        w.u8(kPropValue);
-        w.u64(*strong_value_);
-      } else {
-        w.u8(kPropBottom);
-        w.u64(0);
-      }
+      write_proposal(w, strong_value_.has_value(), strong_value_.value_or(0));
       out.broadcast(ch_prop_, w.data());
       break;
     }
@@ -95,74 +80,27 @@ void SsByzClockSync::receive_phase(const Inbox& in) {
   }
 }
 
-void SsByzClockSync::tally(ClockValue v) {
-  for (auto& [value, count] : value_counts_) {
-    if (value == v) {
-      ++count;
-      return;
-    }
-  }
-  value_counts_.emplace_back(v, 1);
-}
-
 // End of block (a)'s beat: remember the value (if any) that n-f nodes sent.
 void SsByzClockSync::recv_phase0(const Inbox& in) {
-  value_counts_.clear();
-  for (const ByteSpan* payload : in.first_per_sender(ch_full_)) {
-    if (payload == nullptr) continue;
-    ByteReader r(*payload);
-    const std::uint64_t v = r.u64();
-    if (!r.at_end() || v >= k_) continue;  // out-of-range: Byzantine garbage
-    tally(v);
-  }
-  strong_value_.reset();
-  // Smallest qualifying value, matching the old ascending-map scan (at
-  // most one value can qualify anyway: 2(n-f) > n for f < n/3).
-  for (const auto& [v, c] : value_counts_) {
-    if (c < env_.n - env_.f) continue;
-    if (!strong_value_ || v < *strong_value_) strong_value_ = v;
-  }
+  tally_.count_values(in, ch_full_, k_ - 1);
+  strong_value_ = tally_.quorum(env_.n - env_.f);
 }
 
 // End of block (b)'s beat: save := majority non-? proposal, bit := whether
-// it had n-f support, save := 0 when everything was ?.
+// it had n-f support, save := 0 when everything was ? (the empty tally's
+// plurality is {0, 0}).
 void SsByzClockSync::recv_phase1(const Inbox& in) {
-  value_counts_.clear();
-  for (const ByteSpan* payload : in.first_per_sender(ch_prop_)) {
-    if (payload == nullptr) continue;
-    ByteReader r(*payload);
-    const std::uint8_t tag = r.u8();
-    const std::uint64_t v = r.u64();
-    if (!r.at_end() || tag > kPropValue) continue;
-    if (tag == kPropBottom) continue;  // "?" proposals carry no value
-    if (v >= k_) continue;
-    tally(v);
-  }
-  // Highest count; ties break toward the smallest value, matching the old
-  // ascending-map scan.
-  ClockValue best = 0;
-  std::uint32_t best_count = 0;
-  for (const auto& [v, c] : value_counts_) {
-    if (c > best_count || (c == best_count && best_count > 0 && v < best)) {
-      best = v;
-      best_count = c;
-    }
-  }
-  bit_ = best_count >= env_.n - env_.f ? 1 : 0;
-  save_ = best_count > 0 ? best : 0;  // "if save = ? set save := 0"
+  tally_.count_proposals(in, ch_prop_, k_ - 1);
+  const ValueTally::Count top = tally_.plurality();
+  bit_ = top.count >= env_.n - env_.f ? 1 : 0;
+  save_ = top.value;
 }
 
 // End of block (c)'s beat: tally the support bits.
 void SsByzClockSync::recv_phase2(const Inbox& in) {
-  ones_count_ = 0;
-  zeros_count_ = 0;
-  for (const ByteSpan* payload : in.first_per_sender(ch_bit_)) {
-    if (payload == nullptr) continue;
-    ByteReader r(*payload);
-    const std::uint8_t b = r.u8();
-    if (!r.at_end() || b > 1) continue;
-    if (b == 1) ++ones_count_; else ++zeros_count_;
-  }
+  const ByteVotes bits = count_byte_votes(in, ch_bit_, 1);
+  zeros_count_ = bits[0];
+  ones_count_ = bits[1];
 }
 
 // Block (d): adopt save+3, or reset to 0, deterministically when n-f bits

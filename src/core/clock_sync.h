@@ -24,11 +24,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "coin/coin_interface.h"
 #include "core/clock4.h"
 #include "sim/protocol.h"
+#include "sim/tally.h"
 
 namespace ssbft {
 
@@ -55,7 +55,6 @@ class SsByzClockSync final : public ClockProtocol {
   }
 
  private:
-  void tally(ClockValue v);
   void recv_phase0(const Inbox& in);
   void recv_phase1(const Inbox& in);
   void recv_phase2(const Inbox& in);
@@ -69,12 +68,7 @@ class SsByzClockSync final : public ClockProtocol {
   bool node_local_;  // the coin's CoinSpec::node_local
   std::unique_ptr<SsByz4Clock> a_;
   std::unique_ptr<CoinComponent> coin_;
-  // Per-beat value tally for phases 0 and 1. At most n distinct values
-  // arrive per beat (one counted message per sender), so a small flat
-  // pair list with linear lookup replaces the per-beat std::map and its
-  // node churn; capacity n is reserved once. k itself can be huge
-  // (tests go to 1e9+7), so a k-slot array is not an option.
-  std::vector<std::pair<ClockValue, std::uint32_t>> value_counts_;
+  ValueTally tally_;  // phases 0 and 1's per-beat vote count
 
   ClockValue full_clock_ = 0;
   // Phase latched at send time so send/receive act on the same case block.

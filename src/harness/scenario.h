@@ -2,9 +2,11 @@
 // named, fully-specified simulation cell — algorithm family, (n, f, k)
 // world, adversary, coin, and the FaultPlan network/transient axes — plus
 // the trial-run defaults (trials, seed, beat budget) that make it a cell
-// of a sweep. Every bench table row is registered here by name, and every
-// engine — registry cell, experiment probe, test world or `ssbft_bench
-// sim` run — is assembled by the one family builder, build_world.
+// of a sweep. Every bench table row is registered here by name, and the
+// engine of every registry cell, test world and `ssbft_bench sim` run is
+// assembled by the one family builder, build_world. The one engine built
+// by hand is coin_quality's (bench/experiments.cpp, measure_coin): it
+// hosts a bare coin component (CoinHost), which is no family.
 #pragma once
 
 #include <memory>

@@ -17,6 +17,7 @@
 #include "adversary/adversaries.h"
 #include "harness/convergence.h"
 #include "sim/engine.h"
+#include "sim/tally.h"
 #include "support/check.h"
 
 namespace ssbft {
@@ -80,6 +81,9 @@ class Wire {
               std::initializer_list<std::uint8_t> bytes) {
     const Bytes b(bytes);
     return Message{from, to, ch, arena_.store(b)};
+  }
+  Message msg(NodeId from, NodeId to, ChannelId ch, const ByteWriter& w) {
+    return Message{from, to, ch, arena_.store(w.data())};
   }
 
  private:
@@ -242,6 +246,91 @@ TEST(Inbox, FirstPerSenderDeduplicates) {
   EXPECT_EQ((*per[1])[0], 0xaa);  // first wins, deterministically
   ASSERT_NE(per[2], nullptr);
   EXPECT_EQ((*per[2])[0], 0xcc);
+}
+
+TEST(ValueTally, QuorumAndPluralityRules) {
+  ValueTally t(8);
+  const std::size_t capacity = t.capacity();
+  EXPECT_GE(capacity, 8u);
+
+  // The empty tally: no quorum, plurality {0, 0}.
+  EXPECT_EQ(t.quorum(1), std::nullopt);
+  EXPECT_EQ(t.plurality().value, 0u);
+  EXPECT_EQ(t.plurality().count, 0u);
+
+  // A quorum at exactly the threshold qualifies; one short does not.
+  for (std::uint64_t v : {7, 5, 7, 7}) t.add(v);
+  EXPECT_EQ(t.quorum(3), std::optional<std::uint64_t>(7));
+  EXPECT_EQ(t.quorum(4), std::nullopt);
+
+  // Two values qualify: the smallest wins, whatever the arrival order.
+  t.clear();
+  for (std::uint64_t v : {9, 4, 9, 4, 1}) t.add(v);
+  EXPECT_EQ(t.quorum(2), std::optional<std::uint64_t>(4));
+  // A plurality tie goes to the smallest tied value, not to 1, the
+  // smallest value counted.
+  EXPECT_EQ(t.plurality().value, 4u);
+  EXPECT_EQ(t.plurality().count, 2u);
+
+  // clear() forgets the counts and keeps the capacity.
+  t.clear();
+  EXPECT_EQ(t.capacity(), capacity);
+  EXPECT_EQ(t.quorum(1), std::nullopt);
+  EXPECT_EQ(t.plurality().count, 0u);
+}
+
+TEST(ValueTally, DecodersCountTheFirstWellFormedPayloadPerSender) {
+  Wire w;
+  Inbox in(5, 2);
+  const auto u64 = [](std::uint64_t v) {
+    ByteWriter bw;
+    bw.u64(v);
+    return bw;
+  };
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  in.deliver(w.msg(0, 4, 0, u64(3)));
+  in.deliver(w.msg(1, 4, 0, u64(kTop)));
+  in.deliver(w.msg(1, 4, 0, u64(3)));  // a later duplicate never counts
+  in.deliver(w.msg(2, 4, 0, u64(kTop)));
+  in.deliver(w.msg(3, 4, 0, {0x03}));  // not a u64
+  ValueTally t(5);
+  t.count_values(in, 0, 8);  // both kTop votes are above max
+  EXPECT_EQ(t.plurality().value, 3u);
+  EXPECT_EQ(t.plurality().count, 1u);
+  t.count_values(in, 0);  // unbounded: every u64 counts
+  EXPECT_EQ(t.plurality().value, kTop);
+  EXPECT_EQ(t.plurality().count, 2u);
+
+  const auto proposal = [](bool has_value, std::uint64_t v) {
+    ByteWriter bw;
+    write_proposal(bw, has_value, v);
+    return bw;
+  };
+  EXPECT_EQ(proposal(false, 5).data(),
+            (Bytes{0, 5, 0, 0, 0, 0, 0, 0, 0}));
+  in.deliver(w.msg(0, 4, 1, proposal(true, 2)));
+  in.deliver(w.msg(1, 4, 1, proposal(false, 2)));  // "?" carries no vote
+  in.deliver(w.msg(2, 4, 1, {2, 2, 0, 0, 0, 0, 0, 0, 0}));  // bad tag
+  in.deliver(w.msg(3, 4, 1, proposal(true, 2)));
+  t.count_proposals(in, 1);
+  EXPECT_EQ(t.plurality().value, 2u);
+  EXPECT_EQ(t.plurality().count, 2u);
+}
+
+TEST(ByteVotes, CountsBytesUpToMaxAndReadsOneSender) {
+  Wire w;
+  Inbox in(5, 1);
+  in.deliver(w.msg(0, 4, 0, {1}));
+  in.deliver(w.msg(1, 4, 0, {2}));
+  in.deliver(w.msg(2, 4, 0, {1, 0}));  // two bytes: malformed
+  in.deliver(w.msg(3, 4, 0, {0}));
+  EXPECT_EQ(count_byte_votes(in, 0, 1), (ByteVotes{1, 1, 0}));
+  EXPECT_EQ(count_byte_votes(in, 0, 2), (ByteVotes{1, 1, 1}));
+  EXPECT_EQ(byte_vote_of(in, 0, 0, 1), std::optional<std::uint8_t>(1));
+  EXPECT_EQ(byte_vote_of(in, 0, 1, 1), std::nullopt);  // 2 > max
+  EXPECT_EQ(byte_vote_of(in, 0, 1, 2), std::optional<std::uint8_t>(2));
+  EXPECT_EQ(byte_vote_of(in, 0, 2, 1), std::nullopt);
+  EXPECT_EQ(byte_vote_of(in, 0, 4, 1), std::nullopt);  // sent nothing
 }
 
 TEST(PayloadArena, BroadcastMessagesShareOneSpan) {
