@@ -573,9 +573,8 @@ T named_value(const std::string& prog, const char* flag,
               const std::map<std::string, T>& table, const std::string& name) {
   const auto it = table.find(name);
   if (it == table.end()) {
-    std::cerr << prog << ": unknown " << flag << " '" << name << "' (one of";
-    for (const auto& entry : table) std::cerr << ' ' << entry.first;
-    std::cerr << ")\n";
+    std::cerr << prog << ": unknown " << flag << " '" << name << "' (one of "
+              << names_of(table) << ")\n";
     std::exit(2);
   }
   return it->second;
