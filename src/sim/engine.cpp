@@ -1,6 +1,8 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -26,15 +28,46 @@ unsigned available_cpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-// The beat workers: the calling thread is worker 0 and sends through the
-// engine's outbox, arena and correct_msgs_; workers 1..size-1 are threads
-// that live as long as the pool, each with an outbox of its own over its
-// own arena and message vector. Worker w covers correct_ids_[begin(w),
-// begin(w + 1)) in both phases.
+namespace {
+
+// One spin-wait step: tells the core this is a busy-wait loop.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins until done() or until kSpinWindow has passed; returns done().
+// The window covers the serial adversary and delivery work between a
+// beat's send run and its receive run, so a worker catches the next run
+// without a futex wake, and sleeps once the engine has stopped beating.
+constexpr std::chrono::microseconds kSpinWindow{500};
+
+template <class Done>
+bool spin_until(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  do {
+    for (int i = 0; i < 64; ++i) {
+      if (done()) return true;
+      cpu_relax();
+    }
+  } while (std::chrono::steady_clock::now() < deadline);
+  return done();
+}
+
+}  // namespace
+
+// The beat workers: the calling thread and size-1 threads that live as
+// long as the pool. A run claims correct-node indices one at a time from a
+// shared cursor, on every thread, until all are taken, so no thread waits
+// on a fixed share of the work. Each correct node sends through an outbox,
+// arena and message vector of its own, whichever thread runs it.
 class Engine::BeatPool {
  public:
-  struct Worker {
-    Worker(std::uint32_t n, std::size_t arena_bytes, std::size_t msgs)
+  struct NodeOut {
+    NodeOut(std::uint32_t n, std::size_t arena_bytes, std::size_t msgs)
         : outbox(0, n, &arena) {
       outbox.bind_sink(&sent);
       arena.reserve(arena_bytes);
@@ -43,21 +76,19 @@ class Engine::BeatPool {
     PayloadArena arena;
     std::vector<Message> sent;
     Outbox outbox;
-    std::uint64_t sent_messages = 0;
-    std::uint64_t sent_bytes = 0;
   };
 
-  // Reserves every worker's arena and message vector here, on the engine
+  // Reserves every node's arena and message vector here, on the engine
   // thread.
   BeatPool(unsigned size, std::size_t ids, std::uint32_t n,
            std::size_t arena_bytes, std::size_t msgs)
-      : size_(size), ids_(ids), errors_(size) {
-    for (unsigned w = 1; w < size_; ++w) {
-      workers_.push_back(std::make_unique<Worker>(n, arena_bytes, msgs));
+      : size_(size), ids_(ids), errors_(ids) {
+    for (std::size_t i = 0; i < ids_; ++i) {
+      outs_.push_back(std::make_unique<NodeOut>(n, arena_bytes, msgs));
     }
     try {
       for (unsigned w = 1; w < size_; ++w) {
-        threads_.emplace_back([this, w] { loop(w); });
+        threads_.emplace_back([this] { loop(); });
       }
     } catch (...) {
       stop();
@@ -69,26 +100,31 @@ class Engine::BeatPool {
   BeatPool& operator=(const BeatPool&) = delete;
 
   unsigned size() const { return size_; }
-  std::size_t begin(unsigned w) const { return ids_ * w / size_; }
-  Worker& worker(unsigned w) { return *workers_[w - 1]; }
+  NodeOut& out(std::size_t i) { return *outs_[i]; }
 
-  // Runs job(w) for every worker w, job(0) on the calling thread. Returns
-  // once all have finished; then rethrows the exception of the lowest w
-  // that threw, if any.
+  // Runs job(i) for every correct-node index i, on every thread including
+  // the calling one. Returns once all threads have left the run; then
+  // rethrows the exception of the lowest index that threw, if any.
   template <class Job>
   void run(Job& job) {
+    fn_ = [](void* j, std::size_t i) { (*static_cast<Job*>(j))(i); };
+    ctx_ = &job;
+    cursor_.store(0, std::memory_order_relaxed);
+    running_.store(size_ - 1, std::memory_order_relaxed);
     {
+      // Under the lock, so a thread about to sleep either sees the new
+      // generation or is already waiting when the notify comes.
       const std::lock_guard<std::mutex> lock(mu_);
-      fn_ = [](void* j, unsigned w) { (*static_cast<Job*>(j))(w); };
-      ctx_ = &job;
-      running_ = size_ - 1;
-      ++generation_;
+      generation_.fetch_add(1, std::memory_order_release);
     }
     start_cv_.notify_all();
-    call(0);
-    {
+    claim();
+    const auto idle = [this] {
+      return running_.load(std::memory_order_acquire) == 0;
+    };
+    if (!spin_until(idle)) {
       std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return running_ == 0; });
+      done_cv_.wait(lock, idle);
     }
     for (std::exception_ptr& e : errors_) {
       if (e == nullptr) continue;
@@ -99,31 +135,42 @@ class Engine::BeatPool {
   }
 
   void clear_arenas() {
-    for (auto& wk : workers_) wk->arena.clear();
+    for (auto& o : outs_) o->arena.clear();
   }
 
  private:
-  void call(unsigned w) {
-    try {
-      fn_(ctx_, w);
-    } catch (...) {
-      errors_[w] = std::current_exception();
+  void claim() {
+    for (;;) {
+      const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= ids_) return;
+      try {
+        fn_(ctx_, i);
+      } catch (...) {
+        errors_[i] = std::current_exception();
+      }
     }
   }
 
-  void loop(unsigned w) {
+  void loop() {
     std::uint64_t seen = 0;
     for (;;) {
-      {
+      const auto posted = [&] {
+        return generation_.load(std::memory_order_acquire) != seen ||
+               stop_.load(std::memory_order_acquire);
+      };
+      if (!spin_until(posted)) {
         std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
+        start_cv_.wait(lock, posted);
       }
-      call(w);
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        if (--running_ == 0) done_cv_.notify_one();
+      if (stop_.load(std::memory_order_acquire)) return;
+      seen = generation_.load(std::memory_order_acquire);
+      claim();
+      if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // The caller tests `running_` under the lock before it sleeps, so
+        // once this thread has held the lock, the caller either sees 0
+        // there or is already waiting, and the notify cannot be lost.
+        { const std::lock_guard<std::mutex> lock(mu_); }
+        done_cv_.notify_one();
       }
     }
   }
@@ -131,7 +178,7 @@ class Engine::BeatPool {
   void stop() {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
+      stop_.store(true, std::memory_order_release);
     }
     start_cv_.notify_all();
     for (std::thread& t : threads_) t.join();
@@ -139,16 +186,19 @@ class Engine::BeatPool {
 
   unsigned size_;
   std::size_t ids_;
-  std::vector<std::unique_ptr<Worker>> workers_;  // workers 1..size-1
-  std::vector<std::exception_ptr> errors_;       // per worker, this run
+  std::vector<std::unique_ptr<NodeOut>> outs_;  // per correct-node index
+  std::vector<std::exception_ptr> errors_;      // per correct-node index
+  void (*fn_)(void*, std::size_t) = nullptr;
+  void* ctx_ = nullptr;
+  // The run's next unclaimed index, on a line of its own: every claim
+  // writes it, while idle threads read generation_.
+  alignas(64) std::atomic<std::size_t> cursor_{0};
+  alignas(64) std::atomic<std::uint64_t> generation_{0};  // one per run
+  std::atomic<bool> stop_{false};
+  alignas(64) std::atomic<unsigned> running_{0};  // threads still in the run
   std::mutex mu_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;  // one per run
-  unsigned running_ = 0;          // pool threads still in this run
-  bool stop_ = false;
-  void (*fn_)(void*, unsigned) = nullptr;
-  void* ctx_ = nullptr;
   std::vector<std::thread> threads_;
 };
 
@@ -323,71 +373,55 @@ void Engine::decide_beat_workers() {
       first.correct_bytes < kPoolMinBeatBytes) {
     return;
   }
-  // Every worker gets its share of what the serial beat used, plus 25%.
-  // The serial arena goes first, so its pages do not linger beside the
-  // workers'; worker 0 keeps the engine's arena at its share.
-  const std::size_t arena_share = arena_.capacity() / workers * 5 / 4;
-  const std::size_t msgs_share = correct_msgs_.capacity() / workers * 5 / 4;
+  // Every correct node gets its share of what the serial beat used, plus
+  // 25%. The serial arena goes first, so its pages do not linger beside
+  // the nodes'; it keeps one node's share for the adversary and phantoms.
+  const std::size_t ids = correct_ids_.size();
+  const std::size_t arena_share = arena_.capacity() / ids * 5 / 4;
+  const std::size_t msgs_share = correct_msgs_.capacity() / ids * 5 / 4;
   arena_.release();
   arena_.reserve(arena_share);
-  pool_ = std::make_unique<BeatPool>(workers, correct_ids_.size(), cfg_.n,
-                                     arena_share, msgs_share);
+  pool_ = std::make_unique<BeatPool>(workers, ids, cfg_.n, arena_share,
+                                     msgs_share);
 }
 
 void Engine::send_phases() {
-  const auto send_range = [this](Outbox& out, std::size_t begin,
-                                 std::size_t end, std::uint64_t& messages,
-                                 std::uint64_t& bytes) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out.reset(correct_ids_[i]);
-      protocols_[correct_ids_[i]]->send_phase(out);
-      messages += out.sent_messages();
-      bytes += out.sent_bytes();
-    }
-  };
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   if (pool_ == nullptr) {
-    send_range(outbox_, 0, correct_ids_.size(), messages, bytes);
+    for (NodeId id : correct_ids_) {
+      outbox_.reset(id);
+      protocols_[id]->send_phase(outbox_);
+      messages += outbox_.sent_messages();
+      bytes += outbox_.sent_bytes();
+    }
   } else {
-    auto job = [&](unsigned w) {
-      if (w == 0) {
-        send_range(outbox_, 0, pool_->begin(1), messages, bytes);
-        return;
-      }
-      BeatPool::Worker& wk = pool_->worker(w);
-      wk.sent.clear();
-      wk.sent_messages = 0;
-      wk.sent_bytes = 0;
-      send_range(wk.outbox, pool_->begin(w), pool_->begin(w + 1),
-                 wk.sent_messages, wk.sent_bytes);
+    auto job = [this](std::size_t i) {
+      BeatPool::NodeOut& o = pool_->out(i);
+      o.sent.clear();
+      o.outbox.reset(correct_ids_[i]);
+      protocols_[correct_ids_[i]]->send_phase(o.outbox);
     };
     pool_->run(job);
-    // Workers cover ascending id ranges, so appending in worker order
-    // rebuilds the serial loop's vector message for message.
-    for (unsigned w = 1; w < pool_->size(); ++w) {
-      const BeatPool::Worker& wk = pool_->worker(w);
-      correct_msgs_.insert(correct_msgs_.end(), wk.sent.begin(),
-                           wk.sent.end());
-      messages += wk.sent_messages;
-      bytes += wk.sent_bytes;
+    // Appending in node order rebuilds the serial loop's vector message
+    // for message, whichever thread ran each node.
+    for (std::size_t i = 0; i < correct_ids_.size(); ++i) {
+      const BeatPool::NodeOut& o = pool_->out(i);
+      correct_msgs_.insert(correct_msgs_.end(), o.sent.begin(), o.sent.end());
+      messages += o.outbox.sent_messages();
+      bytes += o.outbox.sent_bytes();
     }
   }
   metrics_.count_correct_bulk(messages, bytes);
 }
 
 void Engine::receive_phases() {
-  const auto receive_range = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      protocols_[correct_ids_[i]]->receive_phase(inboxes_[correct_ids_[i]]);
-    }
-  };
   if (pool_ == nullptr) {
-    receive_range(0, correct_ids_.size());
+    for (NodeId id : correct_ids_) protocols_[id]->receive_phase(inboxes_[id]);
     return;
   }
-  auto job = [&](unsigned w) {
-    receive_range(pool_->begin(w), pool_->begin(w + 1));
+  auto job = [this](std::size_t i) {
+    protocols_[correct_ids_[i]]->receive_phase(inboxes_[correct_ids_[i]]);
   };
   pool_->run(job);
 }
@@ -409,9 +443,9 @@ void Engine::run_beat() {
     }
   }
 
-  // 1. Send phases: pure functions of pre-beat state, in id order (or in
-  //    id ranges on the beat workers). Outboxes write straight into the
-  //    persistent beat scratch; payload bytes land in the beat arenas.
+  // 1. Send phases: pure functions of pre-beat state, in id order (or
+  //    node by node on the beat workers, each through buffers of its own,
+  //    appended in id order). Payload bytes land in the beat arenas.
   send_phases();
   if (cfg_.track_channel_bytes) {
     for (const Message& m : correct_msgs_) {

@@ -67,9 +67,10 @@ class Engine {
 
   // Executes one full beat (listener hooks, scheduled corruption, send
   // phases, adversary, delivery with network faults, receive phases).
-  // If a send or receive phase throws on a beat worker, run_beat rethrows
-  // it here once every worker has finished the phase (the lowest worker
-  // index wins); the engine can then still be destroyed, nothing more.
+  // If send or receive phases throw on the beat workers, every other node
+  // still runs its phase, and then run_beat rethrows the exception of the
+  // lowest node id that threw; the engine can then still be destroyed,
+  // nothing more.
   void run_beat();
   void run_beats(std::uint64_t count);
 
@@ -123,12 +124,15 @@ class Engine {
 
   // Beat workers. Within a beat's send phase, and again within its receive
   // phase, correct nodes do not depend on each other, so a heavy beat can
-  // run them on a pool of threads, each taking a contiguous range of
-  // correct_ids(). The engine decides once, at the end of its first beat,
-  // and keeps the decision: it starts min(cap, correct nodes) workers iff
-  // every correct node's Protocol::node_local_phases() is true, that beat
-  // moved at least kPoolMinBeatBytes of correct-node traffic and the cap
-  // is above 1. Messages, metrics and everything serial — listeners,
+  // run them on a pool of threads. Every thread, the caller of run_beat
+  // included, claims nodes one at a time from a shared cursor, and each
+  // node sends through an outbox, arena and message vector of its own,
+  // appended in id order after the phase. Between runs the threads spin
+  // briefly, then sleep. The engine decides once, at the end of its first
+  // beat, and keeps the decision: it starts min(cap, correct nodes)
+  // workers iff every correct node's Protocol::node_local_phases() is
+  // true, that beat moved at least kPoolMinBeatBytes of correct-node
+  // traffic and the cap is above 1. Messages, metrics and everything serial — listeners,
   // corruption, the adversary, delivery, channel bytes, the trace — come
   // out exactly as on one thread. The cap defaults to available_cpus(); a
   // sweep lowers it so its engines share the cores. It may only be set

@@ -90,8 +90,9 @@ void append_broadcast(std::vector<Message>& sink, NodeId from,
 // chunks replaces them with one chunk of their total size, so demand
 // settles after a few beats and a steady-state beat never allocates.
 // Not thread-safe: one thread fills an arena during a phase. An engine owns
-// one, plus one per extra beat worker (sim/engine.h), each filled only by
-// its worker's send phases; a targeted delay keeps arenas of its own.
+// one, plus, once its beat workers start (sim/engine.h), one per correct
+// node, filled only by that node's send phase on whichever thread runs it;
+// a targeted delay keeps arenas of its own.
 //
 // Under AddressSanitizer the free part of every chunk is poisoned: reading
 // through a span after the arena rewound is reported as use-after-poison.

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <initializer_list>
 #include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include <sched.h>
 #include <sys/wait.h>
@@ -962,6 +964,40 @@ class RecordingAdversary final : public Adversary {
   std::vector<std::array<std::uint32_t, 4>> seen;
 };
 
+// What a heavy engine did over `beats` beats at one worker cap: the
+// adversary's rushing view, every node's state and the traffic totals.
+struct HeavyRun {
+  std::vector<std::array<std::uint32_t, 4>> seen;
+  std::vector<std::uint64_t> states;
+  std::uint64_t messages, bytes, dropped;
+  std::vector<std::uint64_t> channel_bytes;
+};
+
+HeavyRun run_heavy(const EngineConfig& cfg, unsigned cap, std::uint64_t beats,
+                   BeatListener* listener = nullptr) {
+  auto adv = std::make_unique<RecordingAdversary>();
+  RecordingAdversary* rec = adv.get();
+  Engine eng = heavy_engine(kHeavyLen, true, std::move(adv), cfg);
+  eng.set_beat_workers(cap);
+  if (listener != nullptr) eng.add_listener(listener);
+  eng.run_beats(beats);
+  EXPECT_EQ(eng.beat_workers(), cap);
+  HeavyRun r{rec->seen, {}, eng.metrics().total().correct_messages,
+             eng.metrics().total().correct_bytes,
+             eng.metrics().total().dropped_messages, eng.channel_bytes()};
+  for (NodeId id : eng.correct_ids()) r.states.push_back(heavy(eng, id).state_);
+  return r;
+}
+
+void expect_same_run(const HeavyRun& pooled, const HeavyRun& serial) {
+  EXPECT_EQ(pooled.seen, serial.seen);
+  EXPECT_EQ(pooled.states, serial.states);
+  EXPECT_EQ(pooled.messages, serial.messages);
+  EXPECT_EQ(pooled.bytes, serial.bytes);
+  EXPECT_EQ(pooled.dropped, serial.dropped);
+  EXPECT_EQ(pooled.channel_bytes, serial.channel_bytes);
+}
+
 // The pool rebuilds the serial message vector: the adversary sees the
 // same messages in the same order, and under a lossy network, where every
 // message draws its own drop lottery, every node ends in the same state.
@@ -972,47 +1008,44 @@ TEST(BeatWorkers, KeepTheSerialMessageOrderAndState) {
   cfg.faults.faulty_drop_prob = 0.3;
   cfg.faults.phantoms_per_beat = 2;
   cfg.track_channel_bytes = true;
-  struct Run {
-    std::vector<std::array<std::uint32_t, 4>> seen;
-    std::vector<std::uint64_t> states;
-    std::uint64_t messages, bytes, dropped;
-    std::vector<std::uint64_t> channel_bytes;
-  };
-  const auto run = [&](unsigned cap) {
-    auto adv = std::make_unique<RecordingAdversary>();
-    RecordingAdversary* rec = adv.get();
-    Engine eng = heavy_engine(kHeavyLen, true, std::move(adv), cfg);
-    eng.set_beat_workers(cap);
-    eng.run_beats(8);
-    EXPECT_EQ(eng.beat_workers(), cap);
-    Run r{rec->seen, {}, eng.metrics().total().correct_messages,
-          eng.metrics().total().correct_bytes,
-          eng.metrics().total().dropped_messages, eng.channel_bytes()};
-    for (NodeId id : eng.correct_ids()) r.states.push_back(heavy(eng, id).state_);
-    return r;
-  };
-  const Run serial = run(1);
+  const HeavyRun serial = run_heavy(cfg, 1, 8);
   EXPECT_GT(serial.dropped, 0u);
   for (unsigned cap : {2u, 4u}) {
     SCOPED_TRACE(cap);
-    const Run pooled = run(cap);
-    EXPECT_EQ(pooled.seen, serial.seen);
-    EXPECT_EQ(pooled.states, serial.states);
-    EXPECT_EQ(pooled.messages, serial.messages);
-    EXPECT_EQ(pooled.bytes, serial.bytes);
-    EXPECT_EQ(pooled.dropped, serial.dropped);
-    EXPECT_EQ(pooled.channel_bytes, serial.channel_bytes);
+    expect_same_run(run_heavy(cfg, cap, 8), serial);
   }
 }
 
-// Cap 4 over 8 correct ids: worker w covers ids 2w and 2w + 1.
+// Sleeps well past the pool's spin window before every fifth beat, so the
+// workers have gone to sleep and the next run wakes them from the
+// condition variable; the other beats follow each other closely enough
+// that the workers catch the run while spinning.
+class NappingListener final : public BeatListener {
+ public:
+  void on_beat(Beat beat) override {
+    if (beat % 5 == 4) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+};
+
+TEST(BeatWorkers, SpinningAndSleepingHandoffsKeepTheSerialRun) {
+  EngineConfig cfg = basic_config(10, 2);
+  cfg.faults.randomize_genesis = true;
+  NappingListener nap;
+  const HeavyRun serial = run_heavy(cfg, 1, 200, &nap);
+  expect_same_run(run_heavy(cfg, 4, 200, &nap), serial);
+}
+
+// Cap 4 over 8 correct ids: the threads claim ids one at a time, and a
+// node's exception does not stop the others' receive phases.
 TEST(BeatWorkers, ReceiveExceptionIsRethrownAfterEveryWorkerFinished) {
   Engine eng = heavy_engine(kHeavyLen, true, make_silent_adversary(),
                             basic_config(10, 2));
   eng.set_beat_workers(4);
   eng.run_beats(2);
   ASSERT_EQ(eng.beat_workers(), 4u);
-  heavy(eng, 5).throw_beat = 2;  // worker 2
+  heavy(eng, 5).throw_beat = 2;
   try {
     eng.run_beat();
     ADD_FAILURE() << "the worker's exception was lost";
@@ -1025,18 +1058,22 @@ TEST(BeatWorkers, ReceiveExceptionIsRethrownAfterEveryWorkerFinished) {
   }
 }  // destroying the engine joins its workers
 
-TEST(BeatWorkers, LowestWorkerExceptionWins) {
-  Engine eng = heavy_engine(kHeavyLen, true, make_silent_adversary(),
-                            basic_config(10, 2));
-  eng.set_beat_workers(4);
-  eng.run_beat();
-  ASSERT_EQ(eng.beat_workers(), 4u);
-  for (NodeId id : {7u, 3u, 6u}) heavy(eng, id).throw_beat = 1;
-  try {
+// Whichever thread runs which node, the lowest node id that threw wins.
+TEST(BeatWorkers, LowestNodeExceptionWins) {
+  for (unsigned cap : {2u, 3u, 4u}) {
+    SCOPED_TRACE(cap);
+    Engine eng = heavy_engine(kHeavyLen, true, make_silent_adversary(),
+                              basic_config(10, 2));
+    eng.set_beat_workers(cap);
     eng.run_beat();
-    ADD_FAILURE() << "no exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "node 3");  // worker 1 beats worker 3
+    ASSERT_EQ(eng.beat_workers(), cap);
+    for (NodeId id : {7u, 3u, 6u}) heavy(eng, id).throw_beat = 1;
+    try {
+      eng.run_beat();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "node 3");
+    }
   }
 }
 

@@ -402,20 +402,22 @@ TEST(TraceCheck, CommitmentBitIdenticalAcrossJobs) {
   }
 }
 
-// The beat workers change how a heavy beat is scheduled, never what it
-// does: the n=64 FM cell, whose beats run on the pool, commits to the same
-// trace at every worker cap.
-TEST(TraceCheck, CommitmentBitIdenticalAcrossBeatWorkers) {
-  const ScenarioSpec* spec = find_scenario("scaling-large/sync-fm/n64");
-  ASSERT_NE(spec, nullptr);
+// Traces `w`, a world of the n=64 FM cell `spec`, for 40 beats at worker
+// caps 1, 2 and 4, and expects the pool to run at each cap, the network to
+// drop and inject exactly when the world says so, and one commitment.
+void expect_commitment_across_beat_workers(const ScenarioSpec& spec,
+                                           const World& w) {
   std::string serial;
   for (unsigned cap : {1u, 2u, 4u}) {
     SCOPED_TRACE(cap);
-    EngineBundle b = build_scenario(*spec)(spec->base_seed);
+    EngineBundle b = build_world(spec.family, w)(spec.base_seed);
     b.engine->set_beat_workers(cap);
     const std::string trace =
-        trace_engine(*b.engine, spec->name, spec->base_seed, 40);
+        trace_engine(*b.engine, spec.name, spec.base_seed, 40);
     EXPECT_EQ(b.engine->beat_workers(), cap);
+    const BeatTraffic& t = b.engine->metrics().total();
+    EXPECT_EQ(t.dropped_messages > 0, w.faults.faulty_drop_prob > 0);
+    EXPECT_EQ(t.phantom_messages > 0, w.faults.phantoms_per_beat > 0);
     ParseResult p = parse_str(trace);
     ASSERT_TRUE(p.ok) << p.error << " at line " << p.error_line;
     const std::string commitment = trace_commitment(p.trace);
@@ -425,6 +427,30 @@ TEST(TraceCheck, CommitmentBitIdenticalAcrossBeatWorkers) {
       EXPECT_EQ(commitment, serial);
     }
   }
+}
+
+// The beat workers change how a heavy beat is scheduled, never what it
+// does: the n=64 FM cell, whose beats run on the pool, commits to the same
+// trace at every worker cap.
+TEST(TraceCheck, CommitmentBitIdenticalAcrossBeatWorkers) {
+  const ScenarioSpec* spec = find_scenario("scaling-large/sync-fm/n64");
+  ASSERT_NE(spec, nullptr);
+  expect_commitment_across_beat_workers(*spec, spec->world);
+}
+
+// The same cell under a lossy, phantom-injecting network for its first 20
+// beats. Every message draws its own drop lottery in message-vector order,
+// so here, unlike the fault-free cell, the commitment sees the order in
+// which the pooled nodes' messages were appended.
+TEST(TraceCheck, LossyPooledCommitmentBitIdenticalAcrossBeatWorkers) {
+  const ScenarioSpec* spec = find_scenario("scaling-large/sync-fm/n64");
+  ASSERT_NE(spec, nullptr);
+  World w = spec->world;
+  w.faults.network_faulty_until = 20;
+  w.faults.faulty_drop_prob = 0.05;
+  w.faults.phantoms_per_beat = 2;
+  w.faults.phantom_max_len = 64;
+  expect_commitment_across_beat_workers(*spec, w);
 }
 
 // Below the 1 MiB first-beat gate an engine stays on one thread whatever
