@@ -165,14 +165,25 @@ TEST(TraceCommitment, EveryFamilyEngineIsPinned) {
 // paths: the split adversary drives DW's, DW-shared's, king's and queen's
 // counts into ties; the adaptive quorum splitter runs its plurality over
 // clock-sync's and DW-shared's clock broadcasts; noise feeds the 2-clock
-// malformed and out-of-range bytes. The constants were recorded at commit
-// ce6c978. SIMD and scalar builds must agree.
+// malformed and out-of-range bytes. The last three worlds reach ties whose
+// winner a later beat reads, so a plurality that broke ties to the largest
+// value would move their commitments: clock-sync's phase-1 proposal count
+// under skew (seed 9); Turpin-Coan's round-2 proposal count, once
+// corruption has left correct nodes with differing z (nodes 0..2 at beats
+// 5, 11 and 17); and the adaptive splitter's own count of the clock
+// broadcasts (actual = 1, k = 4, seed 4), whose winner picks the nodes
+// that see a quorum. The first seven constants were recorded at commit
+// ce6c978, the last three at 7cdff55. SIMD and scalar builds must agree.
 TEST(TraceCommitment, TieAndSplitPathsArePinned) {
   struct Pin {
     const char* name;
     Family fam;
     Attack attack;
     const char* commitment;
+    std::uint64_t seed = 5;
+    std::uint32_t actual = 2;
+    ClockValue k = 16;
+    bool corrupt = false;  // nodes 0..2 at beats 5, 11 and 17
   };
   const Pin pins[] = {
       {"dw/split", Family::kDolevWelch, Attack::kSplit,
@@ -189,16 +200,28 @@ TEST(TraceCommitment, TieAndSplitPathsArePinned) {
        "5cd54d5b91bf1b442f8cca7a95cf95e876cf3bb45ebc45e34a7643368912c136"},
       {"clock2/noise", Family::kClock2, Attack::kNoise,
        "66e224370e952d6654c1e4570e68a545ca43f3573026e9ecb0b1cf2a7a24796e"},
+      {"clock_sync/oracle/skew/seed9", Family::kClockSync, Attack::kSkew,
+       "fea1a72f2d7a72526d5ca239f9fa47066b5fcadecd29b7f2b73e767136ed0c4a", 9},
+      {"king/skew/corrupt", Family::kPipelinedKing, Attack::kSkew,
+       "cbaf5a38de227bbcfcd7f647630913152d57efb73633a20c2f4ef7dc29aa34e3", 5,
+       2, 16, true},
+      {"dw_shared/adaptive/a1k4", Family::kDolevWelchShared,
+       Attack::kAdaptive,
+       "87a7680ed41aa87e0b713333f94feba64650638c3bdf4345de881e1e8f9dc8d9", 4,
+       1, 4},
   };
   for (const Pin& p : pins) {
     SCOPED_TRACE(p.name);
     World w;
     w.n = 7;
     w.f = 2;
-    w.actual = 2;
-    w.k = 16;
+    w.actual = p.actual;
+    w.k = p.k;
     w.attack = p.attack;
-    EXPECT_EQ(trace_commitment(merge_str(run_traced(p.fam, w, 5, 64))),
+    if (p.corrupt) {
+      for (const Beat b : {5, 11, 17}) w.faults.corruptions[b] = {0, 1, 2};
+    }
+    EXPECT_EQ(trace_commitment(merge_str(run_traced(p.fam, w, p.seed, 64))),
               p.commitment);
   }
 }
