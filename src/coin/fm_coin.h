@@ -38,10 +38,10 @@
 // prime instead of 64, and no length prefix — the vector length is fixed
 // by (n, f), which both sides know). Vote masks travel as raw
 // ceil(n/8)-byte bitmasks (ByteWriter::bits). Decoding is strict: mask or
-// padding garbage, truncation and trailing bytes are all rejected exactly
-// like the old u64_vec `at_end()` contract, and a masked-out entry decodes
-// to the sentinel, so the round logic is unchanged — only the bytes on the
-// wire shrink (a missing row costs 1 bit, not 8 bytes).
+// padding garbage, truncation and trailing bytes are all rejected under
+// the same `ok() && at_end()` contract as every payload, and a masked-out
+// entry decodes to the sentinel, so the round logic is unchanged — only
+// the bytes on the wire shrink (a missing row costs 1 bit, not 8 bytes).
 //
 // Hot-path layout
 // ---------------

@@ -1,6 +1,6 @@
 #include "field/primes.h"
 
-#include "support/check.h"
+#include <initializer_list>
 
 namespace ssbft {
 
@@ -52,15 +52,6 @@ bool is_prime_u64(std::uint64_t n) {
     if (composite) return false;
   }
   return true;
-}
-
-std::uint64_t smallest_prime_above(std::uint64_t n) {
-  SSBFT_REQUIRE(n < ~std::uint64_t{0} - 512);  // never near overflow in practice
-  std::uint64_t c = n + 1;
-  if (c <= 2) return 2;
-  if ((c & 1) == 0) ++c;
-  while (!is_prime_u64(c)) c += 2;
-  return c;
 }
 
 }  // namespace ssbft

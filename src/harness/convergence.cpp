@@ -24,12 +24,21 @@ bool ConvergenceStreak::step(Beat b, std::optional<ClockValue> common,
   return true;
 }
 
-bool clocks_agree(const Engine& engine) {
-  const auto clocks = engine.correct_clocks();
+namespace {
+
+// The value every clock holds, if they all hold the same one.
+std::optional<ClockValue> common_clock(const std::vector<ClockValue>& clocks) {
+  if (clocks.empty()) return std::nullopt;
   for (const ClockValue c : clocks) {
-    if (c != clocks.front()) return false;
+    if (c != clocks.front()) return std::nullopt;
   }
-  return !clocks.empty();
+  return clocks.front();
+}
+
+}  // namespace
+
+bool clocks_agree(const Engine& engine) {
+  return common_clock(engine.correct_clocks()).has_value();
 }
 
 ConvergenceResult measure_convergence(Engine& engine,
@@ -49,9 +58,8 @@ ConvergenceResult measure_convergence(Engine& engine,
   for (std::uint64_t i = 0; i < cfg.max_beats; ++i) {
     engine.run_beat();
     ++res.beats_run;
-    std::optional<ClockValue> common;
-    if (clocks_agree(engine)) common = engine.correct_clocks().front();
-    streak.step(engine.beat() - 1, common, k);  // the beat just executed
+    const Beat executed = engine.beat() - 1;
+    streak.step(executed, common_clock(engine.correct_clocks()), k);
     if (streak.length >= cfg.confirm_window) {
       res.converged = true;
       res.synced_at = streak.start;

@@ -29,12 +29,6 @@ inline std::size_t popcount8(unsigned m) {
 void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
 
 // The word encoders grow the buffer once per call and store whole words.
-void ByteWriter::u16(std::uint16_t v) {
-  const std::size_t at = buf_.size();
-  buf_.resize(at + 2);
-  store_le(buf_.data() + at, v, 2);
-}
-
 void ByteWriter::u32(std::uint32_t v) {
   const std::size_t at = buf_.size();
   buf_.resize(at + 4);
@@ -45,23 +39,6 @@ void ByteWriter::u64(std::uint64_t v) {
   const std::size_t at = buf_.size();
   buf_.resize(at + 8);
   store_le(buf_.data() + at, v, 8);
-}
-
-void ByteWriter::u64_vec(const std::vector<std::uint64_t>& v) {
-  u64_vec(v.data(), v.size());
-}
-
-void ByteWriter::u64_vec(const std::uint64_t* data, std::size_t len) {
-  const std::size_t at = buf_.size();
-  buf_.resize(at + 4 + 8 * len);
-  std::uint8_t* p = buf_.data() + at;
-  store_le(p, static_cast<std::uint32_t>(len), 4);
-  for (std::size_t i = 0; i < len; ++i) store_le(p + 4 + 8 * i, data[i], 8);
-}
-
-void ByteWriter::bytes(const Bytes& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
 void ByteWriter::masked_u64_vec(const std::uint64_t* data, std::size_t len,
@@ -185,12 +162,6 @@ std::uint8_t ByteReader::u8() {
   return p[0];
 }
 
-std::uint16_t ByteReader::u16() {
-  const std::uint8_t* p = nullptr;
-  if (!take(2, &p)) return 0;
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
 std::uint32_t ByteReader::u32() {
   const std::uint8_t* p = nullptr;
   if (!take(4, &p)) return 0;
@@ -205,28 +176,6 @@ std::uint64_t ByteReader::u64() {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
-}
-
-std::vector<std::uint64_t> ByteReader::u64_vec(std::size_t max_elems) {
-  std::uint32_t n = u32();
-  if (!ok_ || n > max_elems || remaining() < std::size_t{n} * 8) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = u64();
-  return v;
-}
-
-std::size_t ByteReader::u64_vec_into(std::uint64_t* dst,
-                                     std::size_t max_elems) {
-  std::uint32_t n = u32();
-  if (!ok_ || n > max_elems || remaining() < std::size_t{n} * 8) {
-    ok_ = false;
-    return 0;
-  }
-  for (std::uint32_t i = 0; i < n; ++i) dst[i] = u64();
-  return n;
 }
 
 bool ByteReader::masked_u64_vec_into(std::uint64_t* dst, std::size_t len,
@@ -356,28 +305,6 @@ bool ByteReader::bits_into(std::uint64_t* words, std::size_t nbits) {
         static_cast<std::uint64_t>(p[base / 8]) << (base % 64);
   }
   return true;
-}
-
-Bytes ByteReader::bytes(std::size_t max_len) {
-  std::uint32_t n = u32();
-  if (!ok_ || n > max_len || remaining() < n) {
-    ok_ = false;
-    return {};
-  }
-  const std::uint8_t* p = nullptr;
-  take(n, &p);
-  return Bytes(p, p + n);
-}
-
-std::string to_hex(const Bytes& b) {
-  static const char* digits = "0123456789abcdef";
-  std::string s;
-  s.reserve(b.size() * 2);
-  for (std::uint8_t c : b) {
-    s.push_back(digits[c >> 4]);
-    s.push_back(digits[c & 0xf]);
-  }
-  return s;
 }
 
 }  // namespace ssbft

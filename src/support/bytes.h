@@ -6,11 +6,14 @@
 // `ok() && at_end()` once at the end. A message that fails to decode is
 // treated by every protocol as absent (the paper's nodes simply ignore
 // gibberish — Definition 2.2 only guarantees integrity of what was sent).
+//
+// Every payload is built from little-endian words (u8, u32, u64), the
+// masked field-vector codec and raw bitmasks. A vector's length is fixed
+// by the protocol's (n, f), so no length prefix travels.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "support/check.h"
@@ -53,15 +56,8 @@ static_assert(sizeof(ByteSpan) == 12 && alignof(ByteSpan) == 4,
 class ByteWriter {
  public:
   void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  // Length-prefixed (u32) vector of u64 values.
-  void u64_vec(const std::vector<std::uint64_t>& v);
-  // Same wire format from flat storage (scratch buffers, array slices).
-  void u64_vec(const std::uint64_t* data, std::size_t len);
-  // Length-prefixed (u32) raw bytes.
-  void bytes(const Bytes& v);
 
   // Compact fixed-length vector codec for sparse field vectors. `len` is
   // known to both sides, so no length prefix travels. Wire layout:
@@ -115,27 +111,17 @@ class ByteReader {
   explicit ByteReader(ByteSpan buf) : buf_(buf) {}
 
   std::uint8_t u8();
-  std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
-  // Reads a length-prefixed u64 vector; the length is capped by
-  // `max_elems` so a hostile length prefix cannot force a huge allocation.
-  std::vector<std::uint64_t> u64_vec(std::size_t max_elems);
-  // Non-allocating variant: decodes into caller scratch (which must hold
-  // max_elems slots) and returns the element count. On malformed input the
-  // failure flag latches, 0 is returned and dst is untouched — decoders
-  // keep checking `ok() && at_end()` exactly as with u64_vec.
-  std::size_t u64_vec_into(std::uint64_t* dst, std::size_t max_elems);
-  Bytes bytes(std::size_t max_len);
 
   // Decodes ByteWriter::masked_u64_vec of a known `len` into dst[0..len):
   // masked-out entries are set to `absent`. Returns true on success. On any
   // malformed input — truncated mask, truncated packed tail, nonzero mask
   // bits >= len, nonzero padding bits — the failure flag latches, dst is
   // untouched and false is returned; decoders keep checking
-  // `ok() && at_end()` exactly as with u64_vec. An "overlong tail" (extra
-  // bytes after the packed values) is not consumed here and therefore
-  // fails the caller's at_end() check.
+  // `ok() && at_end()` exactly as after the word reads. An "overlong tail"
+  // (extra bytes after the packed values) is not consumed here and
+  // therefore fails the caller's at_end() check.
   bool masked_u64_vec_into(std::uint64_t* dst, std::size_t len,
                            std::uint64_t absent, unsigned value_bits = 64);
 
@@ -148,7 +134,6 @@ class ByteReader {
   bool ok() const { return ok_; }
   // True iff the whole buffer was consumed (and no read failed).
   bool at_end() const { return ok_ && pos_ == buf_.size(); }
-  std::size_t remaining() const { return ok_ ? buf_.size() - pos_ : 0; }
 
  private:
   bool take(std::size_t len, const std::uint8_t** out);
@@ -157,8 +142,5 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
-
-// Hex dump (for traces and test diagnostics).
-std::string to_hex(const Bytes& b);
 
 }  // namespace ssbft

@@ -366,10 +366,11 @@ TEST(AllocationFreeBeat, WithAdaptiveQuorumSplitter) {
 // The full protocol stack — ss-Byz-Clock-Sync over three FM-coin pipelines
 // — must also run warm beats without touching the heap: coin instances are
 // reinit-recycled by the pipeline, all round state lives in flat scratch,
-// payload decode goes through u64_vec_into, and share recovery uses the
-// precomputed Lagrange tables (the faulty nodes are silent and carry the
-// highest ids, so every recovery sees the canonical prefix subset and the
-// Berlekamp-Welch slow path — which may allocate — never triggers).
+// payload decode goes through masked_u64_vec_into and bits_into into that
+// scratch, and share recovery uses the precomputed Lagrange tables (the
+// faulty nodes are silent and carry the highest ids, so every recovery sees
+// the canonical prefix subset and the Berlekamp-Welch slow path — which may
+// allocate — never triggers).
 TEST(AllocationFreeBeat, FmCoinClockSyncStack) {
   EngineConfig cfg;
   cfg.n = 4;

@@ -36,25 +36,6 @@ TEST(Primes, LargeKnownValues) {
   EXPECT_TRUE(is_prime_u64(18446744073709551557ULL));  // largest 64-bit prime
 }
 
-TEST(Primes, SmallestPrimeAbove) {
-  EXPECT_EQ(smallest_prime_above(0), 2u);
-  EXPECT_EQ(smallest_prime_above(2), 3u);
-  EXPECT_EQ(smallest_prime_above(3), 5u);
-  EXPECT_EQ(smallest_prime_above(10), 11u);
-  EXPECT_EQ(smallest_prime_above(13), 17u);
-  EXPECT_EQ(smallest_prime_above(100), 101u);
-}
-
-TEST(Primes, SmallestPrimeAboveIsCanonicalForNodeCounts) {
-  // Remark 2.3: every node must derive the same field from n alone.
-  for (std::uint64_t n = 4; n < 200; ++n) {
-    const std::uint64_t p = smallest_prime_above(n);
-    EXPECT_GT(p, n);
-    EXPECT_TRUE(is_prime_u64(p));
-    for (std::uint64_t q = n + 1; q < p; ++q) EXPECT_FALSE(is_prime_u64(q));
-  }
-}
-
 TEST(PrimeField, RejectsComposite) {
   EXPECT_THROW(PrimeField(10), contract_error);
   EXPECT_THROW(PrimeField(1), contract_error);

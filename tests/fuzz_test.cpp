@@ -66,21 +66,26 @@ class FuzzAdversary final : public Adversary {
       case 2:  // hostile length prefix with no body
         w.u32(0xffffffffu);
         break;
-      case 3: {  // an oversized u64 vector
-        std::vector<std::uint64_t> v(rng.next_below(64));
-        for (auto& x : v) x = rng.next_u64();
-        w.u64_vec(v);
+      case 3: {  // a u32 length word, then that many random u64s
+        const auto len = static_cast<std::uint32_t>(rng.next_below(64));
+        w.u32(len);
+        for (std::uint32_t i = 0; i < len; ++i) w.u64(rng.next_u64());
         break;
       }
       case 4:  // non-canonical field elements around the modulus
-        w.u64_vec({PrimeField::kDefaultPrime,
-                   PrimeField::kDefaultPrime + 1,
-                   ~std::uint64_t{0}, 0});
+        w.u32(4);
+        for (std::uint64_t x : {PrimeField::kDefaultPrime,
+                                PrimeField::kDefaultPrime + 1,
+                                ~std::uint64_t{0}, std::uint64_t{0}}) {
+          w.u64(x);
+        }
         break;
-      case 5: {  // random blob
-        Bytes blob(rng.next_below(100));
-        for (auto& b : blob) b = static_cast<std::uint8_t>(rng.next_below(256));
-        w.bytes(blob);
+      case 5: {  // a u32 length word, then that many random bytes
+        const auto len = static_cast<std::uint32_t>(rng.next_below(100));
+        w.u32(len);
+        for (std::uint32_t i = 0; i < len; ++i) {
+          w.u8(static_cast<std::uint8_t>(rng.next_below(256)));
+        }
         break;
       }
       case 6: {  // well-formed masked field vector, sentinels included
@@ -115,7 +120,8 @@ class FuzzAdversary final : public Adversary {
       }
       default:  // truncated multi-field encoding
         w.u8(1);
-        w.u16(0xdead);
+        w.u8(0xad);
+        w.u8(0xde);
         break;
     }
     return std::move(w).take();
