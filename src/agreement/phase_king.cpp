@@ -1,7 +1,6 @@
 #include "agreement/phase_king.h"
 
 #include "sim/tally.h"
-#include "support/check.h"
 
 namespace ssbft {
 
@@ -74,20 +73,22 @@ void PhaseKingInstance::receive_round(int round, const Inbox& in,
   }
 }
 
+void PhaseKingInstance::reinit(std::uint64_t input) {
+  v_ = (input & 1) != 0;
+  propose_ = 2;
+  lock_ = 0;
+}
+
 void PhaseKingInstance::randomize_state(Rng& rng) {
   v_ = rng.next_bool();
   propose_ = static_cast<std::uint8_t>(rng.next_below(3));
   lock_ = static_cast<std::uint8_t>(rng.next_below(3));
 }
 
-BaSpec phase_king_spec() {
-  BaSpec spec;
-  spec.resilience_denominator = 3;
-  spec.rounds_for = [](std::uint32_t f) { return 3 * (static_cast<int>(f) + 1); };
-  spec.make = [](const ProtocolEnv& env, std::uint64_t input, Rng) {
+BaInstanceFactory phase_king_factory() {
+  return [](const ProtocolEnv& env, std::uint64_t input) {
     return std::make_unique<PhaseKingInstance>(env, (input & 1) != 0);
   };
-  return spec;
 }
 
 }  // namespace ssbft

@@ -27,6 +27,7 @@ class PhaseKingInstance final : public BaInstance {
   void send_round(int round, Outbox& out, ChannelId base) override;
   void receive_round(int round, const Inbox& in, ChannelId base) override;
   std::uint64_t output() const override { return v_ ? 1 : 0; }
+  void reinit(std::uint64_t input) override;
   void randomize_state(Rng& rng) override;
 
  private:
@@ -37,7 +38,7 @@ class PhaseKingInstance final : public BaInstance {
   std::uint8_t lock_ = 0;
 };
 
-// Binary phase-king as a BaSpec (inputs taken mod 2).
-BaSpec phase_king_spec();
+// Binary phase-king instances (inputs taken mod 2).
+BaInstanceFactory phase_king_factory();
 
 }  // namespace ssbft

@@ -1,7 +1,6 @@
 #include "agreement/phase_queen.h"
 
 #include "sim/tally.h"
-#include "support/check.h"
 
 namespace ssbft {
 
@@ -44,19 +43,20 @@ void PhaseQueenInstance::receive_round(int round, const Inbox& in,
   }
 }
 
+void PhaseQueenInstance::reinit(std::uint64_t input) {
+  v_ = (input & 1) != 0;
+  strong_ = false;
+}
+
 void PhaseQueenInstance::randomize_state(Rng& rng) {
   v_ = rng.next_bool();
   strong_ = rng.next_bool();
 }
 
-BaSpec phase_queen_spec() {
-  BaSpec spec;
-  spec.resilience_denominator = 4;
-  spec.rounds_for = [](std::uint32_t f) { return 2 * (static_cast<int>(f) + 1); };
-  spec.make = [](const ProtocolEnv& env, std::uint64_t input, Rng) {
+BaInstanceFactory phase_queen_factory() {
+  return [](const ProtocolEnv& env, std::uint64_t input) {
     return std::make_unique<PhaseQueenInstance>(env, (input & 1) != 0);
   };
-  return spec;
 }
 
 }  // namespace ssbft

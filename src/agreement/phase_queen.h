@@ -26,6 +26,7 @@ class PhaseQueenInstance final : public BaInstance {
   void send_round(int round, Outbox& out, ChannelId base) override;
   void receive_round(int round, const Inbox& in, ChannelId base) override;
   std::uint64_t output() const override { return v_ ? 1 : 0; }
+  void reinit(std::uint64_t input) override;
   void randomize_state(Rng& rng) override;
 
  private:
@@ -34,6 +35,7 @@ class PhaseQueenInstance final : public BaInstance {
   bool strong_ = false;
 };
 
-BaSpec phase_queen_spec();
+// Binary phase-queen instances (inputs taken mod 2).
+BaInstanceFactory phase_queen_factory();
 
 }  // namespace ssbft

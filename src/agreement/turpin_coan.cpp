@@ -1,6 +1,5 @@
 #include "agreement/turpin_coan.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "support/check.h"
@@ -9,18 +8,25 @@ namespace ssbft {
 
 TurpinCoanInstance::TurpinCoanInstance(const ProtocolEnv& env,
                                        std::uint64_t input,
-                                       const BaSpec& binary, Rng rng)
-    : env_(env), input_(input), binary_(binary), rng_(rng), tally_(env.n) {}
-
-int TurpinCoanInstance::rounds() const {
-  return 2 + binary_.rounds_for(env_.f);
+                                       const BaInstanceFactory& binary)
+    : env_(env), tally_(env.n), inner_(binary(env, 0)) {
+  SSBFT_CHECK(inner_ != nullptr);
+  reinit(input);
 }
 
 void TurpinCoanInstance::ensure_inner(bool input) {
-  if (inner_ == nullptr) {
-    inner_ = binary_.make(env_, input ? 1 : 0, rng_.split("inner"));
-    SSBFT_CHECK(inner_ != nullptr);
+  if (!inner_live_) {
+    inner_->reinit(input ? 1 : 0);
+    inner_live_ = true;
   }
+}
+
+void TurpinCoanInstance::reinit(std::uint64_t input) {
+  input_ = input;
+  have_z_ = false;
+  z_ = 0;
+  x_ = 0;
+  inner_live_ = false;
 }
 
 void TurpinCoanInstance::send_round(int round, Outbox& out, ChannelId base) {
@@ -34,7 +40,7 @@ void TurpinCoanInstance::send_round(int round, Outbox& out, ChannelId base) {
     out.broadcast(static_cast<ChannelId>(base + 1), w.data());
   } else {
     // A transient fault (or pipeline-genesis garbage) can reach round >= 3
-    // without an inner instance; materialize a default one — this instance
+    // without a live inner instance; start a default one — this instance
     // predates coherence and its output is allowed to be arbitrary.
     ensure_inner(false);
     inner_->send_round(round - 2, out, static_cast<ChannelId>(base + 2));
@@ -61,7 +67,7 @@ void TurpinCoanInstance::receive_round(int round, const Inbox& in,
 }
 
 std::uint64_t TurpinCoanInstance::output() const {
-  if (inner_ == nullptr) return 0;
+  if (!inner_live_) return 0;
   return inner_->output() == 1 ? x_ : 0;
 }
 
@@ -70,7 +76,7 @@ void TurpinCoanInstance::randomize_state(Rng& rng) {
   have_z_ = rng.next_bool();
   z_ = rng.next_u64();
   x_ = rng.next_u64();
-  if (inner_) {
+  if (inner_live_) {
     inner_->randomize_state(rng);
   } else if (rng.next_bool()) {
     ensure_inner(rng.next_bool());
@@ -78,16 +84,11 @@ void TurpinCoanInstance::randomize_state(Rng& rng) {
   }
 }
 
-BaSpec turpin_coan_spec(BaSpec binary) {
-  BaSpec spec;
-  spec.resilience_denominator = std::max(3, binary.resilience_denominator);
-  spec.rounds_for = [inner = binary.rounds_for](std::uint32_t f) {
-    return 2 + inner(f);
+BaInstanceFactory turpin_coan_factory(BaInstanceFactory binary) {
+  return [binary = std::move(binary)](const ProtocolEnv& env,
+                                      std::uint64_t input) {
+    return std::make_unique<TurpinCoanInstance>(env, input, binary);
   };
-  spec.make = [binary](const ProtocolEnv& env, std::uint64_t input, Rng rng) {
-    return std::make_unique<TurpinCoanInstance>(env, input, binary, rng);
-  };
-  return spec;
 }
 
 }  // namespace ssbft

@@ -11,6 +11,8 @@
 // correct node's most frequent non-? value is the same x (correct non-?
 // z's are single-valued by quorum intersection, Observation 3.1) — the
 // adopted x is common. Needs n > 3f and the binary protocol's resilience.
+// The binary instance is built once and restarted by reinit; until round 2
+// (or a transient fault) starts it, the output is the default 0.
 #pragma once
 
 #include "agreement/ba_interface.h"
@@ -21,30 +23,30 @@ namespace ssbft {
 class TurpinCoanInstance final : public BaInstance {
  public:
   TurpinCoanInstance(const ProtocolEnv& env, std::uint64_t input,
-                     const BaSpec& binary, Rng rng);
+                     const BaInstanceFactory& binary);
 
-  int rounds() const override;
+  int rounds() const override { return 2 + inner_->rounds(); }
   void send_round(int round, Outbox& out, ChannelId base) override;
   void receive_round(int round, const Inbox& in, ChannelId base) override;
   std::uint64_t output() const override;
+  void reinit(std::uint64_t input) override;
   void randomize_state(Rng& rng) override;
 
  private:
   void ensure_inner(bool input);
 
   ProtocolEnv env_;
-  std::uint64_t input_;
-  BaSpec binary_;
-  Rng rng_;
+  std::uint64_t input_ = 0;
   ValueTally tally_;  // rounds 1 and 2's vote count
 
   bool have_z_ = false;
   std::uint64_t z_ = 0;
   std::uint64_t x_ = 0;  // the common candidate
   std::unique_ptr<BaInstance> inner_;
+  bool inner_live_ = false;
 };
 
-// Multivalued BA over u64 from a binary BaSpec. Rounds: 2 + binary's.
-BaSpec turpin_coan_spec(BaSpec binary);
+// Multivalued BA over u64 from binary instances. Rounds: 2 + binary's.
+BaInstanceFactory turpin_coan_factory(BaInstanceFactory binary);
 
 }  // namespace ssbft

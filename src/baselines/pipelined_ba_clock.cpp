@@ -1,5 +1,6 @@
 #include "baselines/pipelined_ba_clock.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "sim/trace.h"
@@ -8,30 +9,27 @@
 namespace ssbft {
 
 PipelinedBaClock::PipelinedBaClock(const ProtocolEnv& env, ClockValue k,
-                                   const BaSpec& spec, Rng rng, ChannelId base)
-    : env_(env),
-      k_(k),
-      spec_(spec),
-      base_(base),
-      rng_(rng),
-      rounds_(spec.rounds_for(env.f)),
-      tally_(env.n) {
-  SSBFT_REQUIRE(k >= 1 && rounds_ >= 1);
+                                   const BaInstanceFactory& make,
+                                   ChannelId base)
+    : env_(env), k_(k), base_(base), tally_(env.n) {
+  SSBFT_REQUIRE(k >= 1);
+  slots_.push_back(make(env_, 0));
+  SSBFT_CHECK(slots_.front() != nullptr);
+  rounds_ = slots_.front()->rounds();
+  SSBFT_REQUIRE(rounds_ >= 1);
   clock_channel_ = static_cast<ChannelId>(base_ + rounds_);
+  slots_.front()->reinit(next_input());
   slots_.reserve(static_cast<std::size_t>(rounds_));
-  for (int j = 0; j < rounds_; ++j) slots_.push_back(fresh_instance());
+  while (slots_.size() < static_cast<std::size_t>(rounds_)) {
+    slots_.push_back(make(env_, next_input()));
+  }
 }
 
-std::unique_ptr<BaInstance> PipelinedBaClock::fresh_instance() {
-  // Input = the value the clock should hold when this instance completes,
-  // R+1 beats from the state it samples (created at the end of beat t,
+std::uint64_t PipelinedBaClock::next_input() const {
+  // The value the clock should hold when this instance completes, R+1
+  // beats from the state it samples (entering at the end of beat t,
   // adopted at the end of beat t+R).
-  const std::uint64_t predicted =
-      (clock_ % k_ + static_cast<std::uint64_t>(rounds_) + 1) % k_;
-  auto inst = spec_.make(env_, predicted, rng_.split("ba", rng_.next_u64()));
-  SSBFT_CHECK(inst != nullptr);
-  SSBFT_CHECK(inst->rounds() == rounds_);
-  return inst;
+  return (clock_ % k_ + static_cast<std::uint64_t>(rounds_) + 1) % k_;
 }
 
 void PipelinedBaClock::send_phase(Outbox& out) {
@@ -64,10 +62,9 @@ void PipelinedBaClock::receive_phase(const Inbox& in) {
     clock_ = agreed % k_;
   }
 
-  for (std::size_t j = slots_.size() - 1; j > 0; --j) {
-    slots_[j] = std::move(slots_[j - 1]);
-  }
-  slots_[0] = fresh_instance();
+  // Retire the completed instance: rotate it to slot 0 and restart it.
+  std::rotate(slots_.rbegin(), slots_.rbegin() + 1, slots_.rend());
+  slots_.front()->reinit(next_input());
 }
 
 void PipelinedBaClock::randomize_state(Rng& rng) {

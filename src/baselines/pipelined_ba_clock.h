@@ -13,7 +13,10 @@
 //     instance's output. Agreement makes every BA-branch node adopt the
 //     same value, so at most R+2 beats after coherence there is a beat
 //     where all correct nodes are equal — from which the quorum branch
-//     locks in. Convergence is deterministic Theta(f).
+//     locks in. Convergence is deterministic Theta(f). The completed
+//     instance is then rotated to slot 0 and restarted there
+//     (BaInstance::reinit), as ss-Byz-Coin-Flip recycles its coin
+//     instances, so a steady beat allocates nothing.
 //
 // The genuine [15]/[7] algorithms defeat an *adaptive* quorum-splitting
 // adversary (which keeps exactly n-2f correct nodes on a boosted value)
@@ -24,8 +27,10 @@
 // stand-in with the same Table-1 row, not a reimplementation.
 //
 // Instantiate with:
-//   * turpin_coan(phase_queen): deterministic, O(f), f < n/4 — [15]'s row;
-//   * turpin_coan(phase_king):  deterministic, O(f), f < n/3 — [7]'s row.
+//   * turpin_coan_factory(phase_queen_factory()): deterministic, O(f),
+//     f < n/4 — [15]'s row;
+//   * turpin_coan_factory(phase_king_factory()): deterministic, O(f),
+//     f < n/3 — [7]'s row.
 #pragma once
 
 #include <memory>
@@ -39,8 +44,9 @@ namespace ssbft {
 
 class PipelinedBaClock final : public ClockProtocol {
  public:
-  PipelinedBaClock(const ProtocolEnv& env, ClockValue k, const BaSpec& spec,
-                   Rng rng, ChannelId base = 0);
+  // The pipeline depth R is the first instance's rounds().
+  PipelinedBaClock(const ProtocolEnv& env, ClockValue k,
+                   const BaInstanceFactory& make, ChannelId base = 0);
 
   void send_phase(Outbox& out) override;
   void receive_phase(const Inbox& in) override;
@@ -57,15 +63,14 @@ class PipelinedBaClock final : public ClockProtocol {
   int pipeline_depth() const { return rounds_; }
 
  private:
-  std::unique_ptr<BaInstance> fresh_instance();
+  // The input of an instance entering the pipeline now.
+  std::uint64_t next_input() const;
 
   ProtocolEnv env_;
   ClockValue k_;
-  BaSpec spec_;
   ChannelId base_;
-  ChannelId clock_channel_;  // base_ + rounds_
-  Rng rng_;
-  int rounds_;
+  ChannelId clock_channel_ = 0;  // base_ + rounds_
+  int rounds_ = 0;
   ValueTally tally_;  // this beat's clock broadcasts
   ClockValue clock_ = 0;
   bool quorum_step_ = false;  // latched by receive_phase for trace_state

@@ -36,13 +36,10 @@ class CoinInstance {
   // Number of send rounds (the paper's Delta_A).
   virtual int rounds() const = 0;
 
-  // Emit round `round`'s messages (1-based) on channel `base`, as given:
-  // the caller picks the round's channel. SsByzCoinFlip passes slot j,
-  // which runs round j + 1, its own channel base_ + j. (BaInstance instead
-  // adds round - 1 to the base itself; see agreement/ba_interface.h.)
+  // Emit round `round`'s messages (1-based) on channel base + round - 1.
   virtual void send_round(int round, Outbox& out, ChannelId base) = 0;
 
-  // Process round `round`'s inbox, read on channel `base` as given. After
+  // Process round `round`'s inbox, read on channel base + round - 1. After
   // receive_round(rounds()) the output bit is available.
   virtual void receive_round(int round, const Inbox& in, ChannelId base) = 0;
 

@@ -3,8 +3,8 @@
 // Runs Delta_A staggered instances of a probabilistic coin-flipping
 // algorithm A, one per round-position. Each beat, slot j executes round
 // j+1 of its instance; the oldest slot finishes and yields the beat's bit;
-// slots shift and a fresh instance enters at slot 0. Messages are tagged by
-// round position (channel base + j), which doubles as the paper's
+// slots shift and a fresh instance enters at slot 0. Round r travels on
+// channel base + r - 1, so the round position doubles as the paper's
 // "session number": at any beat exactly one live instance is executing
 // round j+1, so the fixed channel space is unambiguous and recyclable —
 // no unbounded counters, as self-stabilization demands.
@@ -27,8 +27,8 @@ class SsByzCoinFlip final : public CoinComponent {
  public:
   // `rounds` must equal the instances' rounds() (the spec carries it so the
   // channel budget is a static constant).
-  SsByzCoinFlip(CoinInstanceFactory factory, int rounds, ChannelId base,
-                Rng rng);
+  SsByzCoinFlip(const CoinInstanceFactory& factory, int rounds,
+                ChannelId base, Rng rng);
 
   void send_phase(Outbox& out) override;
   bool do_receive_phase(const Inbox& in) override;
@@ -37,9 +37,6 @@ class SsByzCoinFlip final : public CoinComponent {
   int rounds() const { return rounds_; }
 
  private:
-  std::unique_ptr<CoinInstance> fresh_instance();
-
-  CoinInstanceFactory factory_;
   int rounds_;
   ChannelId base_;
   Rng rng_;

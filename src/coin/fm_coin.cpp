@@ -69,7 +69,7 @@ void FmCoinInstance::reinit(Rng rng) {
 }
 
 void FmCoinInstance::send_round(int round, Outbox& out, ChannelId base) {
-  const auto ch = static_cast<ChannelId>(base);
+  const auto ch = static_cast<ChannelId>(base + round - 1);
   switch (round) {
     case 1: send_deal(out, ch); break;
     case 2: send_cross(out, ch); break;
@@ -81,7 +81,7 @@ void FmCoinInstance::send_round(int round, Outbox& out, ChannelId base) {
 
 void FmCoinInstance::receive_round(int round, const Inbox& in,
                                    ChannelId base) {
-  const auto ch = static_cast<ChannelId>(base);
+  const auto ch = static_cast<ChannelId>(base + round - 1);
   switch (round) {
     case 1: recv_deal(in, ch); break;
     case 2: recv_cross(in, ch); break;

@@ -24,21 +24,8 @@ bool ConvergenceStreak::step(Beat b, std::optional<ClockValue> common,
   return true;
 }
 
-namespace {
-
-// The value every clock holds, if they all hold the same one.
-std::optional<ClockValue> common_clock(const std::vector<ClockValue>& clocks) {
-  if (clocks.empty()) return std::nullopt;
-  for (const ClockValue c : clocks) {
-    if (c != clocks.front()) return std::nullopt;
-  }
-  return clocks.front();
-}
-
-}  // namespace
-
 bool clocks_agree(const Engine& engine) {
-  return common_clock(engine.correct_clocks()).has_value();
+  return engine.common_clock().has_value();
 }
 
 ConvergenceResult measure_convergence(Engine& engine,
@@ -59,7 +46,7 @@ ConvergenceResult measure_convergence(Engine& engine,
     engine.run_beat();
     ++res.beats_run;
     const Beat executed = engine.beat() - 1;
-    streak.step(executed, common_clock(engine.correct_clocks()), k);
+    streak.step(executed, engine.common_clock(), k);
     if (streak.length >= cfg.confirm_window) {
       res.converged = true;
       res.synced_at = streak.start;

@@ -169,11 +169,11 @@ EngineBuilder build_world(Family family, const World& w) {
       }
       case Family::kPipelinedQueen:
       case Family::kPipelinedKing: {
-        const BaSpec ba = turpin_coan_spec(family == Family::kPipelinedKing
-                                               ? phase_king_spec()
-                                               : phase_queen_spec());
-        factory = [ba, k](const ProtocolEnv& env, Rng rng) {
-          return std::make_unique<PipelinedBaClock>(env, k, ba, rng);
+        const BaInstanceFactory ba = turpin_coan_factory(
+            family == Family::kPipelinedKing ? phase_king_factory()
+                                             : phase_queen_factory());
+        factory = [ba, k](const ProtocolEnv& env, Rng) {
+          return std::make_unique<PipelinedBaClock>(env, k, ba);
         };
         break;
       }

@@ -255,6 +255,7 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
     is_faulty_[id] = true;
   }
   protocols_.resize(cfg_.n);
+  clock_views_.assign(cfg_.n, nullptr);
   const Rng seed_root(cfg_.seed);
   for (NodeId id = 0; id < cfg_.n; ++id) {
     if (is_faulty_[id]) continue;
@@ -262,6 +263,7 @@ Engine::Engine(EngineConfig cfg, const ProtocolFactory& factory,
     ProtocolEnv env{id, cfg_.n, cfg_.f};
     protocols_[id] = factory(env, seed_root.split("node", id));
     SSBFT_CHECK(protocols_[id] != nullptr);
+    clock_views_[id] = dynamic_cast<const ClockProtocol*>(protocols_[id].get());
     all_node_local_ = all_node_local_ && protocols_[id]->node_local_phases();
     channel_count_ =
         std::max(channel_count_, protocols_[id]->channel_count());
@@ -298,15 +300,26 @@ const Protocol& Engine::node(NodeId id) const {
   return *protocols_[id];
 }
 
+const ClockProtocol& Engine::clock_view(NodeId id) const {
+  const ClockProtocol* cp = clock_views_[id];
+  SSBFT_REQUIRE_MSG(cp != nullptr, "protocol is not a ClockProtocol");
+  return *cp;
+}
+
 std::vector<ClockValue> Engine::correct_clocks() const {
   std::vector<ClockValue> out;
   out.reserve(correct_ids_.size());
-  for (NodeId id : correct_ids_) {
-    const auto* cp = dynamic_cast<const ClockProtocol*>(protocols_[id].get());
-    SSBFT_REQUIRE_MSG(cp != nullptr, "protocol is not a ClockProtocol");
-    out.push_back(cp->clock());
-  }
+  for (NodeId id : correct_ids_) out.push_back(clock_view(id).clock());
   return out;
+}
+
+std::optional<ClockValue> Engine::common_clock() const {
+  if (correct_ids_.empty()) return std::nullopt;
+  const ClockValue first = clock_view(correct_ids_.front()).clock();
+  for (NodeId id : correct_ids_) {
+    if (clock_view(id).clock() != first) return std::nullopt;
+  }
+  return first;
 }
 
 void Engine::corrupt_node(NodeId id) {
@@ -321,12 +334,6 @@ void Engine::corrupt_node(NodeId id) {
 void Engine::set_trace(TraceSink* sink) {
   trace_ = sink;
   trace_buf_.bind(sink);
-  clock_views_.assign(cfg_.n, nullptr);
-  if (sink == nullptr) return;
-  for (NodeId id : correct_ids_) {
-    clock_views_[id] =
-        dynamic_cast<const ClockProtocol*>(protocols_[id].get());
-  }
 }
 
 void Engine::emit_beat_trace() {

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/adversary.h"
@@ -93,6 +94,10 @@ class Engine {
   // protocols to be ClockProtocols.
   std::vector<ClockValue> correct_clocks() const;
 
+  // The value every correct clock holds, if they all hold the same one.
+  // Requires the protocols to be ClockProtocols; allocates nothing.
+  std::optional<ClockValue> common_clock() const;
+
   // Immediately randomizes the state of a correct node (manual transient
   // fault, in addition to any FaultPlan schedule).
   void corrupt_node(NodeId id);
@@ -117,9 +122,8 @@ class Engine {
   void add_listener(BeatListener* l) { listeners_.push_back(l); }
 
   // Attaches (or with nullptr detaches) a trace sink (sim/trace.h). The
-  // sink is not owned and must outlive the run. Attaching caches each
-  // correct node's ClockProtocol view once, so traced beats never
-  // dynamic_cast; with no sink the beat loop pays one pointer test.
+  // sink is not owned and must outlive the run. With no sink the beat loop
+  // pays one pointer test.
   void set_trace(TraceSink* sink);
 
   // Beat workers. Within a beat's send phase, and again within its receive
@@ -153,6 +157,8 @@ class Engine {
   // End-of-beat trace pass: per-node clock + protocol records, then the
   // engine-level traffic summary. Only called when trace_ is attached.
   void emit_beat_trace();
+  // The ClockProtocol of correct node `id`; requires one.
+  const ClockProtocol& clock_view(NodeId id) const;
 
   EngineConfig cfg_;
   Beat beat_ = 0;
@@ -176,8 +182,8 @@ class Engine {
   std::vector<BeatListener*> listeners_;
   TraceSink* trace_ = nullptr;
   TraceBuffer trace_buf_;
-  // Cached per-id clock views for trace emission (null for faulty ids and
-  // non-clock protocols); rebuilt by set_trace.
+  // Per-id clock views, resolved once at construction (null for faulty ids
+  // and non-clock protocols), so reading clocks never dynamic_casts.
   std::vector<const ClockProtocol*> clock_views_;
   std::vector<std::uint64_t> channel_bytes_;  // per channel, when tracked
   std::uint64_t channel_bytes_beats_ = 0;

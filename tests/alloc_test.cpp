@@ -395,28 +395,55 @@ TEST(AllocationFreeBeat, FmCoinClockSyncStack) {
 // after the switch, the workers' arenas and message vectors settle like
 // the serial ones, and a steady beat allocates on no thread.
 TEST(AllocationFreeBeat, FmCoinClockSyncStackOnFourWorkers) {
+  constexpr std::uint64_t kWarmup = 72;
+  constexpr std::uint64_t kWindow = 32;
   const ScenarioSpec* scenario = find_scenario("scaling-large/sync-fm/n64");
   ASSERT_NE(scenario, nullptr);
-  const World& w = scenario->world;
-  ASSERT_EQ(w.coin, CoinKind::kFm);
-  ASSERT_EQ(w.shared_pipeline, 0u);
-  EngineConfig cfg = world_config(w, scenario->base_seed);
-  cfg.metrics_history_limit = 8;
-  CoinSpec spec = fm_coin_spec();
-  const auto coin_base = static_cast<ChannelId>(
-      3 + SsByz4Clock::channels_needed(spec, CoinPipelineMode::kPerSubClock));
-  auto factory = [&spec, k = w.k](const ProtocolEnv& env, Rng rng) {
-    return std::make_unique<SsByzClockSync>(env, k, spec, rng);
-  };
-  Engine eng(cfg, factory,
-             make_attack(w.attack, w.k, coin_base, w.noise_msgs_per_beat));
+  ASSERT_EQ(scenario->world.coin, CoinKind::kFm);
+  EngineBundle b = build_scenario(*scenario)(scenario->base_seed);
+  Engine& eng = *b.engine;
   eng.set_beat_workers(4);
-  eng.run_beats(64);  // converged, and every arena has settled
+  eng.run_beats(kWarmup);  // converged, and every arena has settled
   ASSERT_EQ(eng.beat_workers(), 4u);
+  // The engine keeps its whole metrics history; the window must not grow it.
+  ASSERT_GE(eng.metrics().history().capacity(), kWarmup + kWindow);
   const std::size_t before = g_allocations;
-  eng.run_beats(32);
+  eng.run_beats(kWindow);
   EXPECT_EQ(g_allocations - before, 0u)
       << "steady-state FM-coin beat on four workers touched the heap";
+}
+
+// Every protocol family as the registry builds it (n = 7, skew attack,
+// oracle coin; queen at f = 1, its resilience bound): once warm, a beat
+// plus the convergence detector's common_clock() read allocates nothing.
+// Pipelined queen and king restart their BA slots in place to get here.
+TEST(AllocationFreeBeat, EveryFamilyThroughBuildWorld) {
+  constexpr std::uint64_t kWarmup = 200;
+  constexpr std::uint64_t kWindow = 50;
+  for (Family family :
+       {Family::kClockSync, Family::kClock4, Family::kClock2,
+        Family::kCascade, Family::kDolevWelch, Family::kDolevWelchShared,
+        Family::kPipelinedQueen, Family::kPipelinedKing}) {
+    SCOPED_TRACE(family_name(family));
+    World w;
+    w.n = 7;
+    w.f = family == Family::kPipelinedQueen ? 1 : 2;
+    w.actual = w.f;
+    w.attack = Attack::kSkew;
+    EngineBundle b = build_world(family, w)(5);
+    Engine& eng = *b.engine;
+    eng.run_beats(kWarmup);
+    // build_world engines keep the whole metrics history; the window must
+    // not grow it.
+    ASSERT_GE(eng.metrics().history().capacity(), kWarmup + kWindow);
+    const std::size_t before = g_allocations;
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+      eng.run_beat();
+      (void)eng.common_clock();  // measure_convergence's per-beat read
+    }
+    EXPECT_EQ(g_allocations - before, 0u)
+        << "steady-state beat of this family touched the heap";
+  }
 }
 
 }  // namespace

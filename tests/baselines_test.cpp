@@ -34,7 +34,7 @@ EngineBundle build_dw(std::uint32_t n, std::uint32_t f, ClockValue k,
   return b;
 }
 
-EngineBundle build_pipelined(const BaSpec& spec, std::uint32_t n,
+EngineBundle build_pipelined(const BaInstanceFactory& ba, std::uint32_t n,
                              std::uint32_t f, ClockValue k,
                              std::uint64_t seed, bool skew) {
   EngineConfig cfg;
@@ -42,8 +42,8 @@ EngineBundle build_pipelined(const BaSpec& spec, std::uint32_t n,
   cfg.f = f;
   cfg.faulty = EngineConfig::last_ids_faulty(n, f);
   cfg.seed = seed;
-  auto factory = [spec, k](const ProtocolEnv& env, Rng rng) {
-    return std::make_unique<PipelinedBaClock>(env, k, spec, rng);
+  auto factory = [ba, k](const ProtocolEnv& env, Rng) {
+    return std::make_unique<PipelinedBaClock>(env, k, ba);
   };
   EngineBundle b;
   std::unique_ptr<Adversary> adv;
@@ -122,11 +122,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(PipelinedClockTest, DeterministicConvergenceWithinPipelineDepth) {
   const auto& p = GetParam();
-  const BaSpec spec = turpin_coan_spec(
-      p.name == "king" ? phase_king_spec() : phase_queen_spec());
-  const int depth = spec.rounds_for(p.f);
+  const BaInstanceFactory ba = turpin_coan_factory(
+      p.name == "king" ? phase_king_factory() : phase_queen_factory());
+  const int depth = ba(ProtocolEnv{0, p.n, p.f}, 0)->rounds();
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto b = build_pipelined(spec, p.n, p.f, 64, seed * 509, p.skew);
+    auto b = build_pipelined(ba, p.n, p.f, 64, seed * 509, p.skew);
     ConvergenceConfig cc;
     cc.max_beats = static_cast<std::uint64_t>(depth) + 64;
     cc.confirm_window = 16;
@@ -139,9 +139,9 @@ TEST_P(PipelinedClockTest, DeterministicConvergenceWithinPipelineDepth) {
 
 TEST_P(PipelinedClockTest, ClosureHolds) {
   const auto& p = GetParam();
-  const BaSpec spec = turpin_coan_spec(
-      p.name == "king" ? phase_king_spec() : phase_queen_spec());
-  auto b = build_pipelined(spec, p.n, p.f, 16, 77, p.skew);
+  const BaInstanceFactory ba = turpin_coan_factory(
+      p.name == "king" ? phase_king_factory() : phase_queen_factory());
+  auto b = build_pipelined(ba, p.n, p.f, 16, 77, p.skew);
   ConvergenceConfig cc;
   cc.max_beats = 500;
   ASSERT_TRUE(measure_convergence(*b.engine, cc).converged);
@@ -156,8 +156,8 @@ TEST_P(PipelinedClockTest, ClosureHolds) {
 }
 
 TEST(PipelinedClock, ReconvergesAfterCorruption) {
-  const BaSpec spec = turpin_coan_spec(phase_king_spec());
-  auto b = build_pipelined(spec, 7, 2, 32, 13, true);
+  const BaInstanceFactory ba = turpin_coan_factory(phase_king_factory());
+  auto b = build_pipelined(ba, 7, 2, 32, 13, true);
   ConvergenceConfig cc;
   cc.max_beats = 500;
   ASSERT_TRUE(measure_convergence(*b.engine, cc).converged);
@@ -293,18 +293,19 @@ TEST(DwSharedCoin, ChannelAccounting) {
 }
 
 TEST(AdaptiveSplitter, DoesNotStopPipelinedKing) {
-  const BaSpec spec = turpin_coan_spec(phase_king_spec());
+  const BaInstanceFactory ba = turpin_coan_factory(phase_king_factory());
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     EngineConfig cfg;
     cfg.n = 7;
     cfg.f = 2;
     cfg.faulty = EngineConfig::last_ids_faulty(7, 2);
     cfg.seed = seed * 41;
-    auto factory = [spec](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<PipelinedBaClock>(env, 16, spec, rng);
+    auto factory = [ba](const ProtocolEnv& env, Rng) {
+      return std::make_unique<PipelinedBaClock>(env, 16, ba);
     };
     // Aim the splitter at the quorum channel (after the R BA channels).
-    const auto clock_ch = static_cast<ChannelId>(spec.rounds_for(2));
+    const auto clock_ch =
+        static_cast<ChannelId>(ba(ProtocolEnv{0, 7, 2}, 0)->rounds());
     Engine eng(cfg, factory, make_adaptive_quorum_splitter(16, clock_ch));
     ConvergenceConfig cc;
     cc.max_beats = 2000;
@@ -313,10 +314,10 @@ TEST(AdaptiveSplitter, DoesNotStopPipelinedKing) {
 }
 
 TEST(PipelinedClock, DepthScalesLinearlyWithF) {
-  const BaSpec spec = turpin_coan_spec(phase_king_spec());
+  const BaInstanceFactory ba = turpin_coan_factory(phase_king_factory());
   ProtocolEnv e1{0, 4, 1}, e3{0, 10, 3};
-  PipelinedBaClock c1(e1, 8, spec, Rng(1));
-  PipelinedBaClock c3(e3, 8, spec, Rng(1));
+  PipelinedBaClock c1(e1, 8, ba);
+  PipelinedBaClock c3(e3, 8, ba);
   EXPECT_EQ(c1.pipeline_depth(), 2 + 3 * 2);
   EXPECT_EQ(c3.pipeline_depth(), 2 + 3 * 4);
   EXPECT_GT(c3.pipeline_depth(), c1.pipeline_depth());

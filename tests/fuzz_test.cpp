@@ -158,9 +158,9 @@ EngineBundle build_stack(Stack which, std::uint32_t n, std::uint32_t f,
       };
       break;
     case Stack::kPipelinedKing:
-      factory = [](const ProtocolEnv& env, Rng rng) -> std::unique_ptr<Protocol> {
+      factory = [](const ProtocolEnv& env, Rng) -> std::unique_ptr<Protocol> {
         return std::make_unique<PipelinedBaClock>(
-            env, 12, turpin_coan_spec(phase_king_spec()), rng);
+            env, 12, turpin_coan_factory(phase_king_factory()));
       };
       break;
     case Stack::kDwShared:

@@ -16,10 +16,9 @@ namespace ssbft::testing {
 // output.
 class OneShotBaProtocol final : public Protocol {
  public:
-  OneShotBaProtocol(const ProtocolEnv& env, const BaSpec& spec,
-                    std::uint64_t input, Rng rng)
-      : rounds_(spec.rounds_for(env.f)),
-        instance_(spec.make(env, input, rng)) {}
+  OneShotBaProtocol(const ProtocolEnv& env, const BaInstanceFactory& make,
+                    std::uint64_t input)
+      : instance_(make(env, input)), rounds_(instance_->rounds()) {}
 
   void send_phase(Outbox& out) override {
     if (next_round_ <= rounds_) instance_->send_round(next_round_, out, 0);
@@ -39,9 +38,9 @@ class OneShotBaProtocol final : public Protocol {
   std::uint64_t output() const { return instance_->output(); }
 
  private:
+  std::unique_ptr<BaInstance> instance_;
   int rounds_;
   int next_round_ = 1;
-  std::unique_ptr<BaInstance> instance_;
 };
 
 // Fraction of beats from skip_warmup on where all correct hosts reported
